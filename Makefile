@@ -1,4 +1,4 @@
-.PHONY: check test build fmt conform fuzz-smoke recover-demo profile-demo domains-demo trace-demo attack-demo resilience-demo
+.PHONY: check test build fmt conform bench-smoke fuzz-smoke recover-demo profile-demo domains-demo trace-demo attack-demo resilience-demo
 
 check:
 	sh scripts/check.sh
@@ -113,6 +113,17 @@ trace-demo:
 		-o /tmp/pkru-quickstart-trace.json
 	go run ./scripts/tracecheck /tmp/pkru-quickstart-trace.json
 	@rm -f /tmp/pkru-trace-demo.json /tmp/pkru-latency-demo.json /tmp/pkru-quickstart-trace.json
+
+# bench-smoke keeps the benchmark module building and running: perfbench
+# imports vm, ffi, browser and pkalloc through a replace, so an API change
+# there can break it without touching any file under perfbench/. A short
+# compute run must report every op correct and none failed.
+bench-smoke:
+	cd perfbench && go vet ./... && go test ./...
+	@line=$$(bash perfbench/run.sh --workload compute --seed 1 --seconds 2 | tail -n 1); \
+	echo "$$line"; \
+	case "$$line" in *'"correct":true'*'"failed":0'*) ;; \
+	*) echo "bench-smoke: benchmark run not clean" >&2; exit 1 ;; esac
 
 fuzz-smoke:
 	go test -fuzz '^FuzzDifferential$$' -fuzztime 10s ./internal/conformance

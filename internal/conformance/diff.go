@@ -143,7 +143,11 @@ func Run(tr Trace, opts Options) *Result {
 	r.rt = ffi.NewRuntime(reg, alloc, r.sigs, ffi.GatesOn)
 	r.rt.SetGateCost(0) // conformance measures semantics, not latency
 	for i := 0; i < NumThreads; i++ {
-		r.ths = append(r.ths, r.rt.NewThread())
+		th := r.rt.NewThread()
+		if opts.Inject == InjectStaleTranslation {
+			th.VM.InjectStaleTranslation(true)
+		}
+		r.ths = append(r.ths, th)
 	}
 
 	// The model mirrors the two pool reservations pkalloc made, the same

@@ -32,6 +32,12 @@ const (
 	// reuse: pkey_mprotect reports success but the pages keep their old
 	// tag, as with a missed retag on a recycled span.
 	InjectStaleSetPKey
+	// InjectStaleTranslation models a translation cache that caches the
+	// protection key along with the page: a thread keeps serving the key
+	// snapshotted when its entry was filled, so a retag (pkey_mprotect, a
+	// vkey eviction to the parking key) is missed until the entry is
+	// displaced — the shootdown libmpk's pkey_sync exists to perform.
+	InjectStaleTranslation
 
 	numFaults
 )
@@ -48,6 +54,8 @@ func (f Fault) String() string {
 		return "leak-trusted-alloc"
 	case InjectStaleSetPKey:
 		return "stale-setpkey"
+	case InjectStaleTranslation:
+		return "stale-tlb-key"
 	default:
 		return "fault(?)"
 	}
@@ -55,7 +63,7 @@ func (f Fault) String() string {
 
 // Faults returns every plantable fault mode (excluding InjectNone).
 func Faults() []Fault {
-	return []Fault{InjectSkipGateRestore, InjectSwallowSegv, InjectLeakTrustedAlloc, InjectStaleSetPKey}
+	return []Fault{InjectSkipGateRestore, InjectSwallowSegv, InjectLeakTrustedAlloc, InjectStaleSetPKey, InjectStaleTranslation}
 }
 
 // ParseFault resolves a fault mode name as used by pkru-conform's -fault
@@ -102,6 +110,14 @@ func DirectedTrace(f Fault) Trace {
 		{Kind: OpSetPKey, Addr: scratch, Size: 4 * 4096, Key: 0},
 		{Kind: OpWRPKRU, Value: mpk.PermitAll.With(3, mpk.DenyAll)},
 		{Kind: OpStore, Flags: FlagRawAddr, Addr: scratch + 4096, Size: 8},
+		{Kind: OpWRPKRU, Value: mpk.PermitAll},
+		// Retag the window again, now under a key the thread then denies:
+		// the first page's translation was cached under key 3 by the
+		// baseline load, so the load below must PKU-fault on key 5
+		// (stale-tlb-key serves the cached key 3 and lets it through).
+		{Kind: OpSetPKey, Addr: scratch, Size: 4 * 4096, Key: 5},
+		{Kind: OpWRPKRU, Value: mpk.PermitAll.With(5, mpk.DenyAll)},
+		{Kind: OpLoad, Flags: FlagRawAddr, Addr: scratch, Size: 8},
 		{Kind: OpWRPKRU, Value: mpk.PermitAll},
 		// Gated call into U touching MT: must PKU-fault with AD|WD on the
 		// trusted key (swallow-segv erases the fault; leak-trusted-alloc

@@ -50,6 +50,7 @@ func TestDetectionAttribution(t *testing.T) {
 		{InjectSwallowSegv, map[string]bool{"outcome": true, "pkru": true}},
 		{InjectLeakTrustedAlloc, map[string]bool{"outcome": true, "keymap": true}},
 		{InjectStaleSetPKey, map[string]bool{"outcome": true, "keymap": true}},
+		{InjectStaleTranslation, map[string]bool{"outcome": true}},
 	}
 	for _, c := range cases {
 		res := Run(DirectedTrace(c.fault), Options{Inject: c.fault})

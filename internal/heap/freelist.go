@@ -22,8 +22,8 @@ import (
 //
 // FreeList is not internally synchronized; pkalloc serializes access.
 type FreeList struct {
-	pool  *PagePool
-	space *vm.Space
+	pool *PagePool
+	mem  vm.View // metadata accesses; serialized with the FreeList itself
 
 	head     vm.Addr // first free chunk (0 = empty list)
 	top      vm.Addr // wilderness chunk base (0 = none yet)
@@ -46,12 +46,12 @@ const (
 
 // NewFreeList creates a free-list allocator drawing pages from pool.
 func NewFreeList(pool *PagePool, space *vm.Space) *FreeList {
-	return &FreeList{pool: pool, space: space, live: make(map[vm.Addr]uint64)}
+	return &FreeList{pool: pool, mem: vm.NewView(space), live: make(map[vm.Addr]uint64)}
 }
 
 func (f *FreeList) ld(a vm.Addr) uint64 {
 	var b [8]byte
-	if err := f.space.Peek(a, b[:]); err != nil {
+	if err := f.mem.Peek(a, b[:]); err != nil {
 		panic(fmt.Sprintf("heap: freelist metadata read at %v: %v", a, err))
 	}
 	return binary.LittleEndian.Uint64(b[:])
@@ -60,7 +60,7 @@ func (f *FreeList) ld(a vm.Addr) uint64 {
 func (f *FreeList) st(a vm.Addr, v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	if err := f.space.Poke(a, b[:]); err != nil {
+	if err := f.mem.Poke(a, b[:]); err != nil {
 		panic(fmt.Sprintf("heap: freelist metadata write at %v: %v", a, err))
 	}
 }

@@ -208,10 +208,11 @@ func (a *Allocator) Realloc(addr vm.Addr, newSize uint64) (vm.Addr, error) {
 		return 0, err
 	}
 	buf := make([]byte, oldSize)
-	if err := a.space.Peek(addr, buf); err != nil {
+	mem := vm.NewView(a.space)
+	if err := mem.Peek(addr, buf); err != nil {
 		return 0, err
 	}
-	if err := a.space.Poke(newAddr, buf); err != nil {
+	if err := mem.Poke(newAddr, buf); err != nil {
 		return 0, err
 	}
 	if err := alloc.Free(addr); err != nil {

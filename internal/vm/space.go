@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mpk"
 )
@@ -42,11 +43,25 @@ func (a Addr) PageIndex() uint64 { return uint64(a) >> PageShift }
 
 func (a Addr) String() string { return fmt.Sprintf("%#x", uint64(a)) }
 
-// page is one resident 4 KiB page.
+// page is one resident 4 KiB page. A resident page is immortal: the Space
+// never unmaps or replaces it, which is what lets a tlb cache the pointer
+// without invalidation. Its key is atomic because a retag by one goroutine
+// races with checked accesses on others.
 type page struct {
 	data []byte // allocated on first touch
-	pkey mpk.Key
+	pkey atomic.Uint32
 }
+
+func newPage(key mpk.Key) *page {
+	p := &page{data: make([]byte, PageSize)}
+	p.pkey.Store(uint32(key))
+	return p
+}
+
+// key returns the page's current protection key.
+func (p *page) key() mpk.Key { return mpk.Key(p.pkey.Load()) }
+
+func (p *page) setKey(key mpk.Key) { p.pkey.Store(uint32(key)) }
 
 // Region is a contiguous reservation of address space, the analogue of an
 // anonymous mmap. Pages inside a region become resident on first touch and
@@ -156,7 +171,7 @@ func (s *Space) pageAt(a Addr) *page {
 	if r == nil {
 		return nil
 	}
-	p = &page{data: make([]byte, PageSize), pkey: r.PKey}
+	p = newPage(r.PKey)
 	s.pages[vpn] = p
 	return p
 }
@@ -211,7 +226,7 @@ func (s *Space) SetPKey(base Addr, size uint64, key mpk.Key) error {
 	for vpn, p := range s.pages {
 		a := Addr(vpn) << PageShift
 		if a >= base && a < end {
-			p.pkey = key
+			p.setKey(key)
 		}
 	}
 	return nil
@@ -250,10 +265,10 @@ func (s *Space) SetPageKey(base Addr, size uint64, key mpk.Key) error {
 		vpn := a.PageIndex()
 		p := s.pages[vpn]
 		if p == nil {
-			p = &page{data: make([]byte, PageSize)}
+			p = newPage(key)
 			s.pages[vpn] = p
 		}
-		p.pkey = key
+		p.setKey(key)
 	}
 	return nil
 }
@@ -289,7 +304,7 @@ func (s *Space) PKeyAt(a Addr) (mpk.Key, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if p := s.pages[a.PageIndex()]; p != nil {
-		return p.pkey, true
+		return p.key(), true
 	}
 	if r := s.regionAtLocked(a); r != nil {
 		return r.PKey, true
@@ -326,7 +341,7 @@ func (s *Space) PageMapAround(a Addr, radius int) []PageInfo {
 	for p := first; p < MaxAddr && len(out) < cap(out); p += PageSize {
 		info := PageInfo{Base: p}
 		if pg := s.pages[p.PageIndex()]; pg != nil {
-			info.Reserved, info.Resident, info.PKey = true, true, pg.pkey
+			info.Reserved, info.Resident, info.PKey = true, true, pg.key()
 		} else if r := s.regionAtLocked(p); r != nil {
 			info.Reserved, info.PKey = true, r.PKey
 		}
@@ -354,25 +369,14 @@ func (s *Space) ResidentBytes() uint64 { return uint64(s.ResidentPages()) * Page
 // runtime itself (the profiler's metadata lookups, test assertions); it
 // still requires the range to be reserved.
 func (s *Space) Peek(a Addr, buf []byte) error {
-	return s.rawAccess(a, buf, false)
+	v := NewView(s)
+	return v.Peek(a, buf)
 }
 
 // Poke copies buf into the address space without any protection-key check.
 func (s *Space) Poke(a Addr, buf []byte) error {
-	return s.rawAccess(a, buf, true)
-}
-
-func (s *Space) rawAccess(a Addr, buf []byte, write bool) error {
-	for off := 0; off < len(buf); {
-		p := s.pageAt(a + Addr(off))
-		if p == nil {
-			return fmt.Errorf("vm: raw %s at unmapped address %v", accessName(write), a+Addr(off))
-		}
-		po := int(uint64(a+Addr(off)) & PageMask)
-		n := copyChunk(p, po, buf[off:], write)
-		off += n
-	}
-	return nil
+	v := NewView(s)
+	return v.Poke(a, buf)
 }
 
 func accessName(write bool) string {

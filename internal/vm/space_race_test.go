@@ -100,3 +100,32 @@ func TestSetPKeyRaceWithReaders(t *testing.T) {
 	close(stop)
 	readers.Wait()
 }
+
+// TestCheckedAccessRacesRetag runs checked loads on one goroutine while
+// another retags the same span, the way a vkey eviction on one thread
+// retags pages another thread is touching. Under -race it pins the page
+// key as an atomic: the access path reads it outside the page-table lock.
+func TestCheckedAccessRacesRetag(t *testing.T) {
+	const base Addr = 0x5000_0000_0000
+	s := NewSpace()
+	if _, err := s.Reserve("retag", base, 4*PageSize, 2); err != nil {
+		t.Fatal(err)
+	}
+	th := NewThread(s, nil) // PermitAll: every key is readable
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if err := s.SetPKey(base, 4*PageSize, mpk.Key(2+i%3)); err != nil {
+				t.Errorf("SetPKey: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if _, err := th.Load64(base + Addr(i%4)*PageSize); err != nil {
+			t.Fatalf("Load64: %v", err)
+		}
+	}
+	<-done
+}

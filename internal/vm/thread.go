@@ -86,6 +86,11 @@ type Thread struct {
 	// metrics, when non-nil, mirrors the counters above into the
 	// process-wide telemetry registry (see metrics.go).
 	metrics *Metrics
+
+	// cache is the thread's translation cache (see tlb). staleKeys, when
+	// non-nil, plants the InjectStaleTranslation bug.
+	cache     [threadTLBSize]tlbEntry
+	staleKeys *[threadTLBSize]mpk.Key
 }
 
 // NewThread creates a thread on the given address space. The signal table
@@ -213,19 +218,67 @@ func (t *Thread) access(addr Addr, buf []byte, kind sig.AccessKind) error {
 
 // checkPage resolves the page for a, delivering SIGSEGV and retrying while
 // a handler repairs the condition. The common no-fault case is decided
-// here without constructing a sig.Info — that struct is passed to handlers
-// by pointer and therefore heap-escapes, which would cost an allocation on
-// every access.
+// here, through the thread's translation cache and against the page's
+// current key, without constructing a sig.Info — that struct is passed to
+// handlers by pointer and therefore heap-escapes, which would cost an
+// allocation on every access.
 func (t *Thread) checkPage(a Addr, kind sig.AccessKind) (*page, error) {
-	if p := t.space.pageAt(a); p != nil && t.allowed(p.pkey, kind) {
-		return p, nil
+	if t.staleKeys == nil {
+		if p := tlb(t.cache[:]).lookup(t.space, a); p != nil && t.allowed(p.key(), kind) {
+			return p, nil
+		}
 	}
 	return t.checkPageSlow(a, kind)
 }
 
+// InjectStaleTranslation plants (or clears) the stale-translation bug: the
+// translation cache keeps the key each page had when its entry was
+// filled and judges every hit by it, so a retag is missed until the entry
+// is displaced — a revoked page stays reachable and a granted one keeps
+// faulting. Exists solely so the conformance oracle can prove it catches
+// this class; never set in production paths. Call it while the thread is
+// idle.
+func (t *Thread) InjectStaleTranslation(on bool) {
+	t.cache = [threadTLBSize]tlbEntry{}
+	t.staleKeys = nil
+	if on {
+		t.staleKeys = new([threadTLBSize]mpk.Key)
+	}
+}
+
+// translate resolves a for the fault path: the resident page, or nil if
+// a is unmapped, and the key to judge the access by.
+func (t *Thread) translate(a Addr) (*page, mpk.Key) {
+	if t.staleKeys != nil {
+		return t.translateStale(a)
+	}
+	p := t.space.pageAt(a)
+	if p == nil {
+		return nil, 0
+	}
+	return p, p.key()
+}
+
+// translateStale is translate with InjectStaleTranslation planted.
+func (t *Thread) translateStale(a Addr) (*page, mpk.Key) {
+	vpn := a.PageIndex()
+	i := tlb(t.cache[:]).index(vpn)
+	if e := t.cache[i]; e.vpn == vpn && e.p != nil {
+		return e.p, t.staleKeys[i]
+	}
+	p := t.space.pageAt(a)
+	if p == nil {
+		return nil, 0
+	}
+	t.cache[i], t.staleKeys[i] = tlbEntry{vpn: vpn, p: p}, p.key()
+	return p, t.staleKeys[i]
+}
+
 func (t *Thread) checkPageSlow(a Addr, kind sig.AccessKind) (*page, error) {
 	for try := 0; ; try++ {
-		p := t.space.pageAt(a)
+		// One key read judges the access and fills the siginfo, so a
+		// concurrent retag cannot split the two.
+		p, key := t.translate(a)
 		var info sig.Info
 		switch {
 		case p == nil:
@@ -234,8 +287,8 @@ func (t *Thread) checkPageSlow(a Addr, kind sig.AccessKind) (*page, error) {
 			if m := t.metrics; m != nil {
 				m.MapFaults.Inc()
 			}
-		case !t.allowed(p.pkey, kind):
-			info = sig.Info{Sig: sig.SIGSEGV, Code: sig.CodePKUErr, Addr: uint64(a), Access: kind, PKey: uint8(p.pkey)}
+		case !t.allowed(key, kind):
+			info = sig.Info{Sig: sig.SIGSEGV, Code: sig.CodePKUErr, Addr: uint64(a), Access: kind, PKey: uint8(key)}
 			t.pkuFaults.Add(1)
 			if m := t.metrics; m != nil {
 				m.PKUFaults.Inc()
