@@ -684,11 +684,26 @@ func TestCLIServoHostileSheds(t *testing.T) {
 	if !strings.Contains(text, "shed=9") || !strings.Contains(text, "breaker=open") {
 		t.Errorf("hostile run did not shed behind an open breaker:\n%s", text)
 	}
-	// -hostile without -domains is a usage error.
-	out, err = exec.Command(servo, "-hostile=tenant003").CombinedOutput()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-		t.Fatalf("-hostile without -domains: err=%v, want exit status 2\n%s", err, out)
+	// Usage errors exit 2 before any tenant is built: the -domains-only
+	// flags without -domains, and a -hostile naming no tenant.
+	for _, args := range [][]string{
+		{"-hostile=tenant003"},
+		{"-config", "mpk", "-inject-fault", "40"},
+		{"-churn=false"},
+		{"-breaker-probe-after=1h"},
+		{"-domain-workers=2"},
+		{"-domain-cycles=10"},
+		{"-sample-interval=4"},
+		{"-domains=8", "-hostile=tenant999"},
+	} {
+		out, err = exec.Command(servo, args...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%v: err=%v, want exit status 2\n%s", args, err, out)
+		}
+		if strings.Contains(string(out), "domains=") || strings.Contains(string(out), "script result") {
+			t.Errorf("%v: ran the workload before rejecting it:\n%s", args, out)
+		}
 	}
 }
 

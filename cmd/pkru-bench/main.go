@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/workload"
 )
 
@@ -65,10 +66,10 @@ func main() {
 		exitOn(err)
 		reports[name] = r
 		if *csvDir != "" {
-			writeReport(filepath.Join(*csvDir, name+".csv"), r, bench.WriteCSV)
+			writeReport(*csvDir, name+".csv", func(w io.Writer) error { return bench.WriteCSV(w, r) })
 		}
 		if *jsonDir != "" {
-			writeReport(filepath.Join(*jsonDir, name+".json"), r, bench.WriteJSON)
+			writeReport(*jsonDir, name+".json", func(w io.Writer) error { return bench.WriteJSON(w, r) })
 		}
 		return r
 	}
@@ -108,12 +109,7 @@ func main() {
 		exitOn(err)
 		fmt.Println(bench.FormatRecovery(rs))
 		if *jsonDir != "" {
-			path := filepath.Join(*jsonDir, "recovery.json")
-			f, err := os.Create(path)
-			exitOn(err)
-			exitOn(bench.WriteRecoveryJSON(f, *microIters, rs))
-			exitOn(f.Close())
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			writeReport(*jsonDir, "recovery.json", func(w io.Writer) error { return bench.WriteRecoveryJSON(w, *microIters, rs) })
 		}
 	}
 	if run("profiling") {
@@ -121,12 +117,7 @@ func main() {
 		exitOn(err)
 		fmt.Println(bench.FormatProfiling(rs, stats))
 		if *jsonDir != "" {
-			path := filepath.Join(*jsonDir, "profiling.json")
-			f, err := os.Create(path)
-			exitOn(err)
-			exitOn(bench.WriteProfilingJSON(f, *microIters, rs, stats))
-			exitOn(f.Close())
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			writeReport(*jsonDir, "profiling.json", func(w io.Writer) error { return bench.WriteProfilingJSON(w, *microIters, rs, stats) })
 		}
 	}
 	if run("vkeys") {
@@ -134,12 +125,7 @@ func main() {
 		exitOn(err)
 		fmt.Println(bench.FormatVKeys(rs))
 		if *jsonDir != "" {
-			path := filepath.Join(*jsonDir, "vkeys.json")
-			f, err := os.Create(path)
-			exitOn(err)
-			exitOn(bench.WriteVKeysJSON(f, *microIters, rs))
-			exitOn(f.Close())
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			writeReport(*jsonDir, "vkeys.json", func(w io.Writer) error { return bench.WriteVKeysJSON(w, *microIters, rs) })
 		}
 	}
 	if run("resilience") {
@@ -148,12 +134,7 @@ func main() {
 		exitOn(err)
 		fmt.Println(bench.FormatResilience(rs))
 		if *jsonDir != "" {
-			path := filepath.Join(*jsonDir, "resilience.json")
-			f, err := os.Create(path)
-			exitOn(err)
-			exitOn(bench.WriteResilienceJSON(f, iters, rs))
-			exitOn(f.Close())
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			writeReport(*jsonDir, "resilience.json", func(w io.Writer) error { return bench.WriteResilienceJSON(w, iters, rs) })
 		}
 	}
 	if !anyExperiment(*experiment) {
@@ -163,11 +144,10 @@ func main() {
 	}
 }
 
-func writeReport(path string, r bench.SuiteReport, write func(io.Writer, bench.SuiteReport) error) {
-	f, err := os.Create(path)
-	exitOn(err)
-	exitOn(write(f, r))
-	exitOn(f.Close())
+// writeReport writes one report file into dir via write.
+func writeReport(dir, name string, write func(io.Writer) error) {
+	path := filepath.Join(dir, name)
+	exitOn(cli.WriteTo(path, write))
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 }
 

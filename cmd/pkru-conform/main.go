@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"repro/internal/attack"
+	"repro/internal/cli"
 	"repro/internal/conformance"
 	"repro/internal/telemetry"
 )
@@ -71,7 +72,7 @@ func main() {
 		fmt.Print(telemetry.FormatTable(reg.Snapshot()))
 	}
 	if *jsonTo != "" {
-		if err := writeJSON(*jsonTo, reg); err != nil {
+		if err := cli.WriteTo(*jsonTo, reg.Snapshot().WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "pkru-conform:", err)
 			os.Exit(1)
 		}
@@ -232,17 +233,4 @@ func runAttacks(quiet bool) bool {
 		fmt.Printf("pkru-conform: attack corpus: %d scenarios x red+green drills: every attack has teeth, every defense holds\n", len(results)/2)
 	}
 	return true
-}
-
-func writeJSON(path string, reg *telemetry.Registry) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return reg.Snapshot().WriteJSON(w)
 }

@@ -31,13 +31,12 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/profstore"
@@ -150,10 +149,10 @@ func main() {
 	}
 
 	if metrics != "" {
-		writeTo(metrics, tl.reg.WritePrometheus)
+		exitOn(cli.WriteTo(metrics, tl.reg.WritePrometheus))
 	}
 	if metricsJSON != "" {
-		writeTo(metricsJSON, tl.reg.Snapshot().WriteJSON)
+		exitOn(cli.WriteTo(metricsJSON, tl.reg.Snapshot().WriteJSON))
 	}
 	os.Exit(status)
 }
@@ -326,18 +325,6 @@ func (t *tool) load(path string) *profile.Profile {
 		t.bytesSeen.Add(rec.Bytes)
 	}
 	return p
-}
-
-// writeTo writes via f to path, with "-" meaning stdout. File output is
-// buffered so a failed export never leaves a truncated file behind.
-func writeTo(path string, f func(io.Writer) error) {
-	if path == "-" {
-		exitOn(f(os.Stdout))
-		return
-	}
-	var buf bytes.Buffer
-	exitOn(f(&buf))
-	exitOn(os.WriteFile(path, buf.Bytes(), 0o644))
 }
 
 func usage() {

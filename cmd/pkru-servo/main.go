@@ -23,41 +23,18 @@
 // stderr before exit 1.
 //
 // -domains N switches the binary into the multi-tenant domain workload
-// (docs/domains.md) instead of the browser: N logical domains — far more
-// than the 13 hardware key slots — are called into through ffi call
-// gates by worker threads while tenants churn, exercising the
-// virtual-key table's LRU eviction, slot recycling and eviction-time
-// PKRU revocation. Every request runs under a request-scoped trace
-// context (docs/tracing.md): gate enter/exit, faults, supervisor
-// recovery actions and slot evictions correlate under one trace ID with
-// the tenant's label. -inject-fault makes selected requests touch the
-// trusted heap from inside their domain — a pkey fault the -recover
-// policy then answers — so the retained traces show the full
-// fault→recovery arc; "40" injects into every 40th request globally,
-// "tenant3:0.2" into 20% of tenant3's requests (deterministically).
-// The pkrusafe_vkey_* and gate-latency families are live on -listen's
-// /metrics while the workload runs.
-//
-// -hostile=<tenant> turns one tenant of the -domains workload
-// compromised: its requests run the internal/attack payload roster
-// (trusted reads, rogue WRPKRUs, cross-tenant probes) through its own
-// gates. Each tenant fronts a circuit breaker (docs/recovery.md): the
-// hostile tenant's faults trip it, later requests are shed at admission
-// with a typed refusal before touching any gate, and the supervisor
-// quarantines only that tenant's pool (its epoch bumps; nobody else's).
-// Healthy tenants' slots are pinned against eviction while the breaker
-// is open. The run prints a "resilience:" verdict block and exits
-// non-zero if containment failed. -churn=false freezes the tenant set
-// for deterministic rehearsals; -breaker-probe-after overrides the
-// open→half-open backoff; /tenants.json on -listen serves live
-// breaker/epoch state.
-//
-// -latency-out writes a schema-versioned per-tenant latency report
-// (p50/p95/p99 and throughput, the numbers behind BENCH_gatetrace.json);
-// -trace-json writes the retained traces as Chrome trace_event JSON
-// loadable in chrome://tracing or Perfetto; -adapt-target wires the
-// adaptive controller that retunes the crossing sampler's interval from
-// the live gate-latency p99.
+// (docs/domains.md) on internal/tenantworld: N logical domains — far more
+// than the 13 hardware key slots — called through ffi call gates by
+// worker threads while tenants churn, every request under its own trace
+// context (docs/tracing.md). -inject-fault makes selected requests fault
+// on the trusted heap from inside their domain ("40" = every 40th
+// request, "tenant3:0.2" = 20% of tenant3's); -hostile=<tenant> runs the
+// attack payload roster in one tenant behind its circuit breaker and
+// prints a "resilience:" containment verdict, exiting non-zero on a
+// breach (docs/recovery.md). The -domains-only flags are usage errors
+// without it. -latency-out writes a per-tenant latency report,
+// -trace-json the retained traces as Chrome trace_event JSON, and
+// -adapt-target retunes the crossing sampler from the live gate p99.
 //
 // -profile-store closes the profiling loop (docs/profiling.md): the
 // active generation of a generational profile store supplies the applied
@@ -72,23 +49,18 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/browser"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/domains"
-	"repro/internal/ffi"
 	"repro/internal/gatetrace"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -96,8 +68,8 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/supervise"
 	"repro/internal/telemetry"
+	"repro/internal/tenantworld"
 	"repro/internal/trace"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -130,6 +102,12 @@ const traceCap = 256
 // requests for a useful /trace.json timeline without unbounded memory.
 const retainedCap = 256
 
+// domainsOnly names the flags only the -domains workload reads.
+var domainsOnly = map[string]bool{
+	"hostile": true, "inject-fault": true, "churn": true, "breaker-probe-after": true,
+	"domain-workers": true, "domain-cycles": true, "sample-interval": true,
+}
+
 func main() {
 	cfgName := flag.String("config", "mpk", "base|alloc|mpk|profiling")
 	htmlPath := flag.String("html", "", "HTML file to load (default: built-in demo)")
@@ -158,38 +136,44 @@ func main() {
 	probeAfter := flag.Duration("breaker-probe-after", 0, "-domains only: base open→half-open breaker backoff (0 = the resilience default)")
 	flag.Parse()
 
+	// The tenant workload's knobs mean nothing to the browser path: naming
+	// one without -domains is a usage error, not a silent no-op.
+	if *nDomains <= 0 {
+		flag.Visit(func(f *flag.Flag) {
+			if domainsOnly[f.Name] {
+				fmt.Fprintf(os.Stderr, "pkru-servo: -%s needs the -domains workload\n", f.Name)
+				os.Exit(2)
+			}
+		})
+	}
 	faultSpec, err := workload.ParseFaultSpec(*injectFault)
+	exitOn(err)
+	policy, err := supervise.ParsePolicy(*recoverName)
 	exitOn(err)
 
 	if *nDomains > 0 {
-		runDomains(domainRunConfig{
-			n:              *nDomains,
-			workers:        *domainWorkers,
-			cycles:         *domainCycles,
-			listen:         *listen,
-			metrics:        *metrics,
-			metricsJSON:    *metricsJSON,
-			recoverName:    *recoverName,
-			latencyOut:     *latencyOut,
-			traceJSON:      *traceJSON,
-			traceOut:       *traceOut,
-			tailThreshold:  *tailThreshold,
-			fault:          faultSpec,
-			adaptTarget:    *adaptTarget,
-			sampleInterval: *sampleInterval,
-			hostile:        *hostile,
-			churn:          *churn,
-			probeAfter:     *probeAfter,
+		runDomains(tenantworld.Config{
+			Tenants:        *nDomains,
+			Policy:         policy,
+			ProbeAfter:     *probeAfter,
+			TailThreshold:  *tailThreshold,
+			SampleInterval: *sampleInterval,
+			Hostile:        *hostile,
+			Fault:          faultSpec,
+		}, domainRunConfig{
+			workers:     *domainWorkers,
+			cycles:      *domainCycles,
+			churn:       *churn,
+			adaptTarget: *adaptTarget,
+			listen:      *listen,
+			metrics:     *metrics,
+			metricsJSON: *metricsJSON,
+			latencyOut:  *latencyOut,
+			traceJSON:   *traceJSON,
+			traceOut:    *traceOut,
 		})
 		return
 	}
-	if *hostile != "" {
-		fmt.Fprintln(os.Stderr, "pkru-servo: -hostile needs the -domains workload")
-		os.Exit(2)
-	}
-
-	policy, err := supervise.ParsePolicy(*recoverName)
-	exitOn(err)
 
 	html, script := demoHTML, demoScript
 	if *htmlPath != "" {
@@ -294,7 +278,7 @@ func main() {
 	b, err := browser.New(cfg, prof, opts)
 	exitOn(err)
 
-	ctlStop := startController(*adaptTarget, b.Prog.Crossings(), reg)
+	stopCtl := startController(*adaptTarget, b.Prog.Crossings(), reg)
 
 	var srv *obs.Server
 	if *listen != "" {
@@ -321,7 +305,7 @@ func main() {
 	// under its own trace context. A request the supervisor could not save
 	// is dropped — logged with its typed compartment error — without
 	// taking the service down; any other error is a genuine crash.
-	lr := newLatencyRecorder()
+	lr := tenantworld.NewRecorder()
 	served, dropped := 0, 0
 	loopStart := time.Now()
 	for i := 1; i <= *requests; i++ {
@@ -340,11 +324,11 @@ func main() {
 		}
 		crashOn(err)
 		served++
-		lr.record("servo", reqLat)
+		lr.Record("servo", reqLat)
 		fmt.Printf("script result: %g\n", result)
 	}
 	elapsed := time.Since(loopStart)
-	stopController(ctlStop)
+	stopCtl()
 	if dropped > 0 {
 		fmt.Fprintf(os.Stderr, "pkru-servo: crash averted: served %d/%d request(s), dropped %d under policy %s\n",
 			served, *requests, dropped, policy)
@@ -363,10 +347,10 @@ func main() {
 
 	if reg != nil {
 		if *metrics != "" {
-			writeTo(*metrics, reg.WritePrometheus)
+			exitOn(cli.WriteTo(*metrics, reg.WritePrometheus))
 		}
 		if *metricsJSON != "" {
-			writeTo(*metricsJSON, reg.Snapshot().WriteJSON)
+			exitOn(cli.WriteTo(*metricsJSON, reg.Snapshot().WriteJSON))
 		}
 	}
 	if *latencyOut != "" {
@@ -376,7 +360,7 @@ func main() {
 		}, lr, elapsed)
 	}
 	if *traceJSON != "" {
-		writeTo(*traceJSON, tracer.WriteChromeTrace)
+		exitOn(cli.WriteTo(*traceJSON, tracer.WriteChromeTrace))
 	}
 
 	if cfg == core.Profiling && *profileOut != "" {
@@ -388,28 +372,23 @@ func main() {
 		fmt.Printf("profile with %d shared sites written to %s\n", p.Len(), *profileOut)
 	}
 	if *traceOut != "" {
-		writeTo(*traceOut, func(w io.Writer) error { opts.Trace.Dump(w); return nil })
+		exitOn(cli.WriteTo(*traceOut, func(w io.Writer) error { opts.Trace.Dump(w); return nil }))
 	}
 	closeServer(srv)
 }
 
-// domainRunConfig carries the flag subset the -domains workload consumes.
+// domainRunConfig carries the flags the -domains workload consumes
+// beyond the world's own configuration.
 type domainRunConfig struct {
-	n, workers, cycles int
-	listen             string
-	metrics            string
-	metricsJSON        string
-	recoverName        string
-	latencyOut         string
-	traceJSON          string
-	traceOut           string
-	tailThreshold      time.Duration
-	fault              workload.FaultSpec
-	adaptTarget        time.Duration
-	sampleInterval     int
-	hostile            string
-	churn              bool
-	probeAfter         time.Duration
+	workers, cycles int
+	churn           bool
+	adaptTarget     time.Duration
+	listen          string
+	metrics         string
+	metricsJSON     string
+	latencyOut      string
+	traceJSON       string
+	traceOut        string
 }
 
 // tenantsView is the /tenants.json payload: per-tenant breaker state
@@ -420,308 +399,48 @@ type tenantsView struct {
 	Epochs   map[string]uint64        `json:"epochs"`
 }
 
-// runDomains drives the multi-tenant domain workload: n logical domains
-// multiplexed onto the hardware key slots, each fronted by an untrusted
-// ffi library bound to the tenant's compartment, called concurrently by
-// worker threads while a churn loop removes and re-adds tenants
-// underneath them. Every request crosses a domain call gate — the
-// audited activate-and-install path — under a request-scoped trace
-// context, so gate latency, faults, recovery actions and the evictions a
-// request triggers all land on one per-tenant trace. Cross-tenant probes
-// must deny; churn must recycle both key slots and pool regions. The
-// virtual-key telemetry, the per-domain gate-latency histograms and
-// /trace.json + /domains.json are live on -listen for the duration.
-func runDomains(o domainRunConfig) {
+// runDomains drives the multi-tenant domain workload: worker threads
+// serve requests round-robin across the tenants of an
+// internal/tenantworld world, each probing its neighbour's pool, while a
+// churn loop removes and re-adds tenants underneath them. The vkey
+// telemetry, gate-latency histograms and /trace.json, /domains.json and
+// /tenants.json are live on -listen for the duration.
+func runDomains(cfg tenantworld.Config, o domainRunConfig) {
 	if o.workers < 1 {
 		o.workers = 1
 	}
-	policy, err := supervise.ParsePolicy(o.recoverName)
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "pkru-servo:", err)
+		os.Exit(2)
+	}
+	w, err := tenantworld.New(cfg)
 	exitOn(err)
-	space := vm.NewSpace()
-	m, err := domains.NewManager(space)
-	exitOn(err)
-
-	reg := telemetry.NewRegistry()
-	m.SetTelemetry(reg)
-	ring := trace.NewRing(traceCap)
-	tracer := gatetrace.New(gatetrace.Config{
-		Registry: reg, Capacity: retainedCap, TailThreshold: o.tailThreshold})
-	m.SetTracing(tracer)
-
-	entries := reg.Counter("pkruservo_domain_entries_total", "Domain requests completed by the tenant workload.")
-	reads := reg.Counter("pkruservo_domain_reads_total", "In-domain reads of the tenant's own pool that succeeded.")
-	denied := reg.Counter("pkruservo_domain_denied_total", "Cross-tenant probes correctly denied by the hardware keys.")
-	leaks := reg.Counter("pkruservo_domain_leaks_total", "Cross-tenant probes that wrongly succeeded (must stay 0).")
-	churned := reg.Counter("pkruservo_domain_churn_total", "Tenants removed and re-added while the workload ran.")
-	droppedReqs := reg.Counter("pkruservo_domain_dropped_total", "Requests the recovery policy could not save.")
-	refused := reg.Counter("pkruservo_domain_refused_total", "Requests refused at the gate because churn freed the tenant's key mid-flight.")
-	shedReqs := reg.Counter("pkruservo_domain_shed_total", "Requests shed at admission by an open tenant breaker, never gated.")
-	breaches := reg.Counter("pkruservo_hostile_breach_total", "Hostile payloads that reached their goal (must stay 0).")
-
-	// The ffi runtime over the manager's allocator: tenant libraries are
-	// untrusted and domain-bound, so every call into one gates through the
-	// vkey table with the tenant's rights.
-	ffiReg := ffi.NewRegistry()
-	rt := ffi.NewRuntime(ffiReg, m.Allocator(), nil, ffi.GatesOn)
-	rt.SetTelemetry(reg)
-	rt.SetTrace(ring)
-	sampler := profstore.NewSampler(profstore.SamplerConfig{
-		Interval: o.sampleInterval, Telemetry: reg, Ring: ring})
-	rt.SetCrossingSink(sampler)
-	sup := supervise.New(supervise.Config{Policy: policy},
-		supervise.Deps{Alloc: m.Allocator(), Ring: ring, Telemetry: reg})
-
-	// The admission-control tier: one circuit breaker per tenant, between
-	// the request loop and the gates. A tenant whose compartment keeps
-	// faulting is shed here — typed refusal, no gate entry, no recovery
-	// budget spent — while every other tenant keeps its throughput.
-	breakers := resilience.NewGroup(resilience.Config{ProbeAfter: o.probeAfter})
-	breakers.SetTelemetry(reg)
-
-	ctlStop := startController(o.adaptTarget, sampler, reg)
+	stopCtl := startController(o.adaptTarget, w.Sampler, w.Registry)
 
 	var srv *obs.Server
 	if o.listen != "" {
 		srv, err = obs.ListenAndServe(o.listen, obs.ServerConfig{
-			Registry: reg, Ring: ring, Traces: tracer,
-			Domains: func() any { return m.Occupancy() },
+			Registry: w.Registry, Ring: w.Ring, Traces: w.Tracer,
+			Domains: func() any { return w.Manager.Occupancy() },
 			Tenants: func() any {
-				return tenantsView{Breakers: breakers.Snapshot(), Epochs: m.Allocator().DomainEpochs()}
+				return tenantsView{Breakers: w.Breakers.Snapshot(), Epochs: w.Manager.Allocator().DomainEpochs()}
 			}})
 		exitOn(err)
 		fmt.Fprintf(os.Stderr, "pkru-servo: observability server on %s\n", srv.URL())
 	}
 
-	// A trusted secret the fault injector touches from inside a domain:
-	// the pkey fault every Nth request deliberately takes, for the
-	// supervisor to answer and the trace to retain.
-	setup := vm.NewThread(space, nil) // trusted: PermitAll
-	secret, err := m.AllocTrusted(64)
-	exitOn(err)
-	exitOn(setup.Store64(secret, 0xfeed))
-
-	// Tenant table: each tenant's current buffer address, swapped atomically
-	// under its lock when churn recreates the pool. Workers racing a churn
-	// see either address; a stale one simply faults (a denied probe), which
-	// is the safe outcome.
-	name := func(i int) string { return fmt.Sprintf("tenant%03d", i) }
-	type tenant struct {
-		mu  sync.Mutex
-		buf vm.Addr
-	}
-	tenants := make([]*tenant, o.n)
-	// work is every tenant library's single entry point. It runs with the
-	// tenant's domain rights: its own pool readable, every other tenant's
-	// pool and the trusted heap denied. args: own buffer, probe address,
-	// secret address, inject flag.
-	work := func(t *ffi.Thread, args []uint64) ([]uint64, error) {
-		own, probe, secretAddr, inject := args[0], args[1], args[2], args[3]
-		v, err := t.Load64(vm.Addr(own))
-		if err == nil {
-			reads.Inc()
-		}
-		if probe != own {
-			if _, perr := t.Load64(vm.Addr(probe)); perr != nil {
-				denied.Inc()
-			} else {
-				leaks.Inc()
-			}
-		}
-		if inject != 0 {
-			// Deliberate compartment failure: trusted memory from inside
-			// the domain. The fault propagates out through the gate (which
-			// self-unwinds) to the supervisor's recovery point.
-			if _, ferr := t.Load64(vm.Addr(secretAddr)); ferr != nil {
-				return nil, ferr
-			}
-		}
-		return []uint64{v}, err
-	}
-	// hostileWork is the entry point a compromised tenant's library runs:
-	// one attack payload per request, rotated deterministically by the
-	// tenant-local sequence number. Every payload must die with a PKUERR
-	// inside the tenant's own compartment; one that reaches its goal is an
-	// isolation breach. args: payload index, secret address, victim address.
-	payloads := attack.TenantPayloads()
-	hostileWork := func(t *ffi.Thread, args []uint64) ([]uint64, error) {
-		idx, secretAddr, victim := args[0], args[1], args[2]
-		p := payloads[idx%uint64(len(payloads))]
-		breached, err := p.Run(t, attack.PayloadTargets{
-			Secret: vm.Addr(secretAddr), Victim: vm.Addr(victim)})
-		if err != nil {
-			return nil, err
-		}
-		if breached {
-			breaches.Inc()
-			fmt.Fprintf(os.Stderr, "pkru-servo: HOSTILE BREACH: payload %s (%s) reached its goal\n", p.Name, p.Class)
-		}
-		return []uint64{0}, nil
-	}
-	addTenant := func(i int) error {
-		d, err := m.AddDomain(name(i))
-		if err != nil {
-			return err
-		}
-		buf, err := m.Alloc(d, 64)
-		if err != nil {
-			return err
-		}
-		if err := setup.Store64(buf, uint64(i)); err != nil {
-			return err
-		}
-		lib, err := ffiReg.Library(name(i), ffi.Untrusted)
-		if err != nil {
-			return err
-		}
-		lib.Define("work", work)
-		lib.Define("hostile", hostileWork)
-		m.BindLibrary(rt, name(i), d)
-		tenants[i].mu.Lock()
-		tenants[i].buf = buf
-		tenants[i].mu.Unlock()
-		return nil
-	}
-	bufOf := func(i int) vm.Addr {
-		tenants[i].mu.Lock()
-		defer tenants[i].mu.Unlock()
-		return tenants[i].buf
-	}
-	for i := 0; i < o.n; i++ {
-		tenants[i] = &tenant{}
-		exitOn(addTenant(i))
-	}
-
-	lr := newLatencyRecorder()
-	var reqSeq atomic.Uint64
-	perSeq := make([]atomic.Uint64, o.n) // tenant-local request sequence
-	okBy := make([]atomic.Uint64, o.n)   // per-tenant successes, for the verdict
-	dropBy := make([]atomic.Uint64, o.n) // per-tenant drops, for the verdict
-
-	// setPins pins (or unpins) every tenant's slot except the flapping
-	// one: while a breaker is open or half-open probing, the healthy,
-	// latency-critical tenants keep their hardware slots instead of losing
-	// them to the probe traffic's activations. Best-effort — a tenant
-	// churned away mid-loop just skips.
-	setPins := func(except string, on bool) {
-		for j := 0; j < o.n; j++ {
-			if name(j) == except {
-				continue
-			}
-			if on {
-				_ = m.Pin(name(j))
-			} else {
-				_ = m.Unpin(name(j))
-			}
-		}
-	}
-	// mark publishes a breaker transition: a gatetrace instant on the
-	// request's trace (flagging it for retention) and the pinning
-	// side-effect — open pins the healthy tenants, closed releases them.
-	mark := func(tc *gatetrace.Context, tenant string, tr *resilience.Transition) {
-		if tr == nil {
-			return
-		}
-		tc.MarkBreaker(tr.To.String(), tenant, tr.Reason)
-		switch tr.To {
-		case resilience.Open:
-			setPins(tenant, true)
-		case resilience.Closed:
-			setPins(tenant, false)
-		}
-	}
-
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < o.workers; w++ {
+	for k := 0; k < o.workers; k++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(k int) {
 			defer wg.Done()
-			th := rt.NewThread()
-			if o.hostile != "" {
-				// The payload roster includes rogue WRPKRUs; arm the
-				// per-thread guard so the defense under test is on.
-				th.VM.SetPKRUGuard(true)
-			}
+			th := w.NewThread()
 			for c := 0; c < o.cycles; c++ {
-				i := (w + c) % o.n
-				tenantName := name(i)
-				if _, ok := m.Domain(tenantName); !ok {
-					continue // churned away between pick and lookup
-				}
-				seq := reqSeq.Add(1)
-				tseq := int(perSeq[i].Add(1))
-				injSeq := int(seq)
-				if o.fault.Tenant != "" {
-					injSeq = tseq // tenant-scoped spec counts the tenant's own stream
-				}
-				inject := o.fault.Hits(tenantName, injSeq)
-				// One request: its own trace context, attached to the
-				// thread for gate spans and bound to the rights register
-				// for eviction attribution.
-				tc := tracer.Start(tenantName)
-				// Admission: an open breaker sheds the request here —
-				// counted, typed, never gated, no latency sample.
-				tr, aerr := breakers.Allow(tenantName)
-				if aerr != nil {
-					shedReqs.Inc()
-					tc.Finish()
-					continue
-				}
-				mark(tc, tenantName, tr)
-				th.SetTraceContext(tc)
-				tracer.Bind(th.VM, tc)
-				qBefore := sup.DomainQuarantines(tenantName)
-				reqStart := time.Now()
-				var err error
-				if o.hostile == tenantName {
-					err = sup.Shield(th, tenantName+".hostile", func() error {
-						_, herr := th.Call(tenantName, "hostile",
-							uint64(tseq-1), uint64(secret), uint64(bufOf((i+1)%o.n)))
-						return herr
-					})
-				} else {
-					err = sup.Shield(th, tenantName+".work", func() error {
-						inj := uint64(0)
-						if inject {
-							inj, inject = 1, false // fault once; the retry succeeds
-						}
-						_, werr := th.Call(tenantName, "work",
-							uint64(bufOf(i)), uint64(bufOf((i+1)%o.n)), uint64(secret), inj)
-						return werr
-					})
-				}
-				reqLat := time.Since(reqStart)
-				tracer.Unbind(th.VM)
-				th.SetTraceContext(nil)
-				// Recovery actions the supervisor spent on this tenant burn
-				// its breaker budget, opening it even when the request was
-				// ultimately saved.
-				if burned := sup.DomainQuarantines(tenantName) - qBefore; burned > 0 {
-					mark(tc, tenantName, breakers.RecordBurn(tenantName, burned))
-				}
-				var cerr *supervise.CompartmentError
-				var fault *vm.Fault
-				switch {
-				case err == nil:
-					entries.Inc()
-					okBy[i].Add(1)
-					lr.record(tenantName, reqLat)
-					mark(tc, tenantName, breakers.RecordSuccess(tenantName))
-				case errors.As(err, &cerr), errors.As(err, &fault):
-					// The policy gave the request up (or, under abort, the
-					// injected fault surfaced raw). Dropped, not fatal.
-					droppedReqs.Inc()
-					dropBy[i].Add(1)
-					mark(tc, tenantName, breakers.RecordFault(tenantName))
-				default:
-					// Churn freed the tenant's key between lookup and gate
-					// entry; the gate failed closed without running the body.
-					// Not the tenant's fault: the breaker does not charge it.
-					refused.Inc()
-				}
-				tc.Finish()
+				i := (k + c) % cfg.Tenants
+				w.Serve(th, i, (i+1)%cfg.Tenants)
 			}
-		}(w)
+		}(k)
 	}
 
 	// Churn loop: while the workers run, rotate tenants out and back in so
@@ -730,189 +449,102 @@ func runDomains(o domainRunConfig) {
 	// resilience transcript depends on a fixed request schedule).
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	victim := 0
 churn:
-	for o.churn {
+	for victim := 0; o.churn; victim++ {
 		select {
 		case <-done:
 			break churn
 		case <-time.After(50 * time.Microsecond):
 		}
-		i := victim % o.n
-		victim++
-		// Touch the victim first so it holds a hardware slot when removed:
-		// removal of an active tenant is the interesting case, exercising
-		// slot recycling and bound-thread revocation rather than just
-		// discarding a parked key.
-		if d, ok := m.Domain(name(i)); ok {
-			if restore, err := m.Enter(setup, d); err == nil {
-				_ = restore()
-			}
-		}
-		if err := m.RemoveDomain(name(i)); err != nil {
-			continue
-		}
-		if err := addTenant(i); err != nil {
-			fmt.Fprintf(os.Stderr, "pkru-servo: tenant re-add: %v\n", err)
-			os.Exit(1)
-		}
-		churned.Inc()
+		_, err := w.Churn(victim % cfg.Tenants)
+		exitOn(err)
 	}
 	<-done
 	elapsed := time.Since(start)
-	stopController(ctlStop)
+	stopCtl()
 
-	st := m.Table().Stats()
-	ts := tracer.Stats()
-	if leaks.Value() > 0 {
-		fmt.Fprintf(os.Stderr, "pkru-servo: ISOLATION FAILURE: %d cross-tenant probe(s) succeeded\n", leaks.Value())
+	st := w.Manager.Table().Stats()
+	ts := w.Tracer.Stats()
+	leaks := w.Leaks.Value()
+	if leaks > 0 {
+		fmt.Fprintf(os.Stderr, "pkru-servo: ISOLATION FAILURE: %d cross-tenant probe(s) succeeded\n", leaks)
 	}
 	fmt.Printf("domains=%d slots=%d workers=%d requests=%d reads=%d denied-probes=%d leaks=%d dropped=%d refused=%d shed=%d churn=%d elapsed=%v\n",
-		o.n, st.Slots, o.workers, entries.Value(), reads.Value(), denied.Value(), leaks.Value(),
-		droppedReqs.Value(), refused.Value(), shedReqs.Value(), churned.Value(), elapsed.Round(time.Millisecond))
+		cfg.Tenants, st.Slots, o.workers, w.Entries.Value(), w.Reads.Value(), w.Denied.Value(), leaks,
+		w.Dropped.Value(), w.Refused.Value(), w.Shed.Value(), w.Churned.Value(), elapsed.Round(time.Millisecond))
 	fmt.Printf("vkeys: logical=%d active=%d parked=%d activations=%d slot-misses=%d evictions=%d recycled=%d invalidations=%d\n",
 		st.Logical, st.Active, st.Parked, st.Activations, st.SlotMisses, st.Evictions, st.Recycled, st.Invalidations)
 	fmt.Printf("traces: started=%d finished=%d retained=%d dropped=%d sampler-interval=%d\n",
-		ts.Started, ts.Finished, ts.Retained, ts.Dropped, sampler.Interval())
+		ts.Started, ts.Finished, ts.Retained, ts.Dropped, w.Sampler.Interval())
 
-	// The containment verdict: with a hostile tenant in play, prove the
-	// blast radius stayed inside that tenant. Its breaker must have
-	// tripped, only its pool's epoch may have bumped (under a quarantining
-	// policy), and every healthy tenant must have kept a 100% success
-	// rate. A breach exits non-zero — CI runs this as a gate.
+	// With a hostile tenant in play, the containment verdict: a breach
+	// exits non-zero — CI runs this as a gate.
 	contained := true
-	if o.hostile != "" {
-		hi := -1
-		for j := 0; j < o.n; j++ {
-			if name(j) == o.hostile {
-				hi = j
-				break
-			}
+	if cfg.Hostile != "" {
+		v := w.Verdict()
+		for _, b := range v.Breached {
+			fmt.Fprintf(os.Stderr, "pkru-servo: HOSTILE BREACH: payload %s reached its goal\n", b)
 		}
-		if hi < 0 {
-			fmt.Fprintf(os.Stderr, "pkru-servo: -hostile %s names no tenant (have tenant000..%s)\n", o.hostile, name(o.n-1))
-			os.Exit(2)
-		}
-		// Epoch accounting comes from the supervisor's per-domain
-		// quarantine counters, not the pools' live epochs: the churn loop
-		// recycles pools (resetting their epoch to zero), which would
-		// erase a quarantine history the verdict needs — cumulatively for
-		// the hostile tenant, and at all for a healthy one.
-		healthyN, healthyBumped, healthyOK, healthyDropped := 0, 0, uint64(0), uint64(0)
-		for j := 0; j < o.n; j++ {
-			if j == hi || name(j) == o.fault.Tenant {
-				// The hostile tenant and a deliberately fault-injected
-				// tenant are not "healthy": their drops and epoch bumps
-				// are the experiment, not collateral damage.
-				continue
-			}
-			healthyN++
-			if sup.DomainQuarantines(name(j)) > 0 {
-				healthyBumped++
-			}
-			healthyOK += okBy[j].Load()
-			healthyDropped += dropBy[j].Load()
-		}
-		var trips uint64
-		for _, tsn := range breakers.Snapshot() {
-			if tsn.Tenant == o.hostile {
-				trips = tsn.Trips
-			}
-		}
-		bstate := breakers.State(o.hostile)
 		fmt.Printf("resilience: hostile=%s requests=%d faulted=%d shed=%d breaker=%s trips=%d\n",
-			o.hostile, perSeq[hi].Load(), dropBy[hi].Load(), breakers.Shed(o.hostile), bstate, trips)
-		hostileEpochs := sup.DomainQuarantines(o.hostile)
-		fmt.Printf("resilience: hostile-epochs=%d healthy-pools-bumped=%d\n",
-			hostileEpochs, healthyBumped)
+			v.Hostile, v.Requests, v.Faulted, v.Shed, v.Breaker, v.Trips)
+		fmt.Printf("resilience: hostile-epochs=%d healthy-pools-bumped=%d\n", v.HostileEpochs, v.HealthyBumped)
 		fmt.Printf("resilience: healthy tenants=%d ok=%d dropped=%d leaks=%d breaches=%d\n",
-			healthyN, healthyOK, healthyDropped, leaks.Value(), breaches.Value())
-		// Abort and retry never quarantine, so only the quarantining
-		// policies owe an epoch bump for containment.
-		wantEpochs := policy == supervise.Quarantine || policy == supervise.Heal
-		contained = bstate != resilience.Closed &&
-			(!wantEpochs || hostileEpochs > 0) &&
-			healthyBumped == 0 && healthyDropped == 0 &&
-			leaks.Value() == 0 && breaches.Value() == 0
+			v.HealthyTenants, v.HealthyOK, v.HealthyDropped, v.Leaks, len(v.Breached))
 		verdict := "CONTAINED"
-		if !contained {
+		if !v.Contained {
 			verdict = "BREACH"
 		}
 		fmt.Printf("resilience: verdict %s\n", verdict)
+		contained = v.Contained
 	}
 
 	if o.latencyOut != "" {
 		writeLatencyReport(o.latencyOut, latencyReport{
 			Schema: benchSchema, Experiment: "gatetrace", Mode: "domains",
-			Policy: policy.String(), Domains: o.n, Workers: o.workers,
-			Requests: int(entries.Value() + droppedReqs.Value()),
-			Dropped:  int(droppedReqs.Value()),
-			Shed:     int(shedReqs.Value()),
-		}, lr, elapsed)
+			Policy: cfg.Policy.String(), Domains: cfg.Tenants, Workers: o.workers,
+			Requests: int(w.Entries.Value() + w.Dropped.Value()),
+			Dropped:  int(w.Dropped.Value()),
+			Shed:     int(w.Shed.Value()),
+		}, w.Latency, elapsed)
 	}
 	if o.traceJSON != "" {
-		writeTo(o.traceJSON, tracer.WriteChromeTrace)
+		exitOn(cli.WriteTo(o.traceJSON, w.Tracer.WriteChromeTrace))
 	}
 	if o.traceOut != "" {
-		writeTo(o.traceOut, func(w io.Writer) error { ring.Dump(w); return nil })
+		exitOn(cli.WriteTo(o.traceOut, func(out io.Writer) error { w.Ring.Dump(out); return nil }))
 	}
 	if o.metrics != "" {
-		writeTo(o.metrics, reg.WritePrometheus)
+		exitOn(cli.WriteTo(o.metrics, w.Registry.WritePrometheus))
 	}
 	if o.metricsJSON != "" {
-		writeTo(o.metricsJSON, reg.Snapshot().WriteJSON)
+		exitOn(cli.WriteTo(o.metricsJSON, w.Registry.Snapshot().WriteJSON))
 	}
 	closeServer(srv)
-	if leaks.Value() > 0 || !contained {
+	if leaks > 0 || !contained {
 		os.Exit(1)
 	}
 }
 
 // startController launches the adaptive sampling controller when a
-// target is set and a sampler exists, returning the stop channel (nil
-// when not started). The controller steers the crossing sampler's
-// interval around the live per-domain gate-latency p99.
-func startController(target time.Duration, sampler *profstore.Sampler, reg *telemetry.Registry) chan struct{} {
+// target is set and a sampler exists, returning its stop function. The
+// controller steers the crossing sampler's interval around the live
+// per-domain gate-latency p99.
+func startController(target time.Duration, sampler *profstore.Sampler, reg *telemetry.Registry) (stop func()) {
 	if target <= 0 || sampler == nil || reg == nil {
-		return nil
+		return func() {}
 	}
 	ctl := &gatetrace.Controller{Sampler: sampler, Registry: reg, Target: target}
-	stop := make(chan struct{})
-	go ctl.Run(stop, 100*time.Millisecond, func(r gatetrace.Retuning) {
+	done := make(chan struct{})
+	go ctl.Run(done, 100*time.Millisecond, func(r gatetrace.Retuning) {
 		fmt.Fprintf(os.Stderr, "pkru-servo: sampler retuned: interval %d -> %d (gate p99 %v over %d obs)\n",
 			r.Old, r.New, r.P99, r.Count)
 	})
-	return stop
-}
-
-func stopController(stop chan struct{}) {
-	if stop != nil {
-		close(stop)
-	}
+	return func() { close(done) }
 }
 
 // benchSchema versions the -latency-out report, like the other BENCH_*
 // seeds in the repo root.
 const benchSchema = 1
-
-// latencyRecorder accumulates per-tenant request latencies for the
-// -latency-out report. Exact samples rather than histogram buckets: the
-// report is written once at exit, so there is no reason to pay the log2
-// buckets' quantization in an offline artifact.
-type latencyRecorder struct {
-	mu       sync.Mutex
-	byTenant map[string][]time.Duration
-}
-
-func newLatencyRecorder() *latencyRecorder {
-	return &latencyRecorder{byTenant: make(map[string][]time.Duration)}
-}
-
-func (lr *latencyRecorder) record(tenant string, d time.Duration) {
-	lr.mu.Lock()
-	lr.byTenant[tenant] = append(lr.byTenant[tenant], d)
-	lr.mu.Unlock()
-}
 
 // tenantLatency is one tenant's row in the latency report.
 type tenantLatency struct {
@@ -940,57 +572,37 @@ type latencyReport struct {
 	Tenants       []tenantLatency `json:"tenants"`
 }
 
-// quantile reads the q-quantile from an ascending-sorted sample set by
-// nearest-rank; exact for the sample, no interpolation.
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted)-1) + 0.5)
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // writeLatencyReport fills the per-tenant rows from the recorder and
 // writes the schema-versioned JSON.
-func writeLatencyReport(path string, rep latencyReport, lr *latencyRecorder, elapsed time.Duration) {
+func writeLatencyReport(path string, rep latencyReport, lr *tenantworld.Recorder, elapsed time.Duration) {
 	rep.ElapsedS = elapsed.Seconds()
 	if rep.ElapsedS > 0 {
 		rep.ThroughputRPS = float64(rep.Requests) / rep.ElapsedS
 	}
-	lr.mu.Lock()
-	tenants := make([]string, 0, len(lr.byTenant))
-	for t := range lr.byTenant {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
+	tenants := lr.Tenants()
 	rep.Tenants = make([]tenantLatency, 0, len(tenants))
 	for _, t := range tenants {
-		samples := lr.byTenant[t]
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		samples := lr.Sorted(func(x string) bool { return x == t })
 		row := tenantLatency{
 			Tenant:   t,
 			Requests: len(samples),
-			P50Ns:    quantile(samples, 0.50).Nanoseconds(),
-			P95Ns:    quantile(samples, 0.95).Nanoseconds(),
-			P99Ns:    quantile(samples, 0.99).Nanoseconds(),
+			P50Ns:    tenantworld.Quantile(samples, 0.50).Nanoseconds(),
+			P95Ns:    tenantworld.Quantile(samples, 0.95).Nanoseconds(),
+			P99Ns:    tenantworld.Quantile(samples, 0.99).Nanoseconds(),
 		}
 		if rep.ElapsedS > 0 {
 			row.ThroughputRPS = float64(len(samples)) / rep.ElapsedS
 		}
 		rep.Tenants = append(rep.Tenants, row)
 	}
-	lr.mu.Unlock()
-	writeTo(path, func(w io.Writer) error {
+	exitOn(cli.WriteTo(path, func(w io.Writer) error {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			return err
 		}
 		_, err = w.Write(append(data, '\n'))
 		return err
-	})
+	}))
 	fmt.Fprintf(os.Stderr, "pkru-servo: latency report (%d tenant(s)) written to %s\n", len(rep.Tenants), path)
 }
 
@@ -1068,18 +680,6 @@ func runProfilePlane(b *browser.Browser, store *profstore.Store, rollout *profst
 	fmt.Fprintf(os.Stderr, "pkru-servo: profile rollout: candidate %d %s: %s (control %d/%d faulted, shadow %d/%d)\n",
 		dec.Candidate, verdict, dec.Reason,
 		dec.Control.Faults, dec.Control.Requests, dec.Shadow.Faults, dec.Shadow.Requests)
-}
-
-// writeTo writes via f to path, with "-" meaning stdout. File output is
-// buffered so a failed export never leaves a truncated file behind.
-func writeTo(path string, f func(io.Writer) error) {
-	if path == "-" {
-		exitOn(f(os.Stdout))
-		return
-	}
-	var buf bytes.Buffer
-	exitOn(f(&buf))
-	exitOn(os.WriteFile(path, buf.Bytes(), 0o644))
 }
 
 // closeServer drains the observability server before exit (nil-safe).

@@ -34,7 +34,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,6 +42,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/compile"
 	"repro/internal/conformance"
 	"repro/internal/core"
@@ -405,7 +405,7 @@ func execute(o *options, path string, cfg core.BuildConfig, table bool) {
 		if rep, ok := prog.Forensics().Capture(runErr); ok {
 			exitOn(rep.WriteText(os.Stderr))
 			if o.crashJSON != "" {
-				writeTo(o.crashJSON, rep.WriteJSON)
+				exitOn(cli.WriteTo(o.crashJSON, rep.WriteJSON))
 			}
 		}
 		if o.traceN > 0 {
@@ -459,7 +459,7 @@ func cmdTrace(o *options, path string) {
 	if out == "" {
 		out = path + ".trace.json"
 	}
-	writeTo(out, tracer.WriteChromeTrace)
+	exitOn(cli.WriteTo(out, tracer.WriteChromeTrace))
 	ts := tracer.Stats()
 	if out != "-" {
 		fmt.Fprintf(os.Stderr, "pkrusafe: %d trace(s) (%d retained) written to %s\n",
@@ -585,14 +585,14 @@ func emitHealedProfile(o *options, applied *profile.Profile, sup *supervise.Supe
 		merged.Merge(applied)
 	}
 	merged.Merge(sup.Delta())
-	writeTo(o.healOut, func(w io.Writer) error {
+	exitOn(cli.WriteTo(o.healOut, func(w io.Writer) error {
 		data, err := json.MarshalIndent(merged, "", "  ")
 		if err != nil {
 			return err
 		}
 		_, err = w.Write(append(data, '\n'))
 		return err
-	})
+	}))
 }
 
 // defaultCrashRing is the trace-ring capacity used when -trace is unset:
@@ -611,10 +611,10 @@ func emitTelemetry(o *options, reg *telemetry.Registry, table bool) {
 		return
 	}
 	if o.metrics != "" {
-		writeTo(o.metrics, reg.WritePrometheus)
+		exitOn(cli.WriteTo(o.metrics, reg.WritePrometheus))
 	}
 	if o.metricsJSON != "" {
-		writeTo(o.metricsJSON, reg.Snapshot().WriteJSON)
+		exitOn(cli.WriteTo(o.metricsJSON, reg.Snapshot().WriteJSON))
 	}
 	if table {
 		if o.jsonOut {
@@ -623,18 +623,6 @@ func emitTelemetry(o *options, reg *telemetry.Registry, table bool) {
 			fmt.Print(telemetry.FormatTable(reg.Snapshot()))
 		}
 	}
-}
-
-// writeTo writes via f to path, with "-" meaning stdout. File output is
-// buffered so a failed export never leaves a truncated file behind.
-func writeTo(path string, f func(io.Writer) error) {
-	if path == "-" {
-		exitOn(f(os.Stdout))
-		return
-	}
-	var buf bytes.Buffer
-	exitOn(f(&buf))
-	exitOn(os.WriteFile(path, buf.Bytes(), 0o644))
 }
 
 func exitOn(err error) {

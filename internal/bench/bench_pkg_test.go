@@ -122,12 +122,14 @@ func TestGateSweepShape(t *testing.T) {
 		t.Fatalf("points = %d", len(pts))
 	}
 	// Figure 3's shape: overhead falls as per-transition work grows. The
-	// first point must exceed the last by a clear margin.
+	// first point must exceed the last by a clear margin. Under -race the
+	// ratios measure the detector's instrumentation, not the gates, so
+	// the shape is enforced only in plain builds.
 	first, last := pts[0].Normalized, pts[len(pts)-1].Normalized
-	if first <= last {
+	if !raceEnabled && first <= last {
 		t.Errorf("sweep not decreasing: first %.2f, last %.2f", first, last)
 	}
-	if last > 1.5 {
+	if !raceEnabled && last > 1.5 {
 		t.Errorf("with 2000 loops of work, overhead should approach 1.0, got %.2f", last)
 	}
 	out := FormatSweep(pts)

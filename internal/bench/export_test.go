@@ -88,7 +88,10 @@ func TestRunAblations(t *testing.T) {
 		t.Fatalf("ablations = %d", len(rs))
 	}
 	// The shipped designs must actually beat (or deliberately cost more
-	// than) their alternatives in the expected direction.
+	// than) their alternatives in the expected direction. Under -race the
+	// timings measure the detector's instrumentation (100 WRPKRU spins
+	// vanish in the noise of a raced gate call), so the directions are
+	// enforced only in plain builds.
 	byName := map[string]AblationResult{}
 	for _, r := range rs {
 		byName[r.Name] = r
@@ -96,14 +99,16 @@ func TestRunAblations(t *testing.T) {
 			t.Errorf("%s: non-positive timings %+v", r.Name, r)
 		}
 	}
-	if a := byName["split allocator"]; a.AltNs < a.DesignNs {
-		t.Errorf("free list measured faster than arena: %+v", a)
-	}
-	if a := byName["metadata store"]; a.AltNs < a.DesignNs {
-		t.Errorf("linear store measured faster than interval store: %+v", a)
-	}
-	if a := byName["WRPKRU cost model"]; a.DesignNs < a.AltNs {
-		t.Errorf("modeled gates measured cheaper than free gates: %+v", a)
+	if !raceEnabled {
+		if a := byName["split allocator"]; a.AltNs < a.DesignNs {
+			t.Errorf("free list measured faster than arena: %+v", a)
+		}
+		if a := byName["metadata store"]; a.AltNs < a.DesignNs {
+			t.Errorf("linear store measured faster than interval store: %+v", a)
+		}
+		if a := byName["WRPKRU cost model"]; a.DesignNs < a.AltNs {
+			t.Errorf("modeled gates measured cheaper than free gates: %+v", a)
+		}
 	}
 	out := FormatAblations(rs)
 	for _, want := range []string{"split allocator", "WRPKRU", "metadata store"} {

@@ -3,6 +3,6 @@
 package bench
 
 // raceEnabled reports whether the race detector is compiled in; its
-// instrumentation allocates, so allocation-count assertions are skipped
-// under -race.
+// instrumentation allocates and dominates timings, so allocation-count and
+// timing-shape assertions are skipped under -race.
 const raceEnabled = true

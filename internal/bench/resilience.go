@@ -4,16 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
-	"repro/internal/attack"
-	"repro/internal/domains"
-	"repro/internal/ffi"
-	"repro/internal/gatetrace"
-	"repro/internal/resilience"
 	"repro/internal/supervise"
-	"repro/internal/vm"
+	"repro/internal/tenantworld"
 )
 
 // resilienceTenants is the world shape of the containment experiment:
@@ -27,179 +21,57 @@ const resilienceTenants = 8
 // The number the experiment pins down is the tax containment charges the
 // innocent: HealthyP99 under "hostile" versus under "baseline".
 type ResilienceResult struct {
-	Name            string        // "baseline" | "hostile"
-	Domains         int           // tenants in the world
-	HealthyRequests int           // measured healthy round-trips
-	HealthyP50      time.Duration // healthy per-request median
-	HealthyP99      time.Duration // healthy per-request tail
-	Shed            uint64        // hostile requests refused at admission
-	HostileFaults   uint64        // hostile requests that faulted in a gate
-	HostileEpochs   uint64        // quarantine epochs of the hostile pool
+	Name            string        `json:"name"`             // "baseline" | "hostile"
+	Domains         int           `json:"domains"`          // tenants in the world
+	HealthyRequests int           `json:"healthy_requests"` // measured healthy round-trips
+	HealthyP50      time.Duration `json:"healthy_p50_ns"`   // healthy per-request median
+	HealthyP99      time.Duration `json:"healthy_p99_ns"`   // healthy per-request tail
+	Shed            uint64        `json:"shed"`             // hostile requests refused at admission
+	HostileFaults   uint64        `json:"hostile_faults"`   // hostile requests that faulted in a gate
+	HostileEpochs   uint64        `json:"hostile_epochs"`   // quarantine epochs of the hostile pool
 }
 
-// resilienceWorld is the multi-tenant fixture both scenarios run in.
-type resilienceWorld struct {
-	m        *domains.Manager
-	th       *ffi.Thread
-	tracer   *gatetrace.Tracer
-	sup      *supervise.Supervisor
-	breakers *resilience.Group
-	bufs     []vm.Addr
-	secret   vm.Addr
-	names    []string
-}
-
-func newResilienceWorld() (*resilienceWorld, error) {
-	space := vm.NewSpace()
-	m, err := domains.NewManager(space)
-	if err != nil {
-		return nil, err
-	}
-	ffiReg := ffi.NewRegistry()
-	rt := ffi.NewRuntime(ffiReg, m.Allocator(), nil, ffi.GatesOn)
-	tracer := gatetrace.New(gatetrace.Config{Capacity: 8})
-	m.SetTracing(tracer)
-	sup := supervise.New(supervise.Config{Policy: supervise.Quarantine},
-		supervise.Deps{Alloc: m.Allocator()})
-	// A long probe backoff keeps the tripped breaker open for the whole
-	// scenario: the measurement wants the steady shed state, not probes.
-	breakers := resilience.NewGroup(resilience.Config{ProbeAfter: time.Hour})
-
-	setup := vm.NewThread(space, nil)
-	secret, err := m.AllocTrusted(64)
-	if err != nil {
-		return nil, err
-	}
-	if err := setup.Store64(secret, 0xfeed); err != nil {
-		return nil, err
-	}
-
-	w := &resilienceWorld{
-		m: m, tracer: tracer, sup: sup, breakers: breakers,
-		bufs: make([]vm.Addr, resilienceTenants), secret: secret,
-		names: make([]string, resilienceTenants),
-	}
-	payloads := attack.TenantPayloads()
-	for i := 0; i < resilienceTenants; i++ {
-		w.names[i] = fmt.Sprintf("tenant%03d", i)
-		d, err := m.AddDomain(w.names[i])
-		if err != nil {
-			return nil, err
-		}
-		buf, err := m.Alloc(d, 64)
-		if err != nil {
-			return nil, err
-		}
-		if err := setup.Store64(buf, uint64(i)); err != nil {
-			return nil, err
-		}
-		w.bufs[i] = buf
-		lib, err := ffiReg.Library(w.names[i], ffi.Untrusted)
-		if err != nil {
-			return nil, err
-		}
-		lib.Define("work", func(t *ffi.Thread, args []uint64) ([]uint64, error) {
-			v, err := t.Load64(vm.Addr(args[0]))
-			if err != nil {
-				return nil, err
-			}
-			return []uint64{v}, nil
-		})
-		lib.Define("hostile", func(t *ffi.Thread, args []uint64) ([]uint64, error) {
-			p := payloads[args[0]%uint64(len(payloads))]
-			breached, err := p.Run(t, attack.PayloadTargets{
-				Secret: vm.Addr(args[1]), Victim: vm.Addr(args[2])})
-			if err != nil {
-				return nil, err
-			}
-			if breached {
-				return nil, fmt.Errorf("bench: payload %s breached containment", p.Name)
-			}
-			return []uint64{0}, nil
-		})
-		m.BindLibrary(rt, w.names[i], d)
-	}
-	th := rt.NewThread()
-	th.VM.SetPKRUGuard(true) // the payload roster includes rogue WRPKRUs
-	w.th = th
-	return w, nil
-}
-
-// runResilienceScenario drives iters round-robin requests through the
-// world; tenant index hostileIdx (negative for none) runs the attack
-// payload roster behind its breaker instead of honest work.
-func runResilienceScenario(name string, iters, hostileIdx int) (ResilienceResult, error) {
-	w, err := newResilienceWorld()
+// runResilienceScenario drives iters round-robin requests through a
+// fresh tenant world; the hostile tenant ("" for none) runs the attack
+// payload roster behind its breaker instead of honest work. Healthy
+// requests skip the cross-tenant probe, so each is one supervised gate
+// round-trip around a single load of the tenant's own pool.
+func runResilienceScenario(name string, iters int, hostile string) (ResilienceResult, error) {
+	w, err := tenantworld.New(tenantworld.Config{
+		Tenants: resilienceTenants,
+		Policy:  supervise.Quarantine,
+		// A long probe backoff keeps the tripped breaker open for the whole
+		// scenario: the measurement wants the steady shed state, not probes.
+		ProbeAfter:     time.Hour,
+		SampleInterval: 8, // pkru-servo's default
+		Hostile:        hostile,
+	})
 	if err != nil {
 		return ResilienceResult{}, err
 	}
-	res := ResilienceResult{Name: name, Domains: resilienceTenants}
-	var healthy []time.Duration
-	seq := make([]int, resilienceTenants)
+	th := w.NewThread()
 	for c := 0; c < iters; c++ {
 		i := c % resilienceTenants
-		tenant := w.names[i]
-		seq[i]++
-		if _, aerr := w.breakers.Allow(tenant); aerr != nil {
-			res.Shed++
-			continue
-		}
-		tc := w.tracer.Start(tenant)
-		w.th.SetTraceContext(tc)
-		start := time.Now()
-		var cerr error
-		if i == hostileIdx {
-			cerr = w.sup.Shield(w.th, tenant+".hostile", func() error {
-				_, herr := w.th.Call(tenant, "hostile",
-					uint64(seq[i]-1), uint64(w.secret), uint64(w.bufs[(i+1)%resilienceTenants]))
-				return herr
-			})
-		} else {
-			cerr = w.sup.Shield(w.th, tenant+".work", func() error {
-				_, werr := w.th.Call(tenant, "work", uint64(w.bufs[i]))
-				return werr
-			})
-		}
-		lat := time.Since(start)
-		w.th.SetTraceContext(nil)
-		tc.Finish()
-		if cerr == nil {
-			w.breakers.RecordSuccess(tenant)
-			if i != hostileIdx {
-				healthy = append(healthy, lat)
-			}
-		} else {
-			w.breakers.RecordFault(tenant)
-			if i == hostileIdx {
-				res.HostileFaults++
-			} else {
-				return res, fmt.Errorf("bench: healthy tenant %s faulted: %w", tenant, cerr)
-			}
+		out := w.Serve(th, i, i)
+		if tenantworld.Name(i) != hostile && (out == tenantworld.Dropped || out == tenantworld.Refused) {
+			return ResilienceResult{}, fmt.Errorf("bench: healthy tenant %s %v", tenantworld.Name(i), out)
 		}
 	}
-	sort.Slice(healthy, func(a, b int) bool { return healthy[a] < healthy[b] })
-	res.HealthyRequests = len(healthy)
-	res.HealthyP50 = durQuantile(healthy, 0.50)
-	res.HealthyP99 = durQuantile(healthy, 0.99)
-	if hostileIdx >= 0 {
-		if e, ok := w.m.Allocator().DomainEpoch(w.names[hostileIdx]); ok {
-			res.HostileEpochs = e
-		}
+	v := w.Verdict()
+	if len(v.Breached) > 0 {
+		return ResilienceResult{}, fmt.Errorf("bench: payload %s breached containment", v.Breached[0])
 	}
-	return res, nil
-}
-
-// durQuantile reads the q-quantile from ascending-sorted samples by
-// nearest-rank.
-func durQuantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted)-1) + 0.5)
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	lat := w.Latency.Sorted(func(t string) bool { return t != hostile })
+	return ResilienceResult{
+		Name:            name,
+		Domains:         resilienceTenants,
+		HealthyRequests: len(lat),
+		HealthyP50:      tenantworld.Quantile(lat, 0.50),
+		HealthyP99:      tenantworld.Quantile(lat, 0.99),
+		Shed:            v.Shed,
+		HostileFaults:   v.Faulted,
+		HostileEpochs:   uint64(v.HostileEpochs),
+	}, nil
 }
 
 // RunResilience measures the containment overhead: healthy-tenant gate
@@ -208,11 +80,11 @@ func durQuantile(sorted []time.Duration, q float64) time.Duration {
 // its pool quarantines (hostile). iters is the total request count per
 // scenario, spread round-robin across the tenants.
 func RunResilience(iters int) ([]ResilienceResult, error) {
-	base, err := runResilienceScenario("baseline", iters, -1)
+	base, err := runResilienceScenario("baseline", iters, "")
 	if err != nil {
 		return nil, err
 	}
-	host, err := runResilienceScenario("hostile", iters, 3)
+	host, err := runResilienceScenario("hostile", iters, tenantworld.Name(3))
 	if err != nil {
 		return nil, err
 	}
@@ -255,47 +127,16 @@ func FormatResilience(rs []ResilienceResult) string {
 // ResilienceReportSchema versions the resilience JSON report.
 const ResilienceReportSchema = 1
 
-type jsonResilience struct {
-	Schema     int                    `json:"schema"`
-	Experiment string                 `json:"experiment"`
-	Iters      int                    `json:"iters"`
-	P99Factor  float64                `json:"healthy_p99_overhead"`
-	Results    []jsonResilienceResult `json:"results"`
-}
-
-type jsonResilienceResult struct {
-	Name            string  `json:"name"`
-	Domains         int     `json:"domains"`
-	HealthyRequests int     `json:"healthy_requests"`
-	HealthyP50Ns    float64 `json:"healthy_p50_ns"`
-	HealthyP99Ns    float64 `json:"healthy_p99_ns"`
-	Shed            uint64  `json:"shed"`
-	HostileFaults   uint64  `json:"hostile_faults"`
-	HostileEpochs   uint64  `json:"hostile_epochs"`
-}
-
 // WriteResilienceJSON emits the containment results as schema-versioned
 // JSON (the BENCH_resilience.json seed).
 func WriteResilienceJSON(w io.Writer, iters int, rs []ResilienceResult) error {
-	out := jsonResilience{
-		Schema:     ResilienceReportSchema,
-		Experiment: "resilience",
-		Iters:      iters,
-		P99Factor:  ResilienceOverhead(rs),
-	}
-	for _, r := range rs {
-		out.Results = append(out.Results, jsonResilienceResult{
-			Name:            r.Name,
-			Domains:         r.Domains,
-			HealthyRequests: r.HealthyRequests,
-			HealthyP50Ns:    float64(r.HealthyP50.Nanoseconds()),
-			HealthyP99Ns:    float64(r.HealthyP99.Nanoseconds()),
-			Shed:            r.Shed,
-			HostileFaults:   r.HostileFaults,
-			HostileEpochs:   r.HostileEpochs,
-		})
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(struct {
+		Schema     int                `json:"schema"`
+		Experiment string             `json:"experiment"`
+		Iters      int                `json:"iters"`
+		P99Factor  float64            `json:"healthy_p99_overhead"`
+		Results    []ResilienceResult `json:"results"`
+	}{ResilienceReportSchema, "resilience", iters, ResilienceOverhead(rs), rs})
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ffi"
@@ -239,7 +240,7 @@ func TestRecorderTracksFrees(t *testing.T) {
 // -listen: building and running a program without observability spawns no
 // goroutines and the checked access hot path stays allocation-free.
 func TestDisabledPathCosts(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	prog, err := core.NewProgram(quickstartRegistry(t), core.Base, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -261,21 +262,39 @@ func TestDisabledPathCosts(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("hot-path allocations = %v, want 0", allocs)
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := settledGoroutines(); after != before {
 		t.Errorf("goroutines %d -> %d without a server", before, after)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 50ms (giving up after 2s): goroutines an earlier test left behind,
+// such as a closed server's connection handlers, exit on their own
+// schedule, and a count taken while one is exiting would blame the test
+// under way.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(50 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
 }
 
 // TestServerOffNoGoroutines pins the opt-in contract of the HTTP plane:
 // merely importing and configuring obs (recorder included) starts nothing.
 func TestServerOffNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	_, _, runErr := crashProgram(t)
 	var f *vm.Fault
 	if !errors.As(runErr, &f) {
 		t.Fatal("expected fault")
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := settledGoroutines(); after != before {
 		t.Errorf("goroutines %d -> %d with forensics but no -listen", before, after)
 	}
 }

@@ -219,7 +219,13 @@ func (s *Space) SetPKey(base Addr, size uint64, key mpk.Key) error {
 			added = append(added, &Region{Name: r.Name, Base: end, Size: uint64(hi - end), PKey: r.PKey})
 			hi = end
 		}
-		r.Base, r.Size, r.PKey = lo, uint64(hi-lo), key
+		// Bounds are written only on a split: allocators read a whole
+		// region's bounds without the space lock while retags of that
+		// region run under it.
+		if r.Base != lo || r.End() != hi {
+			r.Base, r.Size = lo, uint64(hi-lo)
+		}
+		r.PKey = key
 	}
 	s.regions = append(s.regions, added...)
 	sort.Slice(s.regions, func(i, j int) bool { return s.regions[i].Base < s.regions[j].Base })

@@ -129,3 +129,31 @@ func TestCheckedAccessRacesRetag(t *testing.T) {
 	}
 	<-done
 }
+
+// TestWholeRegionRetagKeepsBoundsQuiet pins that retagging a whole region
+// leaves its bounds unwritten: domain allocators read a pool region's
+// Base and Size without the space lock while vkey evictions retag it.
+func TestWholeRegionRetagKeepsBoundsQuiet(t *testing.T) {
+	const base Addr = 0x5100_0000_0000
+	s := NewSpace()
+	r, err := s.Reserve("pool", base, 4*PageSize, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if err := s.SetPKey(base, 4*PageSize, mpk.Key(2+i%2)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if r.Base != base || r.Size != 4*PageSize {
+			t.Fatalf("region bounds moved: %v +%#x", r.Base, r.Size)
+		}
+	}
+	<-done
+}
