@@ -125,7 +125,12 @@ bench-smoke:
 	case "$$line" in *'"correct":true'*'"failed":0'*) ;; \
 	*) echo "bench-smoke: benchmark run not clean" >&2; exit 1 ;; esac
 
+# fuzz-smoke is the one list of fuzz targets CI runs: ten seconds each,
+# seeds first. Add a new Fuzz* target here, not to the CI workflow.
 fuzz-smoke:
 	go test -fuzz '^FuzzDifferential$$' -fuzztime 10s ./internal/conformance
 	go test -fuzz '^FuzzSpaceOracle$$' -fuzztime 10s ./internal/conformance
 	go test -fuzz '^FuzzVKeys$$' -fuzztime 10s ./internal/conformance
+	go test -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/pkir
+	go test -fuzz '^FuzzScript$$' -fuzztime 10s ./internal/jsengine
+	go test -fuzz '^FuzzParseAllocID$$' -fuzztime 10s ./internal/profile

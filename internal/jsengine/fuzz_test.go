@@ -23,6 +23,15 @@ func FuzzScript(f *testing.F) {
 	f.Add("/* comment")
 	f.Add("{};")
 	f.Add("break;")
+	// Scoping edge cases: a var shadows its global only once it has run.
+	f.Add("function f(){ x = 5; var x = 7; return x; } var x = 1; f()*100 + x;")
+	f.Add("function g(n){ var r = 0; if (n > 0) { r = g(n - 1) * 10 + n; } return r; } g(3);")
+	f.Add("var p = 5; function f(p){ p = p + 1; return p; } f(10) * 100 + p;")
+	f.Add("function outer(){ var loc = 3; function inner(){ return loc; } return inner(); } outer();")
+	f.Add("function d(a, a){ return a; } d(1, 2) + d(1);")
+	f.Add("function f(){ for (var i = 0; i < 3; i++) { s += w; var w = 1; var s = 0; } return s; } f();")
+	f.Add("for (var i = 0; i < 5; i++) {} i;")
+	f.Add("function f(){\n  var y = x;\n  var x = 1;\n}\nf();")
 
 	reg := ffi.NewRegistry()
 	eng := NewEngine(Options{StepLimit: 20_000})
