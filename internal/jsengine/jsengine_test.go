@@ -86,6 +86,8 @@ func TestLanguageBasics(t *testing.T) {
 		{"nested call", "function a(x){return x+1;} function b(x){return a(x)*2;} b(4);", 10},
 		{"locals shadow globals", "var x = 1; function f() { var x = 99; return x; } f() + x;", 100},
 		{"globals from function", "var g = 0; function f() { g = 42; } f(); g;", 42},
+		{"object equality", "var oa = {k: 1}; var ob = {k: 2}; var oc = oa; (oa == ob) + (oa == oc) * 2;", 2},
+		{"object inequality", "var oa = {k: 1}; var ob = {k: 2}; var oc = oa; (oa != ob) + (oa != oc) * 2;", 1},
 		{"parseInt", "parseInt(\"123abc\") + parseInt(\"-40\");", 83},
 		{"string length", "\"hello\".length;", 5},
 		{"charCodeAt", "\"A\".charCodeAt(0);", 65},
