@@ -1,6 +1,53 @@
 package jsengine
 
 // The mjs AST. Nodes carry their source line for runtime error reports.
+// The parser fills in names and operators; the resolve pass (resolve.go)
+// then fills in where each name lives.
+
+// varRef is a variable name together with where it resolved: its slot in
+// the enclosing function's frame (-1 at top level and for names the
+// function never declares) and its index in the engine's global table (-1
+// where the resolver proved the local is always declared by then).
+type varRef struct {
+	name   string
+	slot   int32
+	global int32
+}
+
+// opcode is a binary operator, mapped from its token once by the parser.
+type opcode uint8
+
+const (
+	opAssign opcode = iota // plain "=": no operator is applied
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opBitAnd
+	opBitOr
+	opBitXor
+	opShl
+	opShr
+	opAnd // &&
+	opOr  // ||
+)
+
+var opText = [...]string{
+	opAssign: "=", opAdd: "+", opSub: "-", opMul: "*", opDiv: "/", opMod: "%",
+	opEq: "==", opNe: "!=", opLt: "<", opLe: "<=", opGt: ">", opGe: ">=",
+	opBitAnd: "&", opBitOr: "|", opBitXor: "^", opShl: "<<", opShr: ">>",
+	opAnd: "&&", opOr: "||",
+}
+
+// String returns the operator's source text, for error messages.
+func (op opcode) String() string { return opText[op] }
 
 type expr interface{ exprLine() int }
 
@@ -22,7 +69,7 @@ type boolLit struct {
 type nullLit struct{ line int }
 
 type ident struct {
-	name string
+	varRef
 	line int
 }
 
@@ -45,7 +92,7 @@ type unary struct {
 }
 
 type binary struct {
-	op   string
+	op   opcode
 	x, y expr
 	line int
 }
@@ -91,11 +138,11 @@ type newExpr struct {
 
 type assign struct {
 	// exactly one of name / (target,idx) / (target,prop) is set
-	name   string
+	varRef        // named assignment
 	target expr   // indexed or member assignment base
 	idx    expr   // index expression (indexed assignment)
 	prop   string // property name (member assignment)
-	op     string // "=", "+=", ...
+	op     opcode // opAssign for "=", opAdd for "+=", ...
 	val    expr
 	line   int
 }
@@ -125,7 +172,7 @@ type exprStmt struct {
 }
 
 type varDecl struct {
-	name string
+	varRef
 	init expr // may be nil
 	line int
 }
@@ -135,6 +182,11 @@ type funcDecl struct {
 	params []string
 	body   []stmt
 	line   int
+
+	// Set by the resolver: the frame slot of each param (duplicate names
+	// share one) and the number of slots, params and vars together.
+	paramSlots []int
+	frameSize  int
 }
 
 type returnStmt struct {

@@ -135,7 +135,7 @@ func (p *parser) varStatement() (stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &varDecl{name: name, line: line}
+	d := &varDecl{varRef: varRef{name: name}, line: line}
 	if p.accept("=") {
 		if d.init, err = p.expression(); err != nil {
 			return nil, err
@@ -304,9 +304,10 @@ func (p *parser) blockOrSingle() ([]stmt, error) {
 
 func (p *parser) expression() (expr, error) { return p.assignment() }
 
-var assignOps = map[string]bool{
-	"=": true, "+=": true, "-=": true, "*=": true, "/=": true, "%=": true,
-	"|=": true, "&=": true, "^=": true, "<<=": true, ">>=": true,
+// assignOps maps each assignment token to the operator it applies.
+var assignOps = map[string]opcode{
+	"=": opAssign, "+=": opAdd, "-=": opSub, "*=": opMul, "/=": opDiv, "%=": opMod,
+	"|=": opBitOr, "&=": opBitAnd, "^=": opBitXor, "<<=": opShl, ">>=": opShr,
 }
 
 func (p *parser) assignment() (expr, error) {
@@ -315,7 +316,7 @@ func (p *parser) assignment() (expr, error) {
 		return nil, err
 	}
 	t := p.cur()
-	if t.kind == tokPunct && assignOps[t.text] {
+	if op, ok := assignOps[t.text]; ok && t.kind == tokPunct {
 		p.advance()
 		rhs, err := p.assignment()
 		if err != nil {
@@ -323,11 +324,11 @@ func (p *parser) assignment() (expr, error) {
 		}
 		switch target := lhs.(type) {
 		case *ident:
-			return &assign{name: target.name, op: t.text, val: rhs, line: t.line}, nil
+			return &assign{varRef: varRef{name: target.name}, op: op, val: rhs, line: t.line}, nil
 		case *indexExpr:
-			return &assign{target: target.base, idx: target.idx, op: t.text, val: rhs, line: t.line}, nil
+			return &assign{target: target.base, idx: target.idx, op: op, val: rhs, line: t.line}, nil
 		case *memberGet:
-			return &assign{target: target.base, prop: target.prop, op: t.text, val: rhs, line: t.line}, nil
+			return &assign{target: target.base, prop: target.prop, op: op, val: rhs, line: t.line}, nil
 		default:
 			return nil, &SyntaxError{Line: t.line, Msg: "invalid assignment target"}
 		}
@@ -358,14 +359,19 @@ func (p *parser) ternary() (expr, error) {
 	return test, nil
 }
 
-var binPrec = map[string]int{
-	"||": 1, "&&": 2,
-	"|": 3, "^": 4, "&": 5,
-	"==": 6, "!=": 6, "===": 6, "!==": 6,
-	"<": 7, "<=": 7, ">": 7, ">=": 7,
-	"<<": 8, ">>": 8,
-	"+": 9, "-": 9,
-	"*": 10, "/": 10, "%": 10,
+// binOps maps each binary operator token to its precedence and opcode.
+// === and !== are == and !=: the engine's == never coerces.
+var binOps = map[string]struct {
+	prec int
+	op   opcode
+}{
+	"||": {1, opOr}, "&&": {2, opAnd},
+	"|": {3, opBitOr}, "^": {4, opBitXor}, "&": {5, opBitAnd},
+	"==": {6, opEq}, "!=": {6, opNe}, "===": {6, opEq}, "!==": {6, opNe},
+	"<": {7, opLt}, "<=": {7, opLe}, ">": {7, opGt}, ">=": {7, opGe},
+	"<<": {8, opShl}, ">>": {8, opShr},
+	"+": {9, opAdd}, "-": {9, opSub},
+	"*": {10, opMul}, "/": {10, opDiv}, "%": {10, opMod},
 }
 
 func (p *parser) binaryExpr(minPrec int) (expr, error) {
@@ -375,23 +381,16 @@ func (p *parser) binaryExpr(minPrec int) (expr, error) {
 	}
 	for {
 		t := p.cur()
-		prec, isBin := binPrec[t.text]
-		if t.kind != tokPunct || !isBin || prec < minPrec {
+		bin, isBin := binOps[t.text]
+		if t.kind != tokPunct || !isBin || bin.prec < minPrec {
 			return lhs, nil
 		}
 		p.advance()
-		rhs, err := p.binaryExpr(prec + 1)
+		rhs, err := p.binaryExpr(bin.prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		op := t.text
-		if op == "===" {
-			op = "=="
-		}
-		if op == "!==" {
-			op = "!="
-		}
-		lhs = &binary{op: op, x: lhs, y: rhs, line: t.line}
+		lhs = &binary{op: bin.op, x: lhs, y: rhs, line: t.line}
 	}
 }
 
@@ -415,13 +414,13 @@ func (p *parser) unaryExpr() (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := "+="
+		op := opAdd
 		if t.text == "--" {
-			op = "-="
+			op = opSub
 		}
 		switch target := x.(type) {
 		case *ident:
-			return &assign{name: target.name, op: op, val: &numLit{val: 1, line: t.line}, line: t.line}, nil
+			return &assign{varRef: varRef{name: target.name}, op: op, val: &numLit{val: 1, line: t.line}, line: t.line}, nil
 		case *indexExpr:
 			return &assign{target: target.base, idx: target.idx, op: op, val: &numLit{val: 1, line: t.line}, line: t.line}, nil
 		default:
@@ -469,13 +468,13 @@ func (p *parser) postfix() (expr, error) {
 			// of the pre-increment form (sufficient for our scripts' use
 			// in for-loop post clauses).
 			p.advance()
-			op := "+="
+			op := opAdd
 			if t.text == "--" {
-				op = "-="
+				op = opSub
 			}
 			switch target := e.(type) {
 			case *ident:
-				e = &assign{name: target.name, op: op, val: &numLit{val: 1, line: t.line}, line: t.line}
+				e = &assign{varRef: varRef{name: target.name}, op: op, val: &numLit{val: 1, line: t.line}, line: t.line}
 			case *indexExpr:
 				e = &assign{target: target.base, idx: target.idx, op: op, val: &numLit{val: 1, line: t.line}, line: t.line}
 			default:
@@ -578,7 +577,7 @@ func (p *parser) primary() (expr, error) {
 			}
 			return &callExpr{callee: t.text, args: args, line: t.line}, nil
 		}
-		return &ident{name: t.text, line: t.line}, nil
+		return &ident{varRef: varRef{name: t.text}, line: t.line}, nil
 	case t.kind == tokPunct && t.text == "(":
 		p.advance()
 		e, err := p.expression()
