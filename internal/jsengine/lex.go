@@ -12,6 +12,17 @@
 // exploit script can escalate (by corrupting a neighbouring array's
 // backing pointer) into arbitrary reads and writes. With PKRU-Safe's
 // enforcement on, the escalated write into trusted memory MT faults.
+//
+// Each Eval parses the script, resolves it once and then interprets the
+// tree. The resolve pass (resolve.go) gives every function a frame of
+// slots for its params and vars and every name its slot, or its index in
+// the engine's global table; operators are parsed to opcodes. Scoping is
+// function-level but partly dynamic, as the engine has always had it: a
+// var shadows the global of the same name only once the var statement has
+// run in the current call. Each slot carries a declared bit for that, and
+// a name whose slot is not yet declared falls through to the global.
+// Nested function declarations are global functions and see no outer
+// locals.
 package jsengine
 
 import (
