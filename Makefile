@@ -116,14 +116,17 @@ trace-demo:
 
 # bench-smoke keeps the benchmark module building and running: perfbench
 # imports vm, ffi, browser and pkalloc through a replace, so an API change
-# there can break it without touching any file under perfbench/. A short
-# compute run must report every op correct and none failed.
+# there can break it without touching any file under perfbench/. Short
+# compute and tenants runs must each report every op correct and none
+# failed; tenants fails an op whose cross-tenant probe is not denied.
 bench-smoke:
 	cd perfbench && go vet ./... && go test ./...
-	@line=$$(bash perfbench/run.sh --workload compute --seed 1 --seconds 2 | tail -n 1); \
-	echo "$$line"; \
-	case "$$line" in *'"correct":true'*'"failed":0'*) ;; \
-	*) echo "bench-smoke: benchmark run not clean" >&2; exit 1 ;; esac
+	@for w in compute tenants; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 | tail -n 1); \
+		echo "$$line"; \
+		case "$$line" in *'"correct":true'*'"failed":0'*) ;; \
+		*) echo "bench-smoke: $$w benchmark run not clean" >&2; exit 1 ;; esac; \
+	done
 
 # fuzz-smoke is the one list of fuzz targets CI runs: ten seconds each,
 # seeds first. Add a new Fuzz* target here, not to the CI workflow.

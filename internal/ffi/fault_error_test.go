@@ -104,6 +104,25 @@ func TestFaultErrorChains(t *testing.T) {
 	}
 }
 
+// TestDeniedLoadAllocs: a denied Load64 inside an untrusted call
+// allocates the *vm.Fault and the op wrapper, and formats nothing.
+func TestDeniedLoadAllocs(t *testing.T) {
+	var allocs float64
+	_, th := faultWorld(t, "probe", func(th *ffi.Thread, a vm.Addr) error {
+		allocs = testing.AllocsPerRun(1000, func() { _, _ = th.Load64(a) })
+		return nil
+	})
+	if _, err := th.Call("u", "probe", uint64(pkalloc.DefaultTrustedBase)); err != nil {
+		t.Fatal(err)
+	}
+	if got := th.VM.Stats().PKUFaults; got == 0 {
+		t.Fatal("probe of the trusted heap was not denied")
+	}
+	if allocs > 2 {
+		t.Errorf("denied ffi Load64 allocates %v per op, want at most 2", allocs)
+	}
+}
+
 // faultWorld builds a gated runtime whose untrusted library "u" exports
 // fn, which applies do to its address argument and returns the error.
 func faultWorld(t *testing.T, fn string, do func(*ffi.Thread, vm.Addr) error) (*ffi.Runtime, *ffi.Thread) {

@@ -610,12 +610,25 @@ func (t *Thread) Malloc(size uint64) (vm.Addr, error) {
 // Free releases an allocation from whichever pool owns it.
 func (t *Thread) Free(addr vm.Addr) error { return t.rt.Alloc.Free(addr) }
 
-// fault wraps a vm fault with call context.
+// accessError is a failed checked access: the op that failed and the
+// *vm.Fault it raised. Denied accesses are routine — every cross-tenant
+// probe ends in one — and most are never printed, so the text is built
+// only when Error is called.
+type accessError struct {
+	op  string
+	err error
+}
+
+func (e *accessError) Error() string { return "ffi: " + e.op + ": " + e.err.Error() }
+
+func (e *accessError) Unwrap() error { return e.err }
+
+// callErr names op on a checked access's error; nil stays nil.
 func callErr(op string, err error) error {
 	if err == nil {
 		return nil
 	}
-	return fmt.Errorf("ffi: %s: %w", op, err)
+	return &accessError{op: op, err: err}
 }
 
 // Load64 reads a word through the thread's checked view of memory.

@@ -27,7 +27,7 @@
 package gatetrace
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,7 +148,7 @@ func (t *Tracer) Start(tenant string) *Context {
 	t.mu.Unlock()
 	return &Context{
 		tr:     t,
-		id:     fmt.Sprintf("t%d", t.nextID.Add(1)),
+		id:     "t" + strconv.FormatUint(t.nextID.Add(1), 10),
 		tenant: tenant,
 		start:  time.Now(),
 	}
@@ -403,7 +403,7 @@ func (c *Context) MarkEviction(victim string, slot mpk.Key) {
 	c.mu.Lock()
 	c.evicted = true
 	c.mu.Unlock()
-	c.Instant("evict:"+victim, victim, fmt.Sprintf("slot=%d", slot))
+	c.Instant("evict:"+victim, victim, "slot="+strconv.Itoa(int(slot)))
 }
 
 // Flagged reports whether the trace has hit a retention-forcing event.

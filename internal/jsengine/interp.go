@@ -116,10 +116,7 @@ func (e *Engine) Eval(th *ffi.Thread, src string) (Value, error) {
 	// Hoist function declarations.
 	for _, s := range prog {
 		if fd, ok := s.(*funcDecl); ok {
-			if _, exists := e.funcs[fd.name]; !exists {
-				e.fnIDs = append(e.fnIDs, fd)
-			}
-			e.funcs[fd.name] = fd
+			e.define(fd)
 		}
 	}
 	ctx := &execCtx{eng: e, th: th}
@@ -148,6 +145,19 @@ func (e *Engine) CallFunction(th *ffi.Thread, name string, args ...Value) (Value
 	}
 	ctx := &execCtx{eng: e, th: th}
 	return ctx.invoke(fd, args)
+}
+
+// define binds fd as the top-level function of its name. A redefinition
+// takes over the name's invoke-by-id slot, so ids stay stable and invoke
+// runs the same body as script calls and CallFunction.
+func (e *Engine) define(fd *funcDecl) {
+	if _, exists := e.funcs[fd.name]; exists {
+		i, _ := e.FunctionID(fd.name)
+		e.fnIDs[i] = fd
+	} else {
+		e.fnIDs = append(e.fnIDs, fd)
+	}
+	e.funcs[fd.name] = fd
 }
 
 // FunctionID returns the invoke-by-id handle for a defined function.
@@ -289,10 +299,7 @@ func (c *execCtx) stmt(s stmt, env frame) (Value, ctl, error) {
 		c.declare(&st.varRef, v, env)
 		return Null(), ctlNone, nil
 	case *funcDecl:
-		if _, exists := c.eng.funcs[st.name]; !exists {
-			c.eng.fnIDs = append(c.eng.fnIDs, st)
-		}
-		c.eng.funcs[st.name] = st
+		c.eng.define(st)
 		return Null(), ctlNone, nil
 	case *returnStmt:
 		v := Null()

@@ -433,6 +433,44 @@ func TestInvokeByID(t *testing.T) {
 	}
 }
 
+// TestInvokeByIDAfterRedefinition: a redefinition — hoisted by a later
+// Eval or run as a block statement — keeps the name's id and makes
+// invoke-by-id run the latest body, as CallFunction does.
+func TestInvokeByIDAfterRedefinition(t *testing.T) {
+	prog, eng, _ := world(t, core.MPK)
+	th := prog.Main()
+	firstID := -1
+	for i, src := range []string{
+		"function bench() { return 1; }",
+		"function bench() { return 2; }",
+		"if (1) { function bench() { return 3; } }",
+	} {
+		want := float64(i + 1)
+		if _, err := evalIn(t, prog, src); err != nil {
+			t.Fatal(err)
+		}
+		id, ok := eng.FunctionID("bench")
+		if !ok {
+			t.Fatal("bench has no id")
+		}
+		if firstID < 0 {
+			firstID = id
+		} else if id != firstID {
+			t.Errorf("redefinition moved bench from id %d to %d", firstID, id)
+		}
+		out, err := th.Call(DefaultLib, "invoke", uint64(id)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64frombits(out[0]); got != want {
+			t.Errorf("after %q: invoke = %v, want %v", src, got, want)
+		}
+		if v, err := eng.CallFunction(th, "bench"); err != nil || v.Num != want {
+			t.Errorf("after %q: CallFunction = %v, %v; want %v", src, v.Num, err, want)
+		}
+	}
+}
+
 func TestSyntaxErrors(t *testing.T) {
 	prog, _, _ := world(t, core.Base)
 	for _, src := range []string{

@@ -171,9 +171,12 @@ func (s *Supervisor) Shield(t *ffi.Thread, label string, body func() error) erro
 		// The request-scoped trace is the forensic record an operator will
 		// read: the fault and the recovery action that answered it land on
 		// the same trace the gate spans are already on, and a faulted
-		// trace is always retained.
+		// trace is always retained. The fault is formatted only when
+		// there is a trace to record it on.
 		tc := t.TraceContext()
-		tc.MarkFault(err.Error())
+		if tc != nil {
+			tc.MarkFault(err.Error())
+		}
 		// Unwind to the recovery point: truncate anything left on the
 		// gate/trust stacks and re-verify PKRU before trusted code
 		// continues. Gates self-unwind on both error returns and panics,

@@ -205,11 +205,12 @@ func (t *Thread) access(addr Addr, buf []byte, kind sig.AccessKind) error {
 		if m := t.metrics; m != nil {
 			m.Traps.Inc()
 		}
-		info := &sig.Info{Sig: sig.SIGTRAP, Addr: uint64(addr), Access: kind}
+		f := &Fault{Info: sig.Info{Sig: sig.SIGTRAP, Addr: uint64(addr), Access: kind}}
 		entry := t.Rights()
-		if t.sigs.Dispatch(info, t) == sig.Unhandled {
+		if t.sigs.Dispatch(&f.Info, t) == sig.Unhandled {
 			t.trap.Store(false)
-			return &Fault{Info: *info, PKRU: t.Rights()}
+			f.PKRU = t.Rights()
+			return f
 		}
 		t.sigreturn(entry, true)
 	}
@@ -274,21 +275,25 @@ func (t *Thread) translateStale(a Addr) (*page, mpk.Key) {
 	return p, t.staleKeys[i]
 }
 
+// checkPageSlow is the fault path. Each delivery allocates one *Fault and
+// hands handlers its Info, so the siginfo and the error an unhandled
+// fault returns are one object. A fresh one per delivery means no later
+// fault overwrites an error a caller still holds.
 func (t *Thread) checkPageSlow(a Addr, kind sig.AccessKind) (*page, error) {
 	for try := 0; ; try++ {
 		// One key read judges the access and fills the siginfo, so a
 		// concurrent retag cannot split the two.
 		p, key := t.translate(a)
-		var info sig.Info
+		var f *Fault
 		switch {
 		case p == nil:
-			info = sig.Info{Sig: sig.SIGSEGV, Code: sig.CodeMapErr, Addr: uint64(a), Access: kind}
+			f = &Fault{Info: sig.Info{Sig: sig.SIGSEGV, Code: sig.CodeMapErr, Addr: uint64(a), Access: kind}}
 			t.mapFaults.Add(1)
 			if m := t.metrics; m != nil {
 				m.MapFaults.Inc()
 			}
 		case !t.allowed(key, kind):
-			info = sig.Info{Sig: sig.SIGSEGV, Code: sig.CodePKUErr, Addr: uint64(a), Access: kind, PKey: uint8(key)}
+			f = &Fault{Info: sig.Info{Sig: sig.SIGSEGV, Code: sig.CodePKUErr, Addr: uint64(a), Access: kind, PKey: uint8(key)}}
 			t.pkuFaults.Add(1)
 			if m := t.metrics; m != nil {
 				m.PKUFaults.Inc()
@@ -296,21 +301,19 @@ func (t *Thread) checkPageSlow(a Addr, kind sig.AccessKind) (*page, error) {
 		default:
 			return p, nil
 		}
-		if try >= MaxFaultRetries {
-			return nil, &Fault{Info: info, PKRU: t.Rights()}
-		}
-		entry := t.Rights()
-		switch t.sigs.Dispatch(&info, t) {
-		case sig.Handled:
-			t.sigreturn(entry, false)
-			t.faultRetries.Add(1)
-			if m := t.metrics; m != nil {
-				m.FaultRetries.Inc()
+		if try < MaxFaultRetries {
+			entry := t.Rights()
+			if t.sigs.Dispatch(&f.Info, t) == sig.Handled {
+				t.sigreturn(entry, false)
+				t.faultRetries.Add(1)
+				if m := t.metrics; m != nil {
+					m.FaultRetries.Inc()
+				}
+				continue // handler repaired the state; re-execute the access
 			}
-			continue // handler repaired the state; re-execute the access
-		default:
-			return nil, &Fault{Info: info, PKRU: t.Rights()}
 		}
+		f.PKRU = t.Rights()
+		return nil, f
 	}
 }
 

@@ -170,6 +170,20 @@ func TestWarmLoadAllocs(t *testing.T) {
 	}
 }
 
+// TestDeniedLoadAllocs: a denied load allocates its *Fault and nothing
+// else — the siginfo handlers see is the fault's own Info, and nothing
+// is formatted until someone prints the error.
+func TestDeniedLoadAllocs(t *testing.T) {
+	_, th := newTestThread(t, 3)
+	th.SetRights(mpk.PermitAll.With(3, mpk.DenyAll))
+	if _, err := th.Load64(testBase); err == nil {
+		t.Fatal("load of a denied page succeeded")
+	}
+	if n := testing.AllocsPerRun(1000, func() { _, _ = th.Load64(testBase) }); n != 1 {
+		t.Errorf("denied Load64 allocates %v per op, want 1", n)
+	}
+}
+
 // TestStaleTranslationInjection: the planted bug serves the key cached
 // at fill time, so a retag that should lock the thread out is missed;
 // clearing it restores the faithful path.
