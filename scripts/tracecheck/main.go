@@ -8,7 +8,9 @@
 // The timeline must parse, carry well-formed events, and — when any
 // trace on it faulted — contain at least one complete fault arc: a gate
 // span, a fault instant and a recovery instant on the same thread
-// (trace) ID. The latency report must be schema 1 with ordered
+// (trace) ID. Every "gate:<d>" span must name d as its args.domain and
+// lie inside its thread's request span, give or take a microsecond of
+// rounding. The latency report must be schema 1 with ordered
 // per-tenant quantiles. Exit status 1 with a diagnostic on any
 // violation; `make trace-demo` and the CI tracing job run this against
 // freshly generated artifacts.
@@ -23,6 +25,7 @@ import (
 
 type chromeEvent struct {
 	Name  string         `json:"name"`
+	Cat   string         `json:"cat"`
 	Phase string         `json:"ph"`
 	TS    *float64       `json:"ts"`
 	Dur   float64        `json:"dur"`
@@ -82,10 +85,12 @@ func checkTimeline(path string) {
 	type arc struct {
 		gate, fault, recover bool
 		name                 string
+		request              *chromeEvent
 	}
 	breakerStates := map[string]bool{"open": true, "half-open": true, "closed": true}
 	breakers := 0
 	arcs := make(map[int]*arc)
+	var gates []int // indexes of the gate spans, checked against their request once all are read
 	at := func(tid int) *arc {
 		a, ok := arcs[tid]
 		if !ok {
@@ -107,8 +112,15 @@ func checkTimeline(path string) {
 			if ev.TS == nil || ev.Dur < 0 {
 				fail("%s: event %d (%s): complete event without ts/dur", path, i, ev.Name)
 			}
-			if strings.HasPrefix(ev.Name, "gate:") {
+			if ev.Cat == "request" {
+				at(ev.TID).request = &doc.TraceEvents[i]
+			}
+			if d, ok := strings.CutPrefix(ev.Name, "gate:"); ok {
+				if dom, _ := ev.Args["domain"].(string); dom != d {
+					fail("%s: event %d (%s): args.domain = %q, want %q", path, i, ev.Name, dom, d)
+				}
 				at(ev.TID).gate = true
+				gates = append(gates, i)
 			}
 		case "i":
 			if ev.TS == nil {
@@ -130,6 +142,22 @@ func checkTimeline(path string) {
 			}
 		default:
 			fail("%s: event %d (%s): unexpected phase %q", path, i, ev.Name, ev.Phase)
+		}
+	}
+
+	// A gate span is timed inside the request that crossed it, so it
+	// must nest in that request's span; the exporter rounds both to
+	// nanoseconds in microsecond units, hence the 1 µs slack.
+	const slack = 1.0
+	for _, i := range gates {
+		ev := doc.TraceEvents[i]
+		req := at(ev.TID).request
+		if req == nil {
+			fail("%s: event %d (%s): no request span on thread %d", path, i, ev.Name, ev.TID)
+		}
+		if *ev.TS < *req.TS-slack || *ev.TS+ev.Dur > *req.TS+req.Dur+slack {
+			fail("%s: event %d (%s): [%.3f, %.3f] µs outside its request [%.3f, %.3f] µs",
+				path, i, ev.Name, *ev.TS, *ev.TS+ev.Dur, *req.TS, *req.TS+req.Dur)
 		}
 	}
 
