@@ -462,7 +462,7 @@ func (p *Program) AllocAt(s *Site, size uint64) (vm.Addr, error) {
 	}
 	var sp telemetry.Span
 	if tel := p.tel; tel != nil {
-		sp = telemetry.StartSpan(tel.allocLat[pool], nil, "heap:alloc")
+		sp = telemetry.StartSpan(tel.allocLat[pool])
 	}
 	addr, err := p.alloc.AllocIn(pool, size)
 	sp.End()
@@ -504,7 +504,7 @@ func (p *Program) Free(addr vm.Addr) error {
 	p.rec.LogDealloc(uint64(addr))
 	if tel := p.tel; tel != nil {
 		pool, _ := p.alloc.CompartmentOf(addr)
-		sp := telemetry.StartSpan(tel.freeLat[pool], nil, "heap:free")
+		sp := telemetry.StartSpan(tel.freeLat[pool])
 		err := p.alloc.Free(addr)
 		sp.End()
 		return err

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Trust is the library-level annotation.
@@ -45,6 +46,9 @@ type Library struct {
 	Name  string
 	Trust Trust
 	funcs map[string]Func
+
+	gateNote string                     // "gate:"+Name, the ring note of its gates
+	lat      atomic.Pointer[libLatency] // its gate-latency series, resolved on first use
 }
 
 // Define registers a function in the library, replacing any previous
@@ -143,7 +147,7 @@ func (r *Registry) Library(name string, trust Trust) (*Library, error) {
 		}
 		return l, nil
 	}
-	l := &Library{Name: name, Trust: trust, funcs: make(map[string]Func)}
+	l := &Library{Name: name, Trust: trust, funcs: make(map[string]Func), gateNote: "gate:" + name}
 	r.libs[name] = l
 	return l, nil
 }

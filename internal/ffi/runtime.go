@@ -128,7 +128,8 @@ func (rt *Runtime) domainBinding(lib string) (DomainBinding, bool) {
 
 // CrossingSink receives one observation per forward (T→U) gate traversal:
 // the target library, the argument words the call carried across the
-// boundary, and the gate's enter→restore latency. The profiling plane's
+// boundary, and the gate's enter→restore latency — the same duration the
+// gate-latency histogram and the request trace receive. The profiling plane's
 // crossing sampler implements this to attribute boundary crossings to
 // allocation sites; the interface lives here so implementations need not
 // import ffi. Observations are delivered from the gate's exit path, after
@@ -141,9 +142,6 @@ type CrossingSink interface {
 // With no sink attached the gated call path pays one pointer test.
 func (rt *Runtime) SetCrossingSink(s CrossingSink) { rt.sink = s }
 
-// CrossingSink returns the attached sink, if any.
-func (rt *Runtime) CrossingSink() CrossingSink { return rt.sink }
-
 // runtimeTelemetry holds the registry handles the FFI layer reports into.
 // A nil *runtimeTelemetry (the default) disables reporting; the gated call
 // path then pays one pointer test.
@@ -152,6 +150,23 @@ type runtimeTelemetry struct {
 	enterU  *telemetry.Counter      // forward gates: trusted → untrusted
 	enterT  *telemetry.Counter      // reverse gates: untrusted → trusted
 	gateLat *telemetry.HistogramVec // gate enter→exit latency by target library
+}
+
+// libLatency is a library's gate-latency series and the telemetry it was
+// resolved from; a runtime with other telemetry resolves its own.
+type libLatency struct {
+	tel  *runtimeTelemetry
+	hist *telemetry.Histogram
+}
+
+// latency returns l's gate-latency series without a With lookup per gate.
+func (tel *runtimeTelemetry) latency(l *Library) *telemetry.Histogram {
+	if c := l.lat.Load(); c != nil && c.tel == tel {
+		return c.hist
+	}
+	h := tel.gateLat.With(l.Name)
+	l.lat.Store(&libLatency{tel: tel, hist: h})
+	return h
 }
 
 // SetTelemetry attaches the runtime (and every thread minted afterwards)
@@ -209,9 +224,6 @@ func (rt *Runtime) GateCost() int { return rt.gateCost }
 // SetTrace attaches an event ring recording gate traversals (nil detaches).
 func (rt *Runtime) SetTrace(r *trace.Ring) { rt.ring = r }
 
-// Trace returns the attached event ring, if any.
-func (rt *Runtime) Trace() *trace.Ring { return rt.ring }
-
 // gateSink defeats dead-code elimination of the WRPKRU spin.
 var gateSink atomic.Uint64
 
@@ -253,9 +265,6 @@ func (rt *Runtime) Abort() { rt.aborted.Store(true) }
 // match the paper's stubs, which verify only what they themselves write.
 func (rt *Runtime) SetExitAudit(on bool) { rt.exitAudit.Store(on) }
 
-// ExitAudit reports whether the gate-exit PKRU audit is armed.
-func (rt *Runtime) ExitAudit() bool { return rt.exitAudit.Load() }
-
 // NewThread mints an execution context starting in the trusted compartment
 // with full rights.
 func (rt *Runtime) NewThread() *Thread {
@@ -266,20 +275,27 @@ func (rt *Runtime) NewThread() *Thread {
 	return t
 }
 
-// Thread is one execution context: a simulated CPU, the per-thread
-// compartment stack the gates push saved PKRU values onto, and a logical
-// trust stack recording whose *code* is currently running. The two differ
-// in the gates-off builds: untrusted library code still runs (and still
-// allocates from its own heap, MU) even though no rights are dropped —
-// exactly as SpiderMonkey keeps using its own malloc in the paper's base
-// configuration.
+// Thread is one execution context: a simulated CPU and its compartment
+// stack, one gateFrame per library call in progress. The stack records
+// whose *code* is running independently of the rights in force; the two
+// differ in the gates-off builds, where untrusted library code still runs
+// (and still allocates from its own heap, MU) even though no rights are
+// dropped — exactly as SpiderMonkey keeps using its own malloc in the
+// paper's base configuration.
 type Thread struct {
-	rt    *Runtime
-	VM    *vm.Thread
-	stack []mpk.PKRU // saved rights, pushed by gates
-	trust []Trust    // logical compartment of the running code
-	libs  []string   // library whose code is running, parallel to trust
-	tc    *gatetrace.Context
+	rt     *Runtime
+	VM     *vm.Thread
+	frames []gateFrame // innermost call last
+	tc     *gatetrace.Context
+}
+
+// gateFrame is one call into a library, plain or gated, popped on every
+// return path, panics included. A gated frame records one traversal, and
+// every observer of the gate reads its one enter timestamp.
+type gateFrame struct {
+	lib   *Library  // whose code runs: its name and trust
+	gates int       // gated frames up to and including this one
+	enter time.Time // a timed gate's enter clock read; zero otherwise
 }
 
 // SetTraceContext attaches the request-scoped trace context the thread is
@@ -298,18 +314,32 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 // CurrentTrust reports whose code is logically executing (independent of
 // gate mode). A fresh thread starts in trusted code.
 func (t *Thread) CurrentTrust() Trust {
-	if len(t.trust) == 0 {
-		return Trusted
+	if n := len(t.frames); n > 0 {
+		return t.frames[n-1].lib.Trust
 	}
-	return t.trust[len(t.trust)-1]
+	return Trusted
 }
 
 // InUntrusted reports whether untrusted-library code is currently running.
 func (t *Thread) InUntrusted() bool { return t.CurrentTrust() == Untrusted }
 
-// Depth returns the current compartment-stack depth: the number of gate
-// traversals live on this thread (always zero with gates off).
-func (t *Thread) Depth() int { return len(t.stack) }
+// CurrentLib returns the library whose code is logically running, or ""
+// in the initial trusted frame.
+func (t *Thread) CurrentLib() string {
+	if n := len(t.frames); n > 0 {
+		return t.frames[n-1].lib.Name
+	}
+	return ""
+}
+
+// Depth returns the number of gate traversals live on this thread (always
+// zero with gates off); plain calls on the stack do not count.
+func (t *Thread) Depth() int {
+	if n := len(t.frames); n > 0 {
+		return t.frames[n-1].gates
+	}
+	return 0
+}
 
 // Call invokes lib.fn with the gate discipline the annotations imply:
 //
@@ -340,7 +370,7 @@ func (t *Thread) Call(lib, fn string, args ...uint64) ([]uint64, error) {
 	if t.rt.mode == GatesOn {
 		target := mpk.PermitAll
 		gated := l.Trust != t.CurrentTrust()
-		var dom *DomainBinding
+		var dom DomainBinding
 		if l.Trust == Untrusted {
 			target = t.rt.untrustedPKRU
 			if b, ok := t.rt.domainBinding(l.Name); ok && b.Table != nil {
@@ -348,15 +378,15 @@ func (t *Thread) Call(lib, fn string, args ...uint64) ([]uint64, error) {
 				// compartment means a different sandbox, and entering it
 				// with the caller's PKRU would merge the two. Only a call
 				// that stays within the library's own domain is plain.
-				dom = &b
+				dom = b
 				gated = gated || b.Table.Current(t.VM) != b.Key
 			}
 		}
 		if gated {
-			return t.throughGate(l.Name, l.Trust, target, dom, f, args)
+			return t.throughGate(l, target, dom, f, args)
 		}
 	}
-	return t.plainCall(l.Name, l.Trust, f, args)
+	return t.plainCall(l, f, args)
 }
 
 // CallNoGate invokes lib.fn without any gate, regardless of annotations.
@@ -372,101 +402,89 @@ func (t *Thread) CallNoGate(lib, fn string, args ...uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.plainCall(l.Name, l.Trust, f, args)
+	return t.plainCall(l, f, args)
 }
 
-// plainCall runs f with the callee's logical trust pushed but no rights
-// change. The pop rides a defer so a panicking callee leaves the trust
-// stack balanced while the panic propagates.
-func (t *Thread) plainCall(libName string, trust Trust, f Func, args []uint64) ([]uint64, error) {
-	t.trust = append(t.trust, trust)
-	t.libs = append(t.libs, libName)
-	defer func() {
-		t.trust = t.trust[:len(t.trust)-1]
-		t.libs = t.libs[:len(t.libs)-1]
-	}()
+// plainCall runs f under a frame for l but no rights change. The pop
+// rides a defer so a panicking callee leaves the stack balanced while the
+// panic propagates.
+func (t *Thread) plainCall(l *Library, f Func, args []uint64) ([]uint64, error) {
+	t.frames = append(t.frames, gateFrame{lib: l, gates: t.Depth()})
+	defer func() { t.frames = t.frames[:len(t.frames)-1] }()
 	return f(t, args)
 }
 
-// throughGate performs one gated call: push current rights, install and
-// verify the target rights, run, restore. The exit half runs under a
-// defer, so the gate unwinds itself — popping its compartment-stack frame
-// and restoring the caller's rights — even when the callee panics. That is
-// the property the fault supervisor's recovery points build on: by the
-// time a panic (or an error return) reaches the trusted frame, every gate
-// it crossed has already restored the rights it saved.
+// throughGate performs one gated call: install and verify the target
+// rights, run, restore the caller's. The exit half runs under a defer, so
+// the gate unwinds itself — popping its frame and restoring the caller's
+// rights — even when the callee panics. That is the property the fault
+// supervisor's recovery points build on: by the time a panic (or an error
+// return) reaches the trusted frame, every gate it crossed has already
+// restored the rights it saved.
 //
-// A non-nil dom makes this a domain gate: entry binds t.VM to the vkey
-// table for eviction-time revocation and activates-and-installs the
-// domain's rights atomically with respect to eviction, and the exit half
-// re-derives the caller's compartment through vkey.Leave instead of
-// replaying the saved PKRU — whose slot grants an eviction may have
-// rebound to a different tenant while the callee ran (the Garmr
-// stale-PKRU hazard). Plain gates on a runtime with virtualized domains
-// re-derive through vkey.Refresh for the same reason; only a runtime with
-// no domain bindings replays saved bits, which are then always one of the
-// two static compartment values.
-func (t *Thread) throughGate(libName string, trust Trust, target mpk.PKRU, dom *DomainBinding, f Func, args []uint64) (res []uint64, err error) {
-	var sp telemetry.Span
+// A domain binding with a Table makes this a domain gate: entry binds
+// t.VM to the vkey table for eviction-time revocation and
+// activates-and-installs the domain's rights atomically with respect to
+// eviction, and the exit half re-derives the caller's compartment through
+// vkey.Leave instead of replaying the saved PKRU — whose slot grants an
+// eviction may have rebound to a different tenant while the callee ran
+// (the Garmr stale-PKRU hazard). Plain gates on a runtime with virtualized
+// domains re-derive through vkey.Refresh for the same reason; only a
+// runtime with no domain bindings replays saved bits, which are then
+// always one of the two static compartment values.
+func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f Func, args []uint64) (res []uint64, err error) {
 	if tel := t.rt.tel; tel != nil {
-		if trust == Untrusted {
+		if l.Trust == Untrusted {
 			tel.enterU.Inc()
 		} else {
 			tel.enterT.Inc()
 		}
-		sp = telemetry.StartSpan(tel.gateLat.With(libName), t.rt.ring, "gate:"+libName)
 	}
-	// The request-scoped trace span is attributed to the compartment
-	// *domain* — the tenant pool when one is bound, the target library
-	// otherwise — because that is the axis slot pressure and per-tenant
-	// latency blame live on.
-	domainLabel := libName
-	if dom != nil && dom.Pool != "" {
-		domainLabel = dom.Pool
+	// The request trace attributes the gate to its compartment *domain* —
+	// the tenant pool when one is bound, the target library otherwise —
+	// because that is the axis slot pressure and per-tenant latency blame
+	// live on. Forward crossings alone feed the crossing sink: what trusted
+	// data flowed into U and through which gate.
+	domain := l.Name
+	if dom.Pool != "" {
+		domain = dom.Pool
 	}
-	endTraceSpan := t.tc.GateSpan(domainLabel)
-	// Forward crossings are the profiling plane's signal: what trusted data
-	// flowed into U and through which gate. The timestamp is taken before
-	// the enter WRPKRU so the reported latency matches the gate-latency
-	// histogram's enter→restore span.
-	sink := t.rt.sink
-	var crossStart time.Time
-	if sink != nil && trust == Untrusted {
-		crossStart = time.Now()
-	} else {
+	tc, sink := t.tc, t.rt.sink
+	if l.Trust != Untrusted {
 		sink = nil
+	}
+	// One clock read before the enter WRPKRU, and only when someone times
+	// the gate.
+	fr := gateFrame{lib: l, gates: t.Depth() + 1}
+	if t.rt.tel != nil || tc != nil || sink != nil {
+		fr.enter = time.Now()
 	}
 	prev := t.VM.Rights()
 	var enterErr error
 	domEntered := false
-	if dom != nil {
+	if dom.Table != nil {
 		if target, enterErr = dom.Table.Enter(t.VM, dom.Key); enterErr == nil {
 			domEntered = true
 		} else if !errors.Is(enterErr, mpk.ErrRightsAudit) {
 			// Activation failed before any rights were written — the key
 			// was freed, or no slot could be found. Fail closed without
-			// running the callee; nothing was installed, so there are no
-			// gate frames to unwind and the runtime stays alive.
-			sp.End()
-			endTraceSpan()
-			t.tc.Instant("gate-refused", domainLabel, enterErr.Error())
-			return nil, fmt.Errorf("ffi: entering domain for %s: %w", libName, enterErr)
+			// running the callee; nothing was installed, so there is no
+			// frame to unwind and the runtime stays alive.
+			t.observeGate(&fr, domain, tc, nil, nil)
+			tc.Instant("gate-refused", domain, enterErr.Error())
+			return nil, fmt.Errorf("ffi: entering domain for %s: %w", l.Name, enterErr)
 		}
-	}
-	t.stack = append(t.stack, prev)
-	t.trust = append(t.trust, trust)
-	t.libs = append(t.libs, libName)
-	if dom == nil {
+	} else {
 		enterErr = mpk.InstallAudited(t.VM, target)
 	}
+	t.frames = append(t.frames, fr)
 	wrpkruDelay(t.rt.gateCost)
 	if t.rt.ring != nil {
 		t.rt.ring.Emit(trace.Event{Kind: trace.GateEnter, A: uint64(uint32(target))})
 	}
 	defer func() {
-		t.trust = t.trust[:len(t.trust)-1]
-		t.libs = t.libs[:len(t.libs)-1]
-		t.stack = t.stack[:len(t.stack)-1]
+		top := t.frames[len(t.frames)-1]
+		t.frames = t.frames[:len(t.frames)-1]
 		// The gate-exit audit: before restoring anything, check the rights
 		// the callee left behind against the rights this gate installed.
 		// An escalation means the compartment widened its own PKRU and the
@@ -499,11 +517,7 @@ func (t *Thread) throughGate(libName string, trust Trust, target mpk.PKRU, dom *
 		if t.rt.ring != nil {
 			t.rt.ring.Emit(trace.Event{Kind: trace.GateExit, A: uint64(uint32(restored))})
 		}
-		sp.End()
-		endTraceSpan()
-		if sink != nil {
-			sink.ObserveCrossing(libName, args, time.Since(crossStart))
-		}
+		t.observeGate(&top, domain, tc, sink, args)
 	}()
 	// The gate's self-check: the PKRU we installed must be the one the gate
 	// was compiled to enforce. On real hardware this defeats whole-function
@@ -516,15 +530,35 @@ func (t *Thread) throughGate(libName string, trust Trust, target mpk.PKRU, dom *
 	return f(t, args)
 }
 
-// Checkpoint captures the state a recovery point must restore: the gate
-// and trust stack depths at a trusted frame plus the PKRU in force there.
-// It is an opaque token minted by Thread.Checkpoint and consumed by
-// Thread.Unwind.
+// observeGate hands a finished gate the one exit clock read and gives
+// every observer the same duration: the latency histogram and its ring
+// Span (both only with telemetry attached), the request trace and the
+// crossing sink. An untimed gate reads no clock.
+func (t *Thread) observeGate(fr *gateFrame, domain string, tc *gatetrace.Context, sink CrossingSink, args []uint64) {
+	if fr.enter.IsZero() {
+		return
+	}
+	dur := time.Since(fr.enter)
+	if tel := t.rt.tel; tel != nil {
+		tel.latency(fr.lib).Observe(uint64(dur))
+		if ring := t.rt.ring; ring != nil {
+			ring.Emit(trace.Event{Kind: trace.Span, A: uint64(dur), Note: fr.lib.gateNote})
+		}
+	}
+	tc.Gate(domain, fr.enter, dur)
+	if sink != nil {
+		sink.ObserveCrossing(fr.lib.Name, args, dur)
+	}
+}
+
+// Checkpoint captures the state a recovery point must restore: the
+// compartment-stack depth at a trusted frame plus the PKRU in force
+// there. It is an opaque token minted by Thread.Checkpoint and consumed
+// by Thread.Unwind.
 type Checkpoint struct {
-	gateDepth  int
-	trustDepth int
-	vDepth     int // vkey compartment-stack depth, when domains are bound
-	rights     mpk.PKRU
+	depth  int // frames on the thread's compartment stack
+	vDepth int // vkey compartment-stack depth, when domains are bound
+	rights mpk.PKRU
 }
 
 // Rights returns the PKRU value in force when the checkpoint was taken.
@@ -533,34 +567,29 @@ func (cp Checkpoint) Rights() mpk.PKRU { return cp.rights }
 // Checkpoint records a recovery point at the current frame. Take it in
 // trusted code immediately before a supervised cross-compartment call.
 func (t *Thread) Checkpoint() Checkpoint {
-	cp := Checkpoint{gateDepth: len(t.stack), trustDepth: len(t.trust), rights: t.VM.Rights()}
+	cp := Checkpoint{depth: len(t.frames), rights: t.VM.Rights()}
 	if vt := t.rt.vtable.Load(); vt != nil {
 		cp.vDepth = vt.Depth(t.VM)
 	}
 	return cp
 }
 
-// Unwind forces the thread back to a checkpointed frame: any gate and
-// trust frames pushed since the checkpoint are discarded, the
-// checkpointed PKRU is reinstalled through a WRPKRU, and — like a gate's
-// own self-check — the installed value is read back and verified. Because
-// gates self-unwind on both error returns and panics, the stacks are
-// normally already at checkpoint depth and Unwind only has to prove it;
-// the truncation is the backstop that makes recovery sound even if an
-// untrusted callee corrupted the bookkeeping. A verification failure
-// aborts the runtime and returns ErrGateTampered: recovery must never
-// resume trusted code with untrusted rights. Unwinding to a checkpoint
-// deeper than the current stacks is a caller bug and also errors.
+// Unwind forces the thread back to a checkpointed frame: any frames
+// pushed since the checkpoint are discarded, the checkpointed PKRU is
+// reinstalled through a WRPKRU, and — like a gate's own self-check — the
+// installed value is read back and verified. Because gates self-unwind on
+// both error returns and panics, the stack is normally already at
+// checkpoint depth and Unwind only has to prove it; the truncation is the
+// backstop that makes recovery sound even if an untrusted callee
+// corrupted the bookkeeping. A verification failure aborts the runtime
+// and returns ErrGateTampered: recovery must never resume trusted code
+// with untrusted rights. Unwinding to a checkpoint deeper than the
+// current stack is a caller bug and also errors.
 func (t *Thread) Unwind(cp Checkpoint) error {
-	if cp.gateDepth > len(t.stack) || cp.trustDepth > len(t.trust) {
-		return fmt.Errorf("ffi: unwind to depth %d/%d above current %d/%d",
-			cp.gateDepth, cp.trustDepth, len(t.stack), len(t.trust))
+	if cp.depth > len(t.frames) {
+		return fmt.Errorf("ffi: unwind to depth %d above current %d", cp.depth, len(t.frames))
 	}
-	t.stack = t.stack[:cp.gateDepth]
-	t.trust = t.trust[:cp.trustDepth]
-	if cp.trustDepth <= len(t.libs) {
-		t.libs = t.libs[:cp.trustDepth]
-	}
+	t.frames = t.frames[:cp.depth]
 	var err error
 	if vt := t.rt.vtable.Load(); vt != nil {
 		// Discard domain frames pushed since the checkpoint, then restore
@@ -581,15 +610,6 @@ func (t *Thread) Unwind(cp Checkpoint) error {
 		t.rt.ring.Emit(trace.Event{Kind: trace.Recover, A: uint64(uint32(cp.rights)), Note: "unwind"})
 	}
 	return nil
-}
-
-// CurrentLib returns the library whose code is logically running, or ""
-// in the initial trusted frame.
-func (t *Thread) CurrentLib() string {
-	if len(t.libs) == 0 {
-		return ""
-	}
-	return t.libs[len(t.libs)-1]
 }
 
 // Malloc allocates from the pool appropriate to the running code's

@@ -74,6 +74,7 @@ type Tracer struct {
 	gateLat *telemetry.HistogramVec
 	reqLat  *telemetry.HistogramVec
 	nextID  atomic.Uint64
+	gates   sync.Map // domain → *gateDomain, resolved on the domain's first gate
 
 	mu       sync.Mutex
 	retained []*Trace // ring, oldest overwritten
@@ -224,14 +225,10 @@ func (t *Tracer) Stats() Stats {
 	return Stats{Started: t.started, Finished: t.finished, Retained: t.next, Dropped: t.dropped}
 }
 
-// observeGate records one gate traversal's latency into the per-domain
-// histogram. The trace ID rides along as the bucket exemplar, so the tail
-// buckets of /metrics name retained traces to go read.
-func (t *Tracer) observeGate(domain string, dur time.Duration, id string) {
-	if t == nil {
-		return
-	}
-	t.gateLat.With(domain).ObserveEx(uint64(dur), id)
+// gateDomain is a domain's gate span name and gate-latency series.
+type gateDomain struct {
+	name string
+	lat  *telemetry.Histogram
 }
 
 // finish files a completed context: histograms always, full retention
@@ -316,23 +313,21 @@ func (c *Context) add(s Span) {
 	c.mu.Unlock()
 }
 
-// GateSpan opens a timed gate-traversal span into the named domain and
-// returns its closer, shaped for the gate's defer-based exit half:
-//
-//	end := ctx.GateSpan("libu")
-//	defer end()
-//
-// The closer also observes the per-domain gate-latency histogram.
-func (c *Context) GateSpan(domain string) func() {
+// Gate records a "gate:<domain>" span the gate timed itself: start is its
+// enter clock read, dur the enter→restore latency all its observers get.
+// dur also feeds the per-domain histogram with the trace ID as exemplar,
+// so the tail buckets of /metrics name retained traces to go read.
+func (c *Context) Gate(domain string, start time.Time, dur time.Duration) {
 	if c == nil {
-		return func() {}
+		return
 	}
-	start := c.since()
-	return func() {
-		dur := c.since() - start
-		c.add(Span{Name: "gate:" + domain, Domain: domain, Start: start, Dur: dur})
-		c.tr.observeGate(domain, dur, c.id)
+	gd, ok := c.tr.gates.Load(domain)
+	if !ok { // the domain's first gate: build its span name and series once
+		gd, _ = c.tr.gates.LoadOrStore(domain, &gateDomain{name: "gate:" + domain, lat: c.tr.gateLat.With(domain)})
 	}
+	g := gd.(*gateDomain)
+	c.add(Span{Name: g.name, Domain: domain, Start: start.Sub(c.start), Dur: dur})
+	g.lat.ObserveEx(uint64(dur), c.id)
 }
 
 // Span opens a generic timed span (request bodies, domain enter/leave

@@ -19,12 +19,44 @@ type fakeReg struct{ r mpk.PKRU }
 func (f *fakeReg) Rights() mpk.PKRU     { return f.r }
 func (f *fakeReg) SetRights(v mpk.PKRU) { f.r = v }
 
+// gateSpan times a gate the way ffi's call gate does — one clock read at
+// enter, one at exit — and returns the exit half, which records it.
+func gateSpan(c *Context, domain string) func() {
+	start := time.Now()
+	return func() { c.Gate(domain, start, time.Since(start)) }
+}
+
+// TestGateRecordsTheGatesOwnTiming: Gate files the span at the gate's
+// enter instant, relative to the request, with exactly the duration the
+// gate measured, and observes that duration into the domain's series.
+func TestGateRecordsTheGatesOwnTiming(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	tr := New(Config{RetainAll: true, Registry: reg})
+	c := tr.Start("tenant-a")
+	enter := c.start.Add(3 * time.Millisecond)
+	c.Gate("pool-a", enter, 1234*time.Nanosecond)
+	c.Gate("pool-a", enter.Add(time.Millisecond), 0)
+	c.Finish()
+	got := tr.Retained()[0].Spans
+	want := []Span{
+		{Name: "gate:pool-a", Domain: "pool-a", Start: 3 * time.Millisecond, Dur: 1234},
+		{Name: "gate:pool-a", Domain: "pool-a", Start: 4 * time.Millisecond},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("spans = %+v, want %+v", got, want)
+	}
+	h := reg.HistogramVec(GateLatencyMetric, "", "ns", "domain").With("pool-a")
+	if h.Count() != 2 || h.Sum() != 1234 {
+		t.Errorf("pool-a gate latency: count %d sum %d, want 2 and 1234", h.Count(), h.Sum())
+	}
+}
+
 func TestRetentionPolicy(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := New(Config{Capacity: 8, TailThreshold: 50 * time.Millisecond, Registry: reg})
 
 	clean := tr.Start("alpha")
-	clean.GateSpan("libu")()
+	gateSpan(clean, "libu")()
 	clean.Finish()
 
 	faulted := tr.Start("beta")
@@ -103,11 +135,11 @@ func TestRetainAllAndRingWrap(t *testing.T) {
 func TestCorrelation(t *testing.T) {
 	tr := New(Config{Capacity: 4})
 	c := tr.Start("tenant-a")
-	end := c.GateSpan("libu")
+	end := gateSpan(c, "libu")
 	c.MarkFault("addr=0x2000 pkey=1")
 	end()
 	c.MarkRecovery("retry", "pku fault in libu")
-	end2 := c.GateSpan("libu")
+	end2 := gateSpan(c, "libu")
 	end2()
 	c.Finish()
 
@@ -171,7 +203,7 @@ func TestNilTracerAndContext(t *testing.T) {
 	if c != nil {
 		t.Fatal("nil tracer minted a context")
 	}
-	c.GateSpan("d")()
+	c.Gate("d", time.Now(), 0)
 	c.Span("s", "")()
 	c.Instant("i", "", "")
 	c.MarkFault("f")
@@ -205,7 +237,7 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				c := tr.Start(fmt.Sprintf("tenant%d", g))
-				end := c.GateSpan("libu")
+				end := gateSpan(c, "libu")
 				if i%10 == 0 {
 					c.MarkFault("injected")
 				}
@@ -234,7 +266,7 @@ func TestConcurrentRequests(t *testing.T) {
 func TestLateSpanAfterFinish(t *testing.T) {
 	tr := New(Config{Capacity: 4, RetainAll: true})
 	c := tr.Start("x")
-	end := c.GateSpan("libu")
+	end := gateSpan(c, "libu")
 	c.Finish()
 	end() // late exit: histogram may still observe, but the trace is sealed
 	got := tr.Retained()
@@ -249,7 +281,7 @@ func TestLateSpanAfterFinish(t *testing.T) {
 func TestChromeExportShape(t *testing.T) {
 	tr := New(Config{Capacity: 4})
 	c := tr.Start("tenant-a")
-	end := c.GateSpan("libu")
+	end := gateSpan(c, "libu")
 	c.MarkFault("addr=0x2000")
 	end()
 	c.Finish()
@@ -332,7 +364,7 @@ func TestControllerRetunesOnLatencyShift(t *testing.T) {
 	// controller must back off (double the interval).
 	hot := tr.Start("hot")
 	for i := 0; i < 32; i++ {
-		tr.observeGate("libu", 100*time.Microsecond, hot.ID())
+		hot.Gate("libu", time.Now(), 100*time.Microsecond)
 	}
 	hot.Finish()
 	r := ctl.Retune()
@@ -348,7 +380,7 @@ func TestControllerRetunesOnLatencyShift(t *testing.T) {
 	// under half the target, then the controller leans back in.
 	cold := tr.Start("cold")
 	for i := 0; i < 20000; i++ {
-		tr.observeGate("libu", 100*time.Nanosecond, cold.ID())
+		cold.Gate("libu", time.Now(), 100*time.Nanosecond)
 	}
 	cold.Finish()
 	r = ctl.Retune()
@@ -365,22 +397,23 @@ func TestControllerClampsAndMinSamples(t *testing.T) {
 
 	// Too few samples: hold even though p99 is over target.
 	c := tr.Start("x")
-	tr.observeGate("libu", time.Millisecond, c.ID())
+	c.Gate("libu", time.Now(), time.Millisecond)
 	c.Finish()
 	if r := ctl.Retune(); r.Changed {
 		t.Fatalf("retuned under MinSamples: %+v", r)
 	}
 	// Enough samples: double, but never past Max.
+	c = tr.Start("y")
 	for i := 0; i < 32; i++ {
-		tr.observeGate("libu", time.Millisecond, "t")
+		c.Gate("libu", time.Now(), time.Millisecond)
 	}
 	ctl.Retune() // 1 → 2
 	for i := 0; i < 8; i++ {
-		tr.observeGate("libu", time.Millisecond, "t")
+		c.Gate("libu", time.Now(), time.Millisecond)
 	}
 	ctl.Retune() // 2 → 4
 	for i := 0; i < 8; i++ {
-		tr.observeGate("libu", time.Millisecond, "t")
+		c.Gate("libu", time.Now(), time.Millisecond)
 	}
 	if r := ctl.Retune(); r.New != 4 {
 		t.Fatalf("interval escaped Max: %+v", r)

@@ -144,8 +144,7 @@ func (m *Machine) Run(entry string, args ...uint64) ([]uint64, error) {
 	}
 	reg := m.prog.Telemetry()
 	sp := telemetry.StartSpan(
-		reg.Histogram("pkrusafe_interp_run_ns", "Wall time of one interpreter entry-point run.", "ns"),
-		nil, "interp:run")
+		reg.Histogram("pkrusafe_interp_run_ns", "Wall time of one interpreter entry-point run.", "ns"))
 	before := m.stats
 	res, err := m.call(m.prog.Main(), nil, f, args)
 	sp.End()

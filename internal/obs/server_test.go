@@ -301,9 +301,9 @@ func TestServerProfileEndpointsAbsent(t *testing.T) {
 func TestServerTraceJSONEndpoint(t *testing.T) {
 	tr := gatetrace.New(gatetrace.Config{RetainAll: true})
 	c := tr.Start("tenant-a")
-	end := c.GateSpan("libu")
+	enter := time.Now()
 	c.MarkFault("pkey fault at 0x2000")
-	end()
+	c.Gate("libu", enter, time.Since(enter))
 	c.Finish()
 
 	srv, err := obs.ListenAndServe("127.0.0.1:0", obs.ServerConfig{Traces: tr})

@@ -182,7 +182,7 @@ func (t *Tracer) onSegv(info *sig.Info, ctx sig.Context) sig.Action {
 	}
 	t.saved[ctx] = savedState{
 		pkru: ctx.PKRU(),
-		span: telemetry.StartSpan(t.resumeLat, nil, "profiler:resume"),
+		span: telemetry.StartSpan(t.resumeLat),
 	}
 	t.mu.Unlock()
 	// Temporarily switch back to T and single-step the faulting access.

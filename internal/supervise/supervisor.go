@@ -178,7 +178,7 @@ func (s *Supervisor) Shield(t *ffi.Thread, label string, body func() error) erro
 			tc.MarkFault(err.Error())
 		}
 		// Unwind to the recovery point: truncate anything left on the
-		// gate/trust stacks and re-verify PKRU before trusted code
+		// thread's frame stack and re-verify PKRU before trusted code
 		// continues. Gates self-unwind on both error returns and panics,
 		// so this normally only proves the state; a verification failure
 		// is terminal.

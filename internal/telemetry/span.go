@@ -1,56 +1,38 @@
 package telemetry
 
-import (
-	"time"
-
-	"repro/internal/trace"
-)
+import "time"
 
 // Span measures one timed region and, on End, feeds its duration into a
-// histogram and (optionally) the crash-dump event ring. Spans are plain
-// values: starting one costs a clock read and no allocation, and a span
-// started with neither a histogram nor a ring is inert — End is free.
+// histogram. Spans are plain values: starting one costs a clock read and
+// no allocation, and a span started without a histogram is inert — it
+// never reads the clock and End is free.
 //
 // Nesting is by construction: a region that contains another simply
-// starts an inner span (gate-enter→gate-exit around an untrusted call
-// that itself spans profiler record→resume, say). Each level observes
-// into its own histogram, so the registry ends up with a latency
-// distribution per region kind rather than a single conflated timer.
+// starts an inner span (an interpreter run that itself spans heap
+// allocations, say). Each level observes into its own histogram, so the
+// registry ends up with a latency distribution per region kind rather
+// than a single conflated timer.
 type Span struct {
 	hist  *Histogram
-	ring  *trace.Ring
-	name  string
 	start time.Time
 }
 
-// StartSpan begins a span recording into h (nil: skip the histogram) and
-// emitting a trace.Span event into ring on End (nil: no event). If both
-// are nil the span is inert and never reads the clock.
-func StartSpan(h *Histogram, ring *trace.Ring, name string) Span {
-	if h == nil && ring == nil {
+// StartSpan begins a span recording into h; a nil h gives an inert span.
+func StartSpan(h *Histogram) Span {
+	if h == nil {
 		return Span{}
 	}
-	return Span{hist: h, ring: ring, name: name, start: time.Now()}
+	return Span{hist: h, start: time.Now()}
 }
 
-// Active reports whether the span is recording.
-func (s Span) Active() bool { return !s.start.IsZero() }
-
 // End closes the span, observing the elapsed nanoseconds into the
-// histogram and emitting a trace event if a ring is attached. It returns
-// the measured duration (zero for an inert span). Ending the same span
-// value twice records the region twice; don't.
+// histogram. It returns the measured duration (zero for an inert span).
+// Ending the same span value twice records the region twice; don't.
 func (s Span) End() time.Duration {
-	if s.start.IsZero() {
+	if s.hist == nil {
 		return 0
 	}
 	d := time.Since(s.start)
-	if d < 0 {
-		d = 0
-	}
 	s.hist.Observe(uint64(d))
-	if s.ring != nil {
-		s.ring.Emit(trace.Event{Kind: trace.Span, A: uint64(d), Note: s.name})
-	}
 	return d
 }

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -117,9 +115,8 @@ func TestNilRegistryNoOps(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil registry WritePrometheus wrote %q, err %v", sb.String(), err)
 	}
-	sp := StartSpan(nil, nil, "inert")
-	if sp.Active() || sp.End() != 0 {
-		t.Fatal("span with no sinks must be inert")
+	if StartSpan(nil).End() != 0 {
+		t.Fatal("span with no histogram must be inert")
 	}
 }
 
@@ -262,26 +259,14 @@ func TestBucketBounds(t *testing.T) {
 	}
 }
 
-func TestSpanFeedsHistogramAndRing(t *testing.T) {
+func TestSpanFeedsHistogram(t *testing.T) {
 	h := new(Histogram)
-	ring := trace.NewRing(8)
-	sp := StartSpan(h, ring, "gate")
-	if !sp.Active() {
-		t.Fatal("span should be active")
-	}
-	d := sp.End()
+	d := StartSpan(h).End()
 	if d < 0 {
 		t.Fatalf("duration %v < 0", d)
 	}
-	if h.Count() != 1 {
-		t.Fatalf("histogram count = %d, want 1", h.Count())
-	}
-	evs := ring.Snapshot()
-	if len(evs) != 1 || evs[0].Kind != trace.Span || evs[0].Note != "gate" {
-		t.Fatalf("ring events = %+v", evs)
-	}
-	if !strings.Contains(evs[0].String(), "span") {
-		t.Fatalf("event string = %q", evs[0].String())
+	if h.Count() != 1 || h.Sum() != uint64(d) {
+		t.Fatalf("histogram count %d sum %d, want 1 and %d", h.Count(), h.Sum(), d)
 	}
 }
 

@@ -142,8 +142,10 @@ type Table struct {
 	// re-derives the frame below instead of replaying saved PKRU bits, so
 	// an eviction while a callee ran can never resurrect rights for a
 	// rebound slot — the discipline domain entry and the ffi domain gates
-	// share.
+	// share. Emptied stacks wait in spare for reuse, so entering from an
+	// empty stack does not allocate.
 	stacks  map[mpk.RightsRegister][]ID
+	spare   [][]ID
 	clock   uint64
 	nextID  ID
 	nslots  int
@@ -293,19 +295,6 @@ func (t *Table) Attach(id ID, base vm.Addr, size uint64) error {
 	return nil
 }
 
-// Detach forgets every page range tied to the key without retagging, for
-// callers that recycle the underlying region under a different key.
-func (t *Table) Detach(id ID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrUnknownKey, id)
-	}
-	e.ranges = nil
-	return nil
-}
-
 // Activate ensures the logical key is bound to a hardware slot, evicting
 // the least-recently-activated key if every slot is taken, and returns the
 // slot. The boolean reports a miss: the key was not bound on entry and a
@@ -417,7 +406,12 @@ func (t *Table) Enter(reg mpk.RightsRegister, id ID) (mpk.PKRU, error) {
 		}
 		return 0, err
 	}
-	t.stacks[reg] = append(t.stacks[reg], id)
+	st, ok := t.stacks[reg]
+	if !ok && len(t.spare) > 0 {
+		st = t.spare[len(t.spare)-1]
+		t.spare = t.spare[:len(t.spare)-1]
+	}
+	t.stacks[reg] = append(st, id)
 	return rights, nil
 }
 
@@ -456,6 +450,7 @@ func (t *Table) Leave(reg mpk.RightsRegister, outside mpk.PKRU) (mpk.PKRU, error
 	if len(st) == 1 {
 		delete(t.stacks, reg)
 		delete(t.threads, reg)
+		t.spare = append(t.spare, st[:0])
 	} else {
 		t.stacks[reg] = st[:len(st)-1]
 	}
@@ -518,6 +513,7 @@ func (t *Table) TruncateTo(reg mpk.RightsRegister, depth int) {
 	if depth == 0 {
 		delete(t.stacks, reg)
 		delete(t.threads, reg)
+		t.spare = append(t.spare, st[:0])
 		return
 	}
 	t.stacks[reg] = st[:depth]
