@@ -33,7 +33,7 @@ func main() {
 		seed   = flag.Int64("seed", 1, "base seed; trace i uses seed+i")
 		traces = flag.Int("traces", 64, "number of generated traces to replay")
 		ops    = flag.Int("ops", 512, "operations per trace")
-		fault  = flag.String("fault", "", "fault-injection mode: skip-gate-restore|swallow-segv|leak-trusted-alloc|stale-setpkey|stale-tlb-key|all")
+		fault  = flag.String("fault", "", "fault-injection mode: skip-gate-restore|swallow-segv|leak-trusted-alloc|stale-setpkey|stale-tlb-key|stale-page-index|all")
 		superv = flag.Bool("supervised", false, "run the supervised-gate drill: recovery must not change enforcement semantics")
 		vkeys  = flag.Bool("vkeys", false, "run the virtual-key drill: multiplexing must not change enforcement semantics")
 		atks   = flag.Bool("attacks", false, "run the Garmr attack corpus: every defense must hold its green drill and every attack its red drill")

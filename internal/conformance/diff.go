@@ -132,6 +132,9 @@ func Run(tr Trace, opts Options) *Result {
 		probe: make(map[vm.Addr]struct{}),
 		res:   &Result{Trace: tr, Counts: make(map[OutcomeKind]int)},
 	}
+	if opts.Inject == InjectStalePageIndex {
+		r.space.InjectStalePageIndex(true)
+	}
 	alloc, err := pkalloc.New(pkalloc.Config{Space: r.space})
 	if err != nil {
 		panic("conformance: pkalloc setup: " + err.Error())

@@ -38,6 +38,11 @@ const (
 	// vkey eviction to the parking key) is missed until the entry is
 	// displaced — the shootdown libmpk's pkey_sync exists to perform.
 	InjectStaleTranslation
+	// InjectStalePageIndex models a resident-page index that misses a
+	// page faulted in by first touch: a later pkey_mprotect over the page
+	// retags its reservation but not the page itself, so the page keeps
+	// serving its old key.
+	InjectStalePageIndex
 
 	numFaults
 )
@@ -56,6 +61,8 @@ func (f Fault) String() string {
 		return "stale-setpkey"
 	case InjectStaleTranslation:
 		return "stale-tlb-key"
+	case InjectStalePageIndex:
+		return "stale-page-index"
 	default:
 		return "fault(?)"
 	}
@@ -63,7 +70,7 @@ func (f Fault) String() string {
 
 // Faults returns every plantable fault mode (excluding InjectNone).
 func Faults() []Fault {
-	return []Fault{InjectSkipGateRestore, InjectSwallowSegv, InjectLeakTrustedAlloc, InjectStaleSetPKey, InjectStaleTranslation}
+	return []Fault{InjectSkipGateRestore, InjectSwallowSegv, InjectLeakTrustedAlloc, InjectStaleSetPKey, InjectStaleTranslation, InjectStalePageIndex}
 }
 
 // ParseFault resolves a fault mode name as used by pkru-conform's -fault

@@ -51,6 +51,7 @@ func TestDetectionAttribution(t *testing.T) {
 		{InjectLeakTrustedAlloc, map[string]bool{"outcome": true, "keymap": true}},
 		{InjectStaleSetPKey, map[string]bool{"outcome": true, "keymap": true}},
 		{InjectStaleTranslation, map[string]bool{"outcome": true}},
+		{InjectStalePageIndex, map[string]bool{"outcome": true, "keymap": true}},
 	}
 	for _, c := range cases {
 		res := Run(DirectedTrace(c.fault), Options{Inject: c.fault})

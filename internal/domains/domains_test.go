@@ -551,3 +551,77 @@ func BenchmarkFreeManyDomains(b *testing.B) {
 		})
 	}
 }
+
+// vkeyMissWorld builds a bare manager with n tenants, each holding one
+// resident page, and returns the logical keys of the first 14. Activating
+// those 14 round-robin on the 13 hardware slots misses and evicts on every
+// call once each has been activated once.
+func vkeyMissWorld(tb testing.TB, n int) (*Manager, []vkey.ID) {
+	tb.Helper()
+	m, _ := newManager(tb)
+	var ids []vkey.ID
+	for i := 0; i < n; i++ {
+		d, err := m.AddDomain(fmt.Sprintf("t%d", i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		a, err := m.Alloc(d, 64)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := m.Space().Poke(a, []byte{1}); err != nil {
+			tb.Fatal(err)
+		}
+		if len(ids) < m.Table().Slots()+1 {
+			ids = append(ids, d.VKey)
+		}
+	}
+	if len(ids) != m.Table().Slots()+1 {
+		tb.Fatalf("%d tenants cannot overcommit %d slots", n, m.Table().Slots())
+	}
+	for _, id := range ids {
+		if _, _, err := m.Table().Activate(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m, ids
+}
+
+// TestVKeyMissAllocs pins the eviction path allocation-free: a miss that
+// evicts retags two pools and rewrites a slot without touching the heap.
+func TestVKeyMissAllocs(t *testing.T) {
+	m, ids := vkeyMissWorld(t, 32)
+	before := m.Table().Stats().Evictions
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		_, miss, err := m.Table().Activate(ids[i%len(ids)])
+		if err != nil || !miss {
+			t.Fatalf("activation %d: miss=%v err=%v, want an evicting miss", i, miss, err)
+		}
+		i++
+	})
+	if got := m.Table().Stats().Evictions - before; got != uint64(i) {
+		t.Fatalf("%d activations evicted %d times, want every one", i, got)
+	}
+	if allocs != 0 {
+		t.Errorf("an evicting vkey miss allocates %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkVKeyMiss measures one evicting activation as the number of
+// resident tenants grows: the retag must cost per page of the two pools it
+// moves, so ns/op should be flat from 32 to 512 tenants.
+func BenchmarkVKeyMiss(b *testing.B) {
+	for _, n := range []int{32, 128, 512} {
+		b.Run(fmt.Sprintf("tenants=%d", n), func(b *testing.B) {
+			m, ids := vkeyMissWorld(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := m.Table().Activate(ids[i%len(ids)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

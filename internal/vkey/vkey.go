@@ -133,8 +133,8 @@ type Table struct {
 	mu       sync.Mutex
 	space    *vm.Space
 	inactive mpk.Key
-	free     []mpk.Key // unbound hardware slots
-	slots    map[mpk.Key]*entry
+	free     []mpk.Key           // unbound hardware slots
+	slots    [mpk.NumKeys]*entry // bound entry per hardware slot, nil when free
 	entries  map[ID]*entry
 	threads  map[mpk.RightsRegister]struct{}
 	// stacks is the per-register compartment stack: the nesting of logical
@@ -192,7 +192,6 @@ func NewTable(space *vm.Space, cfg Config) (*Table, error) {
 	t := &Table{
 		space:    space,
 		inactive: inactive,
-		slots:    make(map[mpk.Key]*entry),
 		entries:  make(map[ID]*entry),
 		threads:  make(map[mpk.RightsRegister]struct{}),
 		stacks:   make(map[mpk.RightsRegister][]ID),
@@ -527,7 +526,7 @@ func (t *Table) TruncateTo(reg mpk.RightsRegister, depth int) {
 func (t *Table) lruLocked() *entry {
 	var victim *entry
 	for _, e := range t.slots {
-		if e.pinned {
+		if e == nil || e.pinned {
 			continue
 		}
 		if victim == nil || e.lastUse < victim.lastUse {
@@ -602,7 +601,7 @@ func (t *Table) unbindLocked(e *entry) error {
 		}
 	}
 	e.active = false
-	delete(t.slots, hw)
+	t.slots[hw] = nil
 	t.free = append(t.free, hw)
 	t.revokeLocked(hw)
 	t.publish()
@@ -800,11 +799,12 @@ func (t *Table) Stats() Stats {
 }
 
 func (t *Table) statsLocked() Stats {
+	active := t.nslots - len(t.free)
 	return Stats{
 		Slots:         t.nslots,
 		Logical:       len(t.entries),
-		Active:        len(t.slots),
-		Parked:        len(t.entries) - len(t.slots),
+		Active:        active,
+		Parked:        len(t.entries) - active,
 		Faulted:       t.faulted,
 		Pinned:        t.pinned,
 		Activations:   t.activations,

@@ -157,3 +157,60 @@ func TestWholeRegionRetagKeepsBoundsQuiet(t *testing.T) {
 	}
 	<-done
 }
+
+// TestFirstTouchRacesRetag faults pages in from two goroutines, one
+// walking up and one walking down so the resident index takes both its
+// append and its insert path, while a third retags sub-ranges. A final
+// retag of the whole span must then reach every page: a page that
+// escaped the index would keep an older key.
+func TestFirstTouchRacesRetag(t *testing.T) {
+	const (
+		base  Addr = 0x5200_0000_0000
+		pages      = 128
+	)
+	s := NewSpace()
+	if _, err := s.Reserve("touch", base, pages*PageSize, 2); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, down := range []bool{false, true} {
+		wg.Add(1)
+		go func(down bool) {
+			defer wg.Done()
+			th := NewThread(s, nil)
+			for i := 0; i < pages; i++ {
+				pg := i
+				if down {
+					pg = pages - 1 - i
+				}
+				if _, err := th.Load8(base + Addr(pg)*PageSize); err != nil {
+					t.Errorf("Load8: %v", err)
+					return
+				}
+			}
+		}(down)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			off := Addr(i%(pages/8)) * 8 * PageSize
+			if err := s.SetPKey(base+off, 8*PageSize, mpk.Key(3+i%3)); err != nil {
+				t.Errorf("SetPKey: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if err := s.SetPKey(base, pages*PageSize, 9); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ResidentPages(); got != pages {
+		t.Fatalf("resident pages = %d, want %d", got, pages)
+	}
+	for pg := 0; pg < pages; pg++ {
+		if k, _ := s.PKeyAt(base + Addr(pg)*PageSize); k != 9 {
+			t.Fatalf("page %d keeps key %d after the whole-span retag to 9", pg, k)
+		}
+	}
+}
