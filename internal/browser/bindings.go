@@ -26,8 +26,7 @@ func (b *Browser) registerServoLib(reg *ffi.Registry) error {
 		return n, nil
 	}
 	readStr := func(th *ffi.Thread, ptr, n uint64) (string, error) {
-		buf, err := th.ReadBytes(vm.Addr(ptr), int(n))
-		return string(buf), err
+		return th.ReadString(vm.Addr(ptr), int(n))
 	}
 
 	lib.Define("by_id", func(th *ffi.Thread, args []uint64) ([]uint64, error) {
@@ -210,22 +209,6 @@ func (b *Browser) registerServoLib(reg *ffi.Registry) error {
 func (b *Browser) registerHostBindings() {
 	eng := b.Engine
 
-	// scratch stages a Go string into the calling compartment's heap so
-	// its bytes can cross the word-based ABI.
-	scratch := func(th *ffi.Thread, s string) (vm.Addr, func(), error) {
-		if len(s) == 0 {
-			return 0, func() {}, nil
-		}
-		addr, err := th.Malloc(uint64(len(s)))
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := th.WriteBytes(addr, []byte(s)); err != nil {
-			return 0, nil, err
-		}
-		return addr, func() { _ = th.Free(addr) }, nil
-	}
-
 	callServo := func(th *ffi.Thread, fn string, words ...uint64) ([]uint64, error) {
 		return th.Call(ServoLib, fn, words...)
 	}
@@ -235,11 +218,11 @@ func (b *Browser) registerHostBindings() {
 			if len(args) != 1 || args[0].Kind != jsengine.KStr {
 				return jsengine.Null(), fmt.Errorf("browser: %s needs one string argument", fn)
 			}
-			p, free, err := scratch(th, args[0].Str)
+			p, err := scratch(th, args[0].Str)
 			if err != nil {
 				return jsengine.Null(), err
 			}
-			defer free()
+			defer freeScratch(th, p)
 			res, err := callServo(th, fn, uint64(p), uint64(len(args[0].Str)))
 			if err != nil {
 				return jsengine.Null(), err
@@ -263,11 +246,11 @@ func (b *Browser) registerHostBindings() {
 		if len(args) != 2 || args[1].Kind != jsengine.KStr {
 			return jsengine.Null(), fmt.Errorf("browser: setText(id, string)")
 		}
-		p, free, err := scratch(th, args[1].Str)
+		p, err := scratch(th, args[1].Str)
 		if err != nil {
 			return jsengine.Null(), err
 		}
-		defer free()
+		defer freeScratch(th, p)
 		_, err = callServo(th, "set_text", uint64(args[0].Num), uint64(p), uint64(len(args[1].Str)))
 		return jsengine.Null(), err
 	})
@@ -286,27 +269,27 @@ func (b *Browser) registerHostBindings() {
 		if res[0] == 0 {
 			return jsengine.Str(""), nil
 		}
-		buf, err := th.ReadBytes(vm.Addr(res[0]), int(res[1]))
+		text, err := th.ReadString(vm.Addr(res[0]), int(res[1]))
 		if err != nil {
 			return jsengine.Null(), err
 		}
-		return jsengine.Str(string(buf)), nil
+		return jsengine.Str(text), nil
 	})
 
 	eng.RegisterHost("setAttr", func(th *ffi.Thread, args []jsengine.Value) (jsengine.Value, error) {
 		if len(args) != 3 || args[1].Kind != jsengine.KStr || args[2].Kind != jsengine.KStr {
 			return jsengine.Null(), fmt.Errorf("browser: setAttr(id, key, val)")
 		}
-		kp, freeK, err := scratch(th, args[1].Str)
+		kp, err := scratch(th, args[1].Str)
 		if err != nil {
 			return jsengine.Null(), err
 		}
-		defer freeK()
-		vp, freeV, err := scratch(th, args[2].Str)
+		defer freeScratch(th, kp)
+		vp, err := scratch(th, args[2].Str)
 		if err != nil {
 			return jsengine.Null(), err
 		}
-		defer freeV()
+		defer freeScratch(th, vp)
 		_, err = callServo(th, "set_attr", uint64(args[0].Num),
 			uint64(kp), uint64(len(args[1].Str)), uint64(vp), uint64(len(args[2].Str)))
 		return jsengine.Null(), err
@@ -316,11 +299,11 @@ func (b *Browser) registerHostBindings() {
 		if len(args) != 2 || args[1].Kind != jsengine.KStr {
 			return jsengine.Null(), fmt.Errorf("browser: getAttr(id, key)")
 		}
-		kp, freeK, err := scratch(th, args[1].Str)
+		kp, err := scratch(th, args[1].Str)
 		if err != nil {
 			return jsengine.Null(), err
 		}
-		defer freeK()
+		defer freeScratch(th, kp)
 		res, err := callServo(th, "get_attr_ref", uint64(args[0].Num), uint64(kp), uint64(len(args[1].Str)))
 		if err != nil {
 			return jsengine.Null(), err
@@ -328,22 +311,22 @@ func (b *Browser) registerHostBindings() {
 		if res[0] == 0 {
 			return jsengine.Str(""), nil
 		}
-		buf, err := th.ReadBytes(vm.Addr(res[0]), int(res[1]))
+		text, err := th.ReadString(vm.Addr(res[0]), int(res[1]))
 		if err != nil {
 			return jsengine.Null(), err
 		}
-		return jsengine.Str(string(buf)), nil
+		return jsengine.Str(text), nil
 	})
 
 	eng.RegisterHost("setInnerHTML", func(th *ffi.Thread, args []jsengine.Value) (jsengine.Value, error) {
 		if len(args) != 2 || args[1].Kind != jsengine.KStr {
 			return jsengine.Null(), fmt.Errorf("browser: setInnerHTML(id, html)")
 		}
-		p, free, err := scratch(th, args[1].Str)
+		p, err := scratch(th, args[1].Str)
 		if err != nil {
 			return jsengine.Null(), err
 		}
-		defer free()
+		defer freeScratch(th, p)
 		_, err = callServo(th, "inner_html", uint64(args[0].Num), uint64(p), uint64(len(args[1].Str)))
 		return jsengine.Null(), err
 	})
@@ -383,17 +366,17 @@ func (b *Browser) registerHostBindings() {
 		if len(args) != 1 || args[0].Kind != jsengine.KStr {
 			return jsengine.Null(), fmt.Errorf("browser: queryTag(tag)")
 		}
-		tp, freeT, err := scratch(th, args[0].Str)
+		tp, err := scratch(th, args[0].Str)
 		if err != nil {
 			return jsengine.Null(), err
 		}
-		defer freeT()
+		defer freeScratch(th, tp)
 		const capIDs = 4096
 		out, err := th.Malloc(capIDs * 8)
 		if err != nil {
 			return jsengine.Null(), err
 		}
-		defer func() { _ = th.Free(out) }()
+		defer freeScratch(th, out)
 		res, err := callServo(th, "query_tag", uint64(tp), uint64(len(args[0].Str)), uint64(out), capIDs)
 		if err != nil {
 			return jsengine.Null(), err
@@ -412,4 +395,28 @@ func (b *Browser) registerHostBindings() {
 		}
 		return jsengine.MakeFloatArray(th, ids)
 	})
+}
+
+// scratch stages a Go string into the calling compartment's heap so its
+// bytes can cross the word-based ABI. An empty string stages nothing and
+// yields address 0; callers defer freeScratch on the result.
+func scratch(th *ffi.Thread, s string) (vm.Addr, error) {
+	if len(s) == 0 {
+		return 0, nil
+	}
+	addr, err := th.Malloc(uint64(len(s)))
+	if err != nil {
+		return 0, err
+	}
+	if err := th.WriteString(addr, s); err != nil {
+		return 0, err
+	}
+	return addr, nil
+}
+
+// freeScratch releases a scratch allocation; address 0 is a no-op.
+func freeScratch(th *ffi.Thread, p vm.Addr) {
+	if p != 0 {
+		_ = th.Free(p)
+	}
 }

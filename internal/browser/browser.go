@@ -50,6 +50,8 @@ type Browser struct {
 	subsystems []subsystem
 	secret     vm.Addr
 	domOps     atomic.Uint64
+
+	boxes []vm.Addr // layout's list of the pass's allocations, reused
 }
 
 // Options tunes New.
@@ -159,13 +161,7 @@ func (b *Browser) createElement(th *ffi.Thread, tag string) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		ID:        b.Doc.nextID,
-		Tag:       tag,
-		Attrs:     map[string]string{},
-		attrAddrs: map[string]attrBuf{},
-		record:    rec,
-	}
+	n := &Node{ID: b.Doc.nextID, Tag: tag, record: rec}
 	b.Doc.nextID++
 	b.Doc.byNode[n.ID] = n
 	if err := th.Store64(rec, n.ID); err != nil {
@@ -200,7 +196,7 @@ func (b *Browser) setText(th *ffi.Thread, n *Node, text string) error {
 		if err != nil {
 			return err
 		}
-		if err := th.WriteBytes(addr, []byte(text)); err != nil {
+		if err := th.WriteString(addr, text); err != nil {
 			return err
 		}
 		n.textAddr, n.textLen = addr, uint64(len(text))
@@ -217,8 +213,7 @@ func (b *Browser) textOf(th *ffi.Thread, n *Node) (string, error) {
 	if n.textAddr == 0 {
 		return "", nil
 	}
-	buf, err := th.ReadBytes(n.textAddr, int(n.textLen))
-	return string(buf), err
+	return th.ReadString(n.textAddr, int(n.textLen))
 }
 
 func (b *Browser) setAttr(th *ffi.Thread, n *Node, key, val string) error {
@@ -231,6 +226,10 @@ func (b *Browser) setAttr(th *ffi.Thread, n *Node, key, val string) error {
 	if prev, ok := n.Attrs["id"]; ok && key == "id" {
 		delete(b.Doc.byID, prev)
 	}
+	if n.Attrs == nil {
+		n.Attrs = make(map[string]string)
+		n.attrAddrs = make(map[string]attrBuf)
+	}
 	n.Attrs[key] = val
 	if key == "id" {
 		b.Doc.byID[val] = n
@@ -240,7 +239,7 @@ func (b *Browser) setAttr(th *ffi.Thread, n *Node, key, val string) error {
 		if err != nil {
 			return err
 		}
-		if err := th.WriteBytes(addr, []byte(val)); err != nil {
+		if err := th.WriteString(addr, val); err != nil {
 			return err
 		}
 		n.attrAddrs[key] = attrBuf{addr: addr, len: uint64(len(val))}
@@ -312,36 +311,8 @@ func (b *Browser) materialize(th *ffi.Thread, hn *htmlNode, parent *Node) error 
 // node, a display list for the tree — all private MT churn, the browser
 // work the paper's dom benchmarks interleave with script execution.
 func (b *Browser) layout(th *ffi.Thread) error {
-	var boxes []vm.Addr
-	var walk func(n *Node, depth uint64) error
-	walk = func(n *Node, depth uint64) error {
-		box, err := b.Prog.AllocAt(b.siteLayout, 48)
-		if err != nil {
-			return err
-		}
-		boxes = append(boxes, box)
-		if err := th.Store64(box, n.ID); err != nil {
-			return err
-		}
-		if err := th.Store64(box+8, depth); err != nil {
-			return err
-		}
-		style, err := b.Prog.AllocAt(b.siteStyle, 32)
-		if err != nil {
-			return err
-		}
-		if err := th.Store64(style, tagHash(n.Tag)); err != nil {
-			return err
-		}
-		boxes = append(boxes, style)
-		for _, c := range n.Children {
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(b.Doc.Root, 0); err != nil {
+	boxes, err := b.layoutTree(th, b.boxes[:0], b.Doc.Root, 0)
+	if err != nil {
 		return err
 	}
 	display, err := b.Prog.AllocAt(b.siteDisplay, uint64(16*len(boxes)+16))
@@ -354,6 +325,7 @@ func (b *Browser) layout(th *ffi.Thread) error {
 		}
 	}
 	boxes = append(boxes, display)
+	b.boxes = boxes[:0]
 	for _, a := range boxes {
 		if err := b.Prog.Free(a); err != nil {
 			return err
@@ -361,6 +333,36 @@ func (b *Browser) layout(th *ffi.Thread) error {
 	}
 	b.domOps.Add(1)
 	return nil
+}
+
+// layoutTree allocates the box and style of n and of every node under
+// it, depth first, appending each allocation to boxes.
+func (b *Browser) layoutTree(th *ffi.Thread, boxes []vm.Addr, n *Node, depth uint64) ([]vm.Addr, error) {
+	box, err := b.Prog.AllocAt(b.siteLayout, 48)
+	if err != nil {
+		return boxes, err
+	}
+	boxes = append(boxes, box)
+	if err := th.Store64(box, n.ID); err != nil {
+		return boxes, err
+	}
+	if err := th.Store64(box+8, depth); err != nil {
+		return boxes, err
+	}
+	style, err := b.Prog.AllocAt(b.siteStyle, 32)
+	if err != nil {
+		return boxes, err
+	}
+	if err := th.Store64(style, tagHash(n.Tag)); err != nil {
+		return boxes, err
+	}
+	boxes = append(boxes, style)
+	for _, c := range n.Children {
+		if boxes, err = b.layoutTree(th, boxes, c, depth+1); err != nil {
+			return boxes, err
+		}
+	}
+	return boxes, nil
 }
 
 // --- public browser API ---
@@ -419,7 +421,7 @@ func (b *Browser) ExecScript(src string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := th.VM.Write(buf, []byte(src)); err != nil {
+	if err := th.WriteString(buf, src); err != nil {
 		return 0, err
 	}
 	res, err := b.engineCall(th, "eval", uint64(buf), uint64(len(src)))
@@ -439,7 +441,7 @@ func (b *Browser) LookupScriptFunc(name string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := th.VM.Write(buf, []byte(name)); err != nil {
+	if err := th.WriteString(buf, name); err != nil {
 		return 0, err
 	}
 	res, err := b.engineCall(th, "lookup", uint64(buf), uint64(len(name)))

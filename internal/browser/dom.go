@@ -21,7 +21,9 @@ type Node struct {
 	Tag      string
 	Parent   *Node
 	Children []*Node
-	Attrs    map[string]string
+	// Attrs and attrAddrs stay nil until the node's first setAttr: most
+	// nodes a script creates carry no attributes.
+	Attrs map[string]string
 
 	// record is the node's 64-byte MT record:
 	//   +0 id, +8 tagHash, +16 textPtr, +24 textLen,
@@ -78,7 +80,7 @@ func tagHash(tag string) uint64 {
 // htmlNode is the parser's output shape before DOM materialization.
 type htmlNode struct {
 	tag   string
-	attrs map[string]string
+	attrs map[string]string // nil when the element has none
 	text  string
 	kids  []*htmlNode
 }
@@ -161,7 +163,7 @@ func (p *htmlParser) element() (*htmlNode, error) {
 	if nameEnd == p.pos {
 		return nil, fmt.Errorf("browser: bad tag at %d", start)
 	}
-	n := &htmlNode{tag: strings.ToLower(p.src[p.pos:nameEnd]), attrs: map[string]string{}}
+	n := &htmlNode{tag: strings.ToLower(p.src[p.pos:nameEnd])}
 	p.pos = nameEnd
 	// Attributes.
 	for {
@@ -193,6 +195,9 @@ func (p *htmlParser) element() (*htmlNode, error) {
 		}
 		key := strings.ToLower(p.src[p.pos:keyEnd])
 		p.pos = keyEnd
+		if n.attrs == nil {
+			n.attrs = make(map[string]string)
+		}
 		if p.pos < len(p.src) && p.src[p.pos] == '=' {
 			p.pos++
 			if p.pos >= len(p.src) || p.src[p.pos] != '"' {

@@ -28,6 +28,8 @@ var faultOps = []struct {
 	{"store8", sig.AccessWrite, func(th *ffi.Thread, a vm.Addr) error { return th.Store8(a, 7) }},
 	{"read", sig.AccessRead, func(th *ffi.Thread, a vm.Addr) error { _, err := th.ReadBytes(a, 16); return err }},
 	{"write", sig.AccessWrite, func(th *ffi.Thread, a vm.Addr) error { return th.WriteBytes(a, make([]byte, 16)) }},
+	{"read", sig.AccessRead, func(th *ffi.Thread, a vm.Addr) error { _, err := th.ReadString(a, 16); return err }},
+	{"write", sig.AccessWrite, func(th *ffi.Thread, a vm.Addr) error { return th.WriteString(a, "0123456789abcdef") }},
 }
 
 // TestFaultErrorChains pins the error a denied access inside an untrusted

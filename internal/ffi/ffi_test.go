@@ -2,6 +2,7 @@ package ffi
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/mpk"
@@ -295,6 +296,44 @@ func TestByteHelpers(t *testing.T) {
 	b, err := th.Load8(a)
 	if err != nil || b != 'P' {
 		t.Errorf("Load8 = %c, %v", b, err)
+	}
+}
+
+// TestStringHelpers: ReadString and WriteString round-trip through the
+// checked view staged in the thread's one reusable buffer, so a write
+// allocates nothing and a read only its string; a string longer than
+// maxStage crosses through a buffer of its own that the thread does not
+// keep.
+func TestStringHelpers(t *testing.T) {
+	rt, _ := world(t, GatesOn)
+	th := rt.NewThread()
+	a, _ := th.Malloc(2 * maxStage)
+	for _, s := range []string{"pkru-safe", "", "a longer string than the first one staged"} {
+		if err := th.WriteString(a, s); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := th.ReadString(a, len(s)); err != nil || got != s {
+			t.Errorf("ReadString = %q, %v; want %q", got, err, s)
+		}
+	}
+	if _, err := th.ReadString(a, -1); err == nil {
+		t.Error("ReadString of a negative length succeeded")
+	}
+	if n := testing.AllocsPerRun(50, func() { _ = th.WriteString(a, "staged without garbage") }); n != 0 {
+		t.Errorf("WriteString: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { _, _ = th.ReadString(a, 40) }); n != 1 {
+		t.Errorf("ReadString: %v allocations, want 1 (the string)", n)
+	}
+	big := strings.Repeat("x", maxStage+1)
+	if err := th.WriteString(a, big); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := th.ReadString(a, len(big)); err != nil || got != big {
+		t.Errorf("ReadString of %d bytes: %d bytes, %v", len(big), len(got), err)
+	}
+	if cap(th.stage) > maxStage {
+		t.Errorf("staging buffer kept %d bytes, want at most %d", cap(th.stage), maxStage)
 	}
 }
 

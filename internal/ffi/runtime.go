@@ -287,6 +287,7 @@ type Thread struct {
 	VM     *vm.Thread
 	frames []gateFrame // innermost call last
 	tc     *gatetrace.Context
+	stage  []byte // ReadString/WriteString staging, at most maxStage bytes
 }
 
 // gateFrame is one call into a library, plain or gated, popped on every
@@ -684,5 +685,45 @@ func (t *Thread) ReadBytes(addr vm.Addr, n int) ([]byte, error) {
 
 // WriteBytes writes buf at addr through the checked view.
 func (t *Thread) WriteBytes(addr vm.Addr, buf []byte) error {
+	return callErr("write", t.VM.Write(addr, buf))
+}
+
+// maxStage bounds the staging buffer a thread keeps. The strings calls
+// stage are names, attribute values and short texts; a longer one, such
+// as a script source staged once per load, crosses through a buffer of
+// its own that is not kept.
+const maxStage = 256
+
+// staged returns an n-byte buffer for one string crossing: the thread's
+// reusable staging buffer when n fits maxStage.
+func (t *Thread) staged(n int) []byte {
+	if n > maxStage {
+		return make([]byte, n)
+	}
+	if cap(t.stage) < n {
+		t.stage = make([]byte, min(max(n, 2*cap(t.stage)), maxStage))
+	}
+	return t.stage[:n]
+}
+
+// ReadString reads n bytes at addr through the checked view as a string,
+// staged through the thread's reusable buffer: the string is the one Go
+// allocation.
+func (t *Thread) ReadString(addr vm.Addr, n int) (string, error) {
+	if n < 0 {
+		return "", fmt.Errorf("ffi: read: negative length %d", n)
+	}
+	buf := t.staged(n)
+	if err := t.VM.Read(addr, buf); err != nil {
+		return "", callErr("read", err)
+	}
+	return string(buf), nil
+}
+
+// WriteString writes s at addr through the checked view, staged through
+// the thread's reusable buffer.
+func (t *Thread) WriteString(addr vm.Addr, s string) error {
+	buf := t.staged(len(s))
+	copy(buf, s)
 	return callErr("write", t.VM.Write(addr, buf))
 }

@@ -90,6 +90,9 @@ func NewArena(pool *PagePool) *Arena {
 
 // Alloc implements Allocator.
 func (a *Arena) Alloc(size uint64) (vm.Addr, error) {
+	if err := checkSize(size); err != nil {
+		return 0, err
+	}
 	req := size
 	if size == 0 {
 		size = 1

@@ -73,6 +73,9 @@ func (f *FreeList) setHeader(c vm.Addr, size, flags uint64) {
 
 // Alloc implements Allocator.
 func (f *FreeList) Alloc(size uint64) (vm.Addr, error) {
+	if err := checkSize(size); err != nil {
+		return 0, err
+	}
 	need := alignUp(size+headerSize, Align)
 	if need < minChunk {
 		need = minChunk

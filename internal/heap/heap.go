@@ -17,6 +17,7 @@ package heap
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/vm"
 )
@@ -61,3 +62,17 @@ type Allocator interface {
 }
 
 func alignUp(n, a uint64) uint64 { return (n + a - 1) &^ (a - 1) }
+
+// maxAlloc is the largest request either allocator accepts: 2^48 bytes,
+// the whole of a 48-bit address space. No pool can serve more, and
+// rejecting larger sizes up front keeps every rounding of a request (to
+// chunks, size classes and pages) from wrapping around to a small block.
+const maxAlloc = 1 << 48
+
+// checkSize rejects a request above maxAlloc.
+func checkSize(size uint64) error {
+	if size > maxAlloc {
+		return fmt.Errorf("%w: request of %d bytes exceeds the %d-byte limit", ErrOutOfMemory, size, uint64(maxAlloc))
+	}
+	return nil
+}

@@ -2,7 +2,9 @@ package heap
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -136,6 +138,38 @@ func TestPagePoolBounds(t *testing.T) {
 	}
 	if _, err := p.AllocPages(poolSize/vm.PageSize + 1); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("oversized alloc = %v, want ErrOutOfMemory", err)
+	}
+}
+
+// TestHugeAllocRejected: a size whose rounding to a chunk, size class or
+// page run would wrap around is refused with the size-limit error by both
+// allocators, instead of being served as a small block (the free list) or
+// failing as AllocPages(0) (the arena). Page counts whose byte size
+// overflows are refused by the pool.
+func TestHugeAllocRejected(t *testing.T) {
+	for name, a := range allocators(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, size := range []uint64{maxAlloc + 1, math.MaxUint64 - headerSize - 7, math.MaxUint64 - 7, math.MaxUint64} {
+				addr, err := a.Alloc(size)
+				if !errors.Is(err, ErrOutOfMemory) || !strings.Contains(err.Error(), "exceeds") {
+					t.Errorf("Alloc(%d) = %v, %v; want the size-limit error", size, addr, err)
+				}
+			}
+			// At the limit the request is well formed and simply too big
+			// for this pool.
+			if _, err := a.Alloc(maxAlloc); !errors.Is(err, ErrOutOfMemory) {
+				t.Errorf("Alloc(maxAlloc) = %v, want ErrOutOfMemory", err)
+			}
+			if st := a.Stats(); st.Allocs != 0 {
+				t.Errorf("%d allocations succeeded", st.Allocs)
+			}
+		})
+	}
+	_, p := newPool(t)
+	for _, n := range []uint64{math.MaxUint64 / vm.PageSize, math.MaxUint64/vm.PageSize + 1, math.MaxUint64} {
+		if _, err := p.AllocPages(n); !errors.Is(err, ErrOutOfMemory) {
+			t.Errorf("AllocPages(%d) = %v, want ErrOutOfMemory", n, err)
+		}
 	}
 }
 

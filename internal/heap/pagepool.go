@@ -55,12 +55,12 @@ func (p *PagePool) AllocPages(n uint64) (vm.Addr, error) {
 		p.reuse++
 		return addr, nil
 	}
-	need := n * vm.PageSize
-	if uint64(p.next)+need > uint64(p.region.End()) {
+	// Compared in pages, so a huge n cannot wrap n*PageSize past the check.
+	if n > uint64(p.region.End()-p.next)/vm.PageSize {
 		return 0, fmt.Errorf("%w: region %q exhausted (want %d pages)", ErrOutOfMemory, p.region.Name, n)
 	}
 	addr := p.next
-	p.next += vm.Addr(need)
+	p.next += vm.Addr(n * vm.PageSize)
 	p.mapped += n
 	p.fresh++
 	return addr, nil

@@ -1,6 +1,8 @@
 package jsengine
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -100,6 +102,12 @@ func TestStringEdgeCases(t *testing.T) {
 		{`("x" != "y") ? 1 : 0;`, 1},
 		{`"sub".substr(3).length;`, 0},
 		{`"long".substr(1, 99).length;`, 3},
+		// The length clamps to [0, len-i]: negative or NaN gives "", a
+		// length past int range the whole rest.
+		{`"abc".substr(1, -1).length;`, 0},
+		{`"abc".substr(0, 1e300).length;`, 3},
+		{`"abc".substr(1, 0/0).length;`, 0},
+		{`"abc".substr(1, 1.9) == "b" ? 1 : 0;`, 1},
 	}
 	for _, c := range cases {
 		got, err := evalIn(t, prog, c.src)
@@ -120,6 +128,27 @@ func TestStringEdgeCases(t *testing.T) {
 	}
 	if _, err := evalIn(t, prog, `"sub".substr(5);`); err == nil {
 		t.Error("substr past end accepted")
+	}
+}
+
+// TestHugeArrayLengthIsRuntimeError: a length whose byte size wraps
+// (new Array(-1) asks for 2^64-1 elements) is a script error, not a Go
+// panic, and so is one the heap cannot serve (2^50 elements).
+func TestHugeArrayLengthIsRuntimeError(t *testing.T) {
+	prog, _, _ := world(t, core.Base)
+	for _, src := range []string{
+		"new Array(-1);", "new IntArray(-1);", "Array(-1);", "IntArray(-8);",
+		"new Array(2305843009213693952);", "new Array(1e300);", "new Array(1125899906842624);",
+	} {
+		_, err := evalIn(t, prog, src)
+		var rerr *RuntimeError
+		if !errors.As(err, &rerr) {
+			t.Errorf("%q: err = %v, want a RuntimeError", src, err)
+		}
+	}
+	// The planted setLength bug is untouched: it writes any length.
+	if got, err := evalIn(t, prog, "var a = new Array(2); a.setLength(-1); a.length;"); err != nil || got != math.MaxUint64 {
+		t.Errorf("setLength(-1) then length = %v, %v", got, err)
 	}
 }
 

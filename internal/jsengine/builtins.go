@@ -7,6 +7,8 @@ import (
 )
 
 // builtin is a script-visible primitive implemented by the engine itself.
+// Like a HostFunc's, its args alias the engine's value stack and are
+// valid only during the call.
 type builtin func(c *execCtx, args []Value) (Value, error)
 
 func wantArgs(args []Value, n int, name string) error {

@@ -36,11 +36,11 @@ func (e *Engine) Install(reg *ffi.Registry, lib string) error {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("jsengine: eval(ptr, len) needs 2 args")
 		}
-		src, err := th.ReadBytes(vm.Addr(args[0]), int(args[1]))
+		src, err := th.ReadString(vm.Addr(args[0]), int(args[1]))
 		if err != nil {
 			return nil, err
 		}
-		v, err := e.Eval(th, string(src))
+		v, err := e.Eval(th, src)
 		if err != nil {
 			return nil, err
 		}
@@ -50,11 +50,11 @@ func (e *Engine) Install(reg *ffi.Registry, lib string) error {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("jsengine: lookup(ptr, len) needs 2 args")
 		}
-		name, err := th.ReadBytes(vm.Addr(args[0]), int(args[1]))
+		name, err := th.ReadString(vm.Addr(args[0]), int(args[1]))
 		if err != nil {
 			return nil, err
 		}
-		id, ok := e.FunctionID(string(name))
+		id, ok := e.FunctionID(name)
 		if !ok {
 			return []uint64{0}, nil
 		}
@@ -68,12 +68,14 @@ func (e *Engine) Install(reg *ffi.Registry, lib string) error {
 		if id == 0 || id > uint64(len(e.fnIDs)) {
 			return nil, fmt.Errorf("jsengine: invoke of invalid function id %d", id)
 		}
-		vals := make([]Value, len(args)-1)
-		for i, raw := range args[1:] {
-			vals[i] = Num(math.Float64frombits(raw))
+		defer e.release(e.mark())
+		base := len(e.vals)
+		for _, raw := range args[1:] {
+			e.vals = append(e.vals, Num(math.Float64frombits(raw)))
 		}
+		top := len(e.vals)
 		ctx := &execCtx{eng: e, th: th}
-		v, err := ctx.invoke(e.fnIDs[id-1], vals)
+		v, err := ctx.invoke(e.fnIDs[id-1], e.vals[base:top:top])
 		if err != nil {
 			return nil, err
 		}

@@ -32,6 +32,12 @@ func FuzzScript(f *testing.F) {
 	f.Add("function f(){ for (var i = 0; i < 3; i++) { s += w; var w = 1; var s = 0; } return s; } f();")
 	f.Add("for (var i = 0; i < 5; i++) {} i;")
 	f.Add("function f(){\n  var y = x;\n  var x = 1;\n}\nf();")
+	// Lengths that once panicked the Go runtime: substr's int conversion
+	// and new Array's byte-size overflow.
+	f.Add(`"abc".substr(1, -1);`)
+	f.Add(`"abc".substr(0, 1e300);`)
+	f.Add("new Array(-1);")
+	f.Add("IntArray(-1);")
 
 	reg := ffi.NewRegistry()
 	eng := NewEngine(Options{StepLimit: 20_000})

@@ -105,12 +105,8 @@ func newObject(th *ffi.Thread) (vm.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	for off, v := range map[vm.Addr]uint64{
-		offTag: tagObject, offLen: 0, offCap: objMinCap, offData: uint64(slots),
-	} {
-		if err := th.Store64(hdr+off, v); err != nil {
-			return 0, err
-		}
+	if err := storeHeader(th, hdr, tagObject, 0, objMinCap, slots); err != nil {
+		return 0, err
 	}
 	return hdr, nil
 }

@@ -3,6 +3,7 @@ package jsengine
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/ffi"
 	"repro/internal/vm"
@@ -85,11 +86,11 @@ func (v Value) String() string {
 		return "null"
 	case KNum:
 		if v.Num == math.Trunc(v.Num) && math.Abs(v.Num) < 1e15 {
-			return fmt.Sprintf("%d", int64(v.Num))
+			return strconv.FormatInt(int64(v.Num), 10)
 		}
-		return fmt.Sprintf("%g", v.Num)
+		return strconv.FormatFloat(v.Num, 'g', -1, 64) // fmt's %g
 	case KBool:
-		return fmt.Sprintf("%t", v.Bool)
+		return strconv.FormatBool(v.Bool)
 	case KStr:
 		return v.Str
 	case KArr:
@@ -152,9 +153,29 @@ func MakeFloatArray(th *ffi.Thread, elems []float64) (Value, error) {
 	return Arr(hdr), nil
 }
 
+// maxArrayElems is the largest element count whose byte size fits a
+// uint64; larger lengths (new Array(-1) is 2^64-1) are rejected before
+// anything is allocated.
+const maxArrayElems = math.MaxUint64 / 8
+
+// zeroBuf is the read-only source newArray and arrPush zero-fill element
+// buffers from; larger fills use a fresh buffer.
+var zeroBuf [4096]byte
+
+// zeros returns n zero bytes.
+func zeros(n uint64) []byte {
+	if n <= uint64(len(zeroBuf)) {
+		return zeroBuf[:n]
+	}
+	return make([]byte, n)
+}
+
 // newArray allocates an array of n zeroed elements in the calling
 // compartment's heap (MU when the engine runs behind its gate).
 func newArray(th *ffi.Thread, tag uint64, n uint64) (vm.Addr, error) {
+	if n > maxArrayElems {
+		return 0, fmt.Errorf("array length %d too large", n)
+	}
 	hdr, err := th.Malloc(arrHdrSize)
 	if err != nil {
 		return 0, err
@@ -169,18 +190,24 @@ func newArray(th *ffi.Thread, tag uint64, n uint64) (vm.Addr, error) {
 	}
 	// Zero the element buffer (freshly mapped pages are zero, but recycled
 	// chunks are not).
-	zero := make([]byte, capElems*8)
-	if err := th.WriteBytes(data, zero); err != nil {
+	if err := th.WriteBytes(data, zeros(capElems*8)); err != nil {
 		return 0, err
 	}
-	for off, v := range map[vm.Addr]uint64{
-		offTag: tag, offLen: n, offCap: capElems, offData: uint64(data),
-	} {
-		if err := th.Store64(hdr+off, v); err != nil {
-			return 0, err
-		}
+	if err := storeHeader(th, hdr, tag, n, capElems, data); err != nil {
+		return 0, err
 	}
 	return hdr, nil
+}
+
+// storeHeader writes an array or object header's four words in layout
+// order: tag, length (count), capacity, data (slots) pointer.
+func storeHeader(th *ffi.Thread, hdr vm.Addr, tag, length, capacity uint64, data vm.Addr) error {
+	for i, v := range [...]uint64{tag, length, capacity, uint64(data)} {
+		if err := th.Store64(hdr+vm.Addr(8*i), v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // arrInfo reads an array header.
@@ -265,8 +292,7 @@ func arrPush(th *ffi.Thread, hdr vm.Addr, v Value) error {
 		if err := th.WriteBytes(newData, old); err != nil {
 			return err
 		}
-		zero := make([]byte, (newCap-length)*8)
-		if err := th.WriteBytes(newData+vm.Addr(length*8), zero); err != nil {
+		if err := th.WriteBytes(newData+vm.Addr(length*8), zeros((newCap-length)*8)); err != nil {
 			return err
 		}
 		if err := th.Free(data); err != nil {
