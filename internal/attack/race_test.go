@@ -1,10 +1,16 @@
 package attack
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/domains"
+	"repro/internal/ffi"
 	"repro/internal/mpk"
+	"repro/internal/vkey"
+	"repro/internal/vm"
 )
 
 // The concurrency drills: the single-goroutine scenarios prove the retag
@@ -44,7 +50,7 @@ func TestRaceRetagVsAccess(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		self := i % tenants
 		other := (i + 1) % tenants
-		if _, err := w.table.Enter(w.th, w.ids[self]); err != nil {
+		if _, _, err := w.table.Enter(w.th, w.ids[self]); err != nil {
 			t.Fatalf("Enter: %v", err)
 		}
 		if v, err := w.th.Load64(w.pages[other]); err == nil && v == tenantSecret(other) {
@@ -56,7 +62,7 @@ func TestRaceRetagVsAccess(t *testing.T) {
 		if v, err := w.th.Load64(w.pages[self]); err == nil && v != tenantSecret(self) {
 			t.Fatalf("iteration %d: own-page read returned %#x, want %#x", i, v, tenantSecret(self))
 		}
-		if _, err := w.table.Leave(w.th, mpk.PermitAll); err != nil {
+		if _, err := w.table.Leave(w.th, w.ids[self], vkey.Trusted, mpk.PermitAll); err != nil {
 			t.Fatalf("Leave: %v", err)
 		}
 	}
@@ -95,11 +101,11 @@ func TestRaceMigrationRevalidate(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		id := w.ids[i%tenants]
-		if _, err := w.table.Enter(w.th, id); err != nil {
+		if _, _, err := w.table.Enter(w.th, id); err != nil {
 			t.Fatalf("Enter: %v", err)
 		}
 		saved := w.th.SaveContext()
-		if _, err := w.table.Leave(w.th, mpk.PermitAll); err != nil {
+		if _, err := w.table.Leave(w.th, id, vkey.Trusted, mpk.PermitAll); err != nil {
 			t.Fatalf("Leave: %v", err)
 		}
 		if err := w.th.RestoreContext(saved); err != nil {
@@ -115,4 +121,135 @@ func TestRaceMigrationRevalidate(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRaceNestedDomainsVsRemove runs workers through mixed nesting —
+// tenant X calls back into trusted code, which calls on into tenant Y —
+// while a churn goroutine removes and re-adds tenants. Invariants: a
+// removal succeeds or answers ErrKeyBusy, never freeing a tenant some
+// worker is inside (the worker's own pool stays usable for the whole
+// call); a call fails only because its tenant was removed before it
+// entered; the trusted callback always runs with full rights; and once
+// the workers stop, no live-frame count is left behind, so every tenant
+// can be removed.
+func TestRaceNestedDomainsVsRemove(t *testing.T) {
+	const tenants, workers, iters = 4, 2, 300
+	m, err := domains.NewManager(vm.NewSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := ffi.NewRuntime(ffi.NewRegistry(), m.Allocator(), nil, ffi.GatesOn)
+	rt.SetGateCost(0)
+	secret, err := m.AllocTrusted(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(i int) string { return fmt.Sprintf("tenant%d", i) }
+	add := func(i int) error {
+		d, err := m.AddDomain(name(i))
+		if err != nil {
+			return err
+		}
+		m.BindLibrary(rt, name(i), d)
+		return nil
+	}
+	// ownPool proves the caller's domain is still alive under it.
+	ownPool := func(th *ffi.Thread) error {
+		buf, err := th.Malloc(8)
+		if err != nil {
+			return fmt.Errorf("own pool gone mid-call: %w", err)
+		}
+		if err := th.Store64(buf, 7); err != nil {
+			return err
+		}
+		if v, err := th.Load64(buf); err != nil || v != 7 {
+			return fmt.Errorf("own pool read %v, %v", v, err)
+		}
+		return th.Free(buf)
+	}
+	rt.Registry.MustLibrary("svc", ffi.Trusted).Define("hop", func(th *ffi.Thread, args []uint64) ([]uint64, error) {
+		if _, err := th.Load64(secret); err != nil {
+			return nil, fmt.Errorf("trusted callback lost MT: %w", err)
+		}
+		return th.Call(name(int(args[0])), "leaf")
+	})
+	for i := 0; i < tenants; i++ {
+		lib := rt.Registry.MustLibrary(name(i), ffi.Untrusted)
+		next := uint64((i + 1) % tenants)
+		lib.Define("work", func(th *ffi.Thread, _ []uint64) ([]uint64, error) {
+			if err := ownPool(th); err != nil {
+				return nil, err
+			}
+			if _, err := th.Call("svc", "hop", next); err != nil {
+				return nil, err
+			}
+			return nil, ownPool(th)
+		})
+		lib.Define("leaf", func(th *ffi.Thread, _ []uint64) ([]uint64, error) {
+			return nil, ownPool(th)
+		})
+		if err := add(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	var removed, busy int
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			err := m.RemoveDomain(name(i % tenants))
+			switch {
+			case errors.Is(err, vkey.ErrKeyBusy):
+				busy++
+			case err == nil:
+				removed++
+				if err := add(i % tenants); err != nil {
+					t.Errorf("re-add: %v", err)
+					return
+				}
+			default:
+				t.Errorf("RemoveDomain = %v, want nil or ErrKeyBusy", err)
+				return
+			}
+		}
+	}()
+	var ww sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		ww.Add(1)
+		go func(w int) {
+			defer ww.Done()
+			th := rt.NewThread()
+			for i := 0; i < iters; i++ {
+				_, err := th.Call(name((w+i)%tenants), "work")
+				if err != nil && !errors.Is(err, vkey.ErrUnknownKey) {
+					t.Errorf("worker %d call %d: %v", w, i, err)
+					return
+				}
+				if th.VM.Rights() != mpk.PermitAll || th.Depth() != 0 {
+					t.Errorf("worker %d after call %d: rights %v depth %d", w, i, th.VM.Rights(), th.Depth())
+					return
+				}
+			}
+		}(w)
+	}
+	ww.Wait()
+	close(stop)
+	wg.Wait()
+	t.Logf("churn: %d removals, %d refused busy", removed, busy)
+	if rt.Aborted() {
+		t.Fatal("runtime aborted")
+	}
+	for i := 0; i < tenants; i++ {
+		if err := m.RemoveDomain(name(i)); err != nil {
+			t.Errorf("RemoveDomain(%s) after the workers stopped: %v", name(i), err)
+		}
+	}
 }

@@ -373,21 +373,21 @@ func migrationStalePKRU(defenseOn bool) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	if _, err := w.table.Enter(w.th, w.ids[0]); err != nil {
+	if _, _, err := w.table.Enter(w.th, w.ids[0]); err != nil {
 		return Outcome{}, err
 	}
 	saved := w.th.SaveContext()
-	if _, err := w.table.Leave(w.th, mpk.PermitAll); err != nil {
+	if _, err := w.table.Leave(w.th, w.ids[0], vkey.Trusted, mpk.PermitAll); err != nil {
 		return Outcome{}, err
 	}
 	// Churn through the other tenants: the first 12 fill the remaining
 	// slots, the last has no free slot and evicts tenant 0 (the LRU),
 	// rebinding its slot immediately.
 	for _, id := range w.ids[1:] {
-		if _, err := w.table.Enter(w.th, id); err != nil {
+		if _, _, err := w.table.Enter(w.th, id); err != nil {
 			return Outcome{}, err
 		}
-		if _, err := w.table.Leave(w.th, mpk.PermitAll); err != nil {
+		if _, err := w.table.Leave(w.th, id, vkey.Trusted, mpk.PermitAll); err != nil {
 			return Outcome{}, err
 		}
 	}
@@ -431,11 +431,11 @@ func evictRetagRace(defenseOn bool) (Outcome, error) {
 			return Outcome{}, err
 		}
 	}
-	if _, err := w.table.Enter(w.th, w.ids[vkeyMuxSlots]); err != nil {
+	if _, _, err := w.table.Enter(w.th, w.ids[vkeyMuxSlots]); err != nil {
 		return Outcome{}, err
 	}
 	v, rerr := w.th.Load64(w.pages[0])
-	if _, lerr := w.table.Leave(w.th, mpk.PermitAll); lerr != nil {
+	if _, lerr := w.table.Leave(w.th, w.ids[vkeyMuxSlots], vkey.Trusted, mpk.PermitAll); lerr != nil {
 		return Outcome{}, lerr
 	}
 	if rerr == nil && v == tenantSecret(0) {
@@ -467,11 +467,11 @@ func slotReuse(defenseOn bool) (Outcome, error) {
 		return Outcome{}, err
 	}
 	// The successor pops the recycled slot off the free list.
-	if _, err := w.table.Enter(w.th, successor); err != nil {
+	if _, _, err := w.table.Enter(w.th, successor); err != nil {
 		return Outcome{}, err
 	}
 	v, rerr := w.th.Load64(w.pages[0])
-	if _, lerr := w.table.Leave(w.th, mpk.PermitAll); lerr != nil {
+	if _, lerr := w.table.Leave(w.th, successor, vkey.Trusted, mpk.PermitAll); lerr != nil {
 		return Outcome{}, lerr
 	}
 	if rerr == nil && v == tenantSecret(0) {

@@ -291,8 +291,10 @@ func (b *Browser) materialize(th *ffi.Thread, hn *htmlNode, parent *Node) error 
 	if err != nil {
 		return err
 	}
-	for k, v := range hn.attrs {
-		if err := b.setAttr(th, n, k, v); err != nil {
+	// Source order, so the attribute buffers land at the same MT addresses
+	// on every load.
+	for _, a := range hn.attrs {
+		if err := b.setAttr(th, n, a.key, a.val); err != nil {
 			return err
 		}
 	}

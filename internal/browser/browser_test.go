@@ -26,7 +26,7 @@ func TestParseHTML(t *testing.T) {
 		t.Fatalf("top nodes = %d", len(nodes))
 	}
 	div := nodes[0]
-	if div.tag != "div" || div.attrs["id"] != "a" || div.attrs["class"] != "x" {
+	if div.tag != "div" || len(div.attrs) != 2 || div.attrs[0] != (htmlAttr{"id", "a"}) || div.attrs[1] != (htmlAttr{"class", "x"}) {
 		t.Errorf("div = %+v", div)
 	}
 	if len(div.kids) != 3 {
@@ -393,5 +393,34 @@ func TestRemoveChildrenFreesMemory(t *testing.T) {
 	}
 	if after := b.Doc.CountNodes(); after != before {
 		t.Errorf("nodes leaked: %d -> %d", before, after)
+	}
+}
+
+// TestAttrBuffersPlacedDeterministically: an element's attributes are set
+// in source order, so a fresh load always places their MT buffers at the
+// same addresses.
+func TestAttrBuffersPlacedDeterministically(t *testing.T) {
+	var first map[string]attrBuf
+	for i := 0; i < 40; i++ {
+		b, err := New(core.Base, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.LoadHTML(`<div id="d" class="wide" title="t"></div>`); err != nil {
+			t.Fatal(err)
+		}
+		got := b.Doc.byID["d"].attrAddrs
+		if len(got) != 3 {
+			t.Fatalf("attribute buffers = %v, want 3", got)
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		for k, buf := range first {
+			if got[k] != buf {
+				t.Fatalf("load %d: %s buffer at %v, first load had %v", i, k, got[k].addr, buf.addr)
+			}
+		}
 	}
 }

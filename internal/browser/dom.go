@@ -80,9 +80,23 @@ func tagHash(tag string) uint64 {
 // htmlNode is the parser's output shape before DOM materialization.
 type htmlNode struct {
 	tag   string
-	attrs map[string]string // nil when the element has none
+	attrs []htmlAttr // in source order; a repeated key keeps its first place, last value
 	text  string
 	kids  []*htmlNode
+}
+
+// htmlAttr is one parsed attribute.
+type htmlAttr struct{ key, val string }
+
+// setAttr records an attribute, overwriting an earlier one of the same key.
+func (n *htmlNode) setAttr(key, val string) {
+	for i := range n.attrs {
+		if n.attrs[i].key == key {
+			n.attrs[i].val = val
+			return
+		}
+	}
+	n.attrs = append(n.attrs, htmlAttr{key, val})
 }
 
 // parseHTML parses the supported HTML subset: nested elements, double-
@@ -195,9 +209,6 @@ func (p *htmlParser) element() (*htmlNode, error) {
 		}
 		key := strings.ToLower(p.src[p.pos:keyEnd])
 		p.pos = keyEnd
-		if n.attrs == nil {
-			n.attrs = make(map[string]string)
-		}
 		if p.pos < len(p.src) && p.src[p.pos] == '=' {
 			p.pos++
 			if p.pos >= len(p.src) || p.src[p.pos] != '"' {
@@ -208,10 +219,10 @@ func (p *htmlParser) element() (*htmlNode, error) {
 			if vEnd < 0 {
 				return nil, fmt.Errorf("browser: unterminated attribute value for %q", key)
 			}
-			n.attrs[key] = p.src[p.pos : p.pos+vEnd]
+			n.setAttr(key, p.src[p.pos:p.pos+vEnd])
 			p.pos += vEnd + 1
 		} else {
-			n.attrs[key] = ""
+			n.setAttr(key, "")
 		}
 	}
 }

@@ -101,12 +101,12 @@ type runner struct {
 
 	// Virtual-key multiplexing under differential test: the real table,
 	// the per-tenant logical-key IDs (0 = dead), the model-side mirror
-	// predicting slot assignment, and the rights each thread held before
-	// its first Enter (what the bottom Leave restores).
-	vkeys       *vkey.Table
-	vkeyID      [NumVKeySlots]vkey.ID
-	vmir        *vkeyMirror
-	vkeyOutside [NumThreads]mpk.PKRU
+	// predicting slot assignment, and each thread's open tenant calls.
+	vkeys   *vkey.Table
+	vkeyID  [NumVKeySlots]vkey.ID
+	vmir    *vkeyMirror
+	calls   [NumThreads][]tenantCall
+	opening tenantCall // the call serve is entering
 
 	// pending carries the access an OpGateCall performs inside the ffi
 	// library function. Traces run single-goroutine, so one cell suffices.
@@ -143,6 +143,9 @@ func Run(tr Trace, opts Options) *Result {
 	reg := ffi.NewRegistry()
 	reg.MustLibrary("unsafe", ffi.Untrusted).Define("touch", r.touch)
 	reg.MustLibrary("safe", ffi.Trusted).Define("touch", r.touch)
+	for vs := 0; vs < NumVKeySlots; vs++ {
+		reg.MustLibrary(tenantLib(vs), ffi.Untrusted).Define("serve", r.serve)
+	}
 	r.rt = ffi.NewRuntime(reg, alloc, r.sigs, ffi.GatesOn)
 	r.rt.SetGateCost(0) // conformance measures semantics, not latency
 	for i := 0; i < NumThreads; i++ {
@@ -196,6 +199,11 @@ func Run(tr Trace, opts Options) *Result {
 	}
 	r.sweepKeyMap()
 	r.res.VKeyStats = r.vkeys.Stats()
+	for tid := range r.calls {
+		for len(r.calls[tid]) > 0 {
+			r.returnTenant(tid)
+		}
+	}
 	return r.res
 }
 
@@ -210,6 +218,54 @@ func (r *runner) touch(t *ffi.Thread, _ []uint64) ([]uint64, error) {
 		return nil, t.VM.Write(r.pending.addr, buf)
 	}
 	return nil, t.VM.Read(r.pending.addr, buf)
+}
+
+// tenantLib names the untrusted library bound to vkey tenant vs.
+func tenantLib(vs int) string { return fmt.Sprintf("vtenant%d", vs) }
+
+// tenantCall is one open call into a tenant library. OpVKeyEnter is a real
+// call through the thread's gates, so the thread's frames are the
+// compartment stack under test. It runs on a goroutine of its own, parked
+// in serve until OpVKeyLeave returns it; the ops in between run on the
+// executor's goroutine, pushing their frames on top of the open calls.
+type tenantCall struct {
+	ret  chan struct{} // closed to return from serve
+	done chan error    // the gate's entry result, then its exit result
+}
+
+// serve is every tenant library's function: it reports the call entered
+// and waits to be returned.
+func (r *runner) serve(*ffi.Thread, []uint64) ([]uint64, error) {
+	c := r.opening
+	c.done <- nil
+	<-c.ret
+	return nil, nil
+}
+
+// callTenant opens a call from thread tid into tenant vs and reports the
+// gate entry's result.
+func (r *runner) callTenant(tid, vs int) error {
+	c := tenantCall{ret: make(chan struct{}), done: make(chan error)}
+	r.opening = c
+	th := r.ths[tid]
+	go func() {
+		_, err := th.Call(tenantLib(vs), "serve")
+		c.done <- err
+	}()
+	err := <-c.done
+	if err == nil {
+		r.calls[tid] = append(r.calls[tid], c)
+	}
+	return err
+}
+
+// returnTenant returns from thread tid's innermost tenant call and reports
+// the gate exit's result.
+func (r *runner) returnTenant(tid int) error {
+	c := r.calls[tid][len(r.calls[tid])-1]
+	r.calls[tid] = r.calls[tid][:len(r.calls[tid])-1]
+	close(c.ret)
+	return <-c.done
 }
 
 // target resolves an access op's address, or reports the op dead (slot
@@ -324,11 +380,21 @@ func (r *runner) step(i int, op Op) {
 		}
 		_, err := th.Call(lib, "touch")
 		real = realAccessOutcome(err)
-		if lib == "unsafe" {
+		inTenant := len(r.vmir.stacks[tid]) > 0
+		switch {
+		case inTenant && lib == "safe":
+			// A reverse gate out of the tenant: full rights for the call,
+			// the tenant's compartment re-derived on return.
+			r.model.SetPKRU(tid, mpk.PermitAll)
+			model = r.model.Access(tid, addr, width, write)
+			r.vmir.returnToTenant(tid)
+		case !inTenant && lib == "unsafe":
 			r.model.GateEnter(tid)
 			model = r.model.Access(tid, addr, width, write)
 			r.model.GateExit(tid)
-		} else {
+		default:
+			// Trusted to trusted, or a tenant calling a plain untrusted
+			// library: no gate, the caller's rights.
 			model = r.model.Access(tid, addr, width, write)
 		}
 
@@ -393,6 +459,7 @@ func (r *runner) step(i int, op Op) {
 		err := r.vkeys.Attach(id, vkeyPage(vs), vm.PageSize)
 		if err == nil {
 			r.vkeyID[vs] = id
+			r.rt.BindLibraryDomain(tenantLib(vs), ffi.DomainBinding{Table: r.vkeys, Key: id})
 		}
 		real = okOrRejected(err == nil)
 		r.vmir.alloc(vs)
@@ -407,6 +474,7 @@ func (r *runner) step(i int, op Op) {
 		err := r.vkeys.Free(r.vkeyID[vs])
 		if err == nil {
 			r.vkeyID[vs] = 0
+			r.rt.BindLibraryDomain(tenantLib(vs), ffi.DomainBinding{})
 		}
 		real = okOrRejected(err == nil)
 		model = okOrRejected(r.vmir.release(vs))
@@ -417,11 +485,7 @@ func (r *runner) step(i int, op Op) {
 			r.skip()
 			return
 		}
-		if len(r.vmir.stacks[tid]) == 0 {
-			r.vkeyOutside[tid] = th.VM.Rights()
-		}
-		_, err := r.vkeys.Enter(th.VM, r.vkeyID[vs])
-		real = okOrRejected(err == nil)
+		real = okOrRejected(r.callTenant(tid, vs) == nil)
 		r.vmir.enter(tid, vs)
 		model = Outcome{Kind: OK}
 
@@ -430,8 +494,7 @@ func (r *runner) step(i int, op Op) {
 			r.skip()
 			return
 		}
-		_, err := r.vkeys.Leave(th.VM, r.vkeyOutside[tid])
-		real = okOrRejected(err == nil)
+		real = okOrRejected(r.returnTenant(tid) == nil)
 		r.vmir.leave(tid)
 		model = Outcome{Kind: OK}
 

@@ -44,16 +44,17 @@ const (
 	// tenant Slot and attaches the tenant's page to it. A tenant that is
 	// already live is skipped.
 	OpVKeyAlloc
-	// OpVKeyFree releases vkey tenant Slot's logical key. A key entered on
-	// any thread's compartment stack is refused (vkey.ErrKeyBusy).
+	// OpVKeyFree releases vkey tenant Slot's logical key. A key with an
+	// open call on any thread is refused (vkey.ErrKeyBusy).
 	OpVKeyFree
-	// OpVKeyEnter switches the thread into vkey tenant Slot's compartment,
-	// pushing a frame on its compartment stack. The slot activation may
-	// evict the least-recently-used logical key.
+	// OpVKeyEnter calls from the thread into vkey tenant Slot's library,
+	// leaving the call open. From outside the tenant's compartment the call
+	// gates, and the slot activation may evict the least-recently-used
+	// logical key.
 	OpVKeyEnter
-	// OpVKeyLeave pops the thread's innermost compartment frame, restoring
-	// the frame below (re-derived) or the rights held before the first
-	// enter. With no frame open it is a no-op.
+	// OpVKeyLeave returns from the thread's innermost open tenant call,
+	// restoring the caller's compartment (a tenant re-derived, or the
+	// rights held at the call). With no call open it is a no-op.
 	OpVKeyLeave
 
 	numOpKinds

@@ -41,8 +41,14 @@ type vkeyMirror struct {
 	free     []mpk.Key
 	clock    uint64
 	ents     [NumVKeySlots]vkeyEnt
-	stacks   [NumThreads][]int // entered tenant indices, innermost last
-	outside  [NumThreads]mpk.PKRU
+	stacks   [NumThreads][]vkeyFrame // open tenant calls, innermost last
+}
+
+// vkeyFrame mirrors one open tenant call on a thread's frame stack.
+type vkeyFrame struct {
+	vs    int      // the tenant called
+	gated bool     // the call crossed into another compartment
+	prev  mpk.PKRU // rights at the call, restored when the caller is static
 }
 
 // vkeyEnt mirrors one logical key: live from alloc to free, active while
@@ -83,12 +89,12 @@ func (v *vkeyMirror) alloc(vs int) {
 	v.retag(vs, v.inactive)
 }
 
-// busy reports whether the tenant is entered on any thread's stack —
-// the condition under which Table.Free refuses with ErrKeyBusy.
+// busy reports whether the tenant has an open call on any thread — the
+// condition under which Table.Free refuses with ErrKeyBusy.
 func (v *vkeyMirror) busy(vs int) bool {
 	for tid := range v.stacks {
 		for _, f := range v.stacks[tid] {
-			if f == vs {
+			if f.vs == vs {
 				return true
 			}
 		}
@@ -122,9 +128,9 @@ func (v *vkeyMirror) unbind(vs int) {
 	v.revoke(hw)
 }
 
-// revoke mirrors revokeLocked: every thread bound to the table (stack
-// non-empty) loses its grant for the rebound slot, except a trusted
-// full-rights register, which is exempt.
+// revoke mirrors revokeLocked: every thread inside a tenant's compartment
+// (an open tenant call between ops) loses its grant for the rebound slot,
+// except a trusted full-rights register, which is exempt.
 func (v *vkeyMirror) revoke(hw mpk.Key) {
 	for tid := range v.stacks {
 		if len(v.stacks[tid]) == 0 {
@@ -169,29 +175,40 @@ func (v *vkeyMirror) activate(vs int) mpk.Key {
 	return hw
 }
 
-// enter mirrors Table.Enter on thread tid: the rights held before the
-// first frame are captured (the value the bottom leave restores), the
-// tenant is activated, and the compartment rights installed.
+// enter mirrors an ffi call from thread tid into tenant vs's library. A
+// call from outside the tenant's compartment is a domain gate: the tenant
+// is activated and its rights installed. A call from inside it is plain.
 func (v *vkeyMirror) enter(tid, vs int) {
-	if len(v.stacks[tid]) == 0 {
-		v.outside[tid] = v.m.PKRU(tid)
+	st := v.stacks[tid]
+	f := vkeyFrame{vs: vs, prev: v.m.PKRU(tid)}
+	if len(st) == 0 || st[len(st)-1].vs != vs {
+		f.gated = true
+		v.m.SetPKRU(tid, mpk.DenyAllExcept(0, v.activate(vs)))
 	}
-	hw := v.activate(vs)
-	v.m.SetPKRU(tid, mpk.DenyAllExcept(0, hw))
-	v.stacks[tid] = append(v.stacks[tid], vs)
+	v.stacks[tid] = append(st, f)
 }
 
-// leave mirrors Table.Leave: the frame below is re-derived (re-activating
-// its tenant, never replaying a saved PKRU), or the captured outside
-// rights are restored at the bottom of the stack.
+// leave mirrors the call's return. A gate's exit restores the caller's
+// compartment: a tenant below is re-derived (re-activating it, never
+// replaying a saved PKRU), a static caller gets its rights back.
 func (v *vkeyMirror) leave(tid int) {
 	st := v.stacks[tid]
-	rights := v.outside[tid]
-	if len(st) >= 2 {
-		rights = mpk.DenyAllExcept(0, v.activate(st[len(st)-2]))
-	}
-	v.m.SetPKRU(tid, rights)
+	f := st[len(st)-1]
 	v.stacks[tid] = st[:len(st)-1]
+	switch {
+	case !f.gated:
+	case len(st) >= 2:
+		v.returnToTenant(tid)
+	default:
+		v.m.SetPKRU(tid, f.prev)
+	}
+}
+
+// returnToTenant mirrors a gate's exit into the tenant compartment on top
+// of thread tid's stack: its rights are re-derived.
+func (v *vkeyMirror) returnToTenant(tid int) {
+	st := v.stacks[tid]
+	v.m.SetPKRU(tid, mpk.DenyAllExcept(0, v.activate(st[len(st)-1].vs)))
 }
 
 // DirectedVKeyTrace returns a hand-written trace that exercises the

@@ -53,11 +53,10 @@ func (d *Domain) Region() *vm.Region { return d.region }
 // Manager owns the trusted pool, the shared pool, the per-domain pools
 // and the virtual-key table. It is safe for concurrent use.
 //
-// The per-register nesting of entered compartments lives in the vkey
-// table's compartment stacks, not here: domain entry/exit and the ffi
-// domain gates push frames onto the same stack, so exits always re-derive
-// the caller's rights from the table's current bindings no matter which
-// layer performed the entry.
+// The manager keeps no nesting of its own. The vkey table knows only the
+// compartment each register is in now; the ffi threads' frames own the
+// nesting of gated calls, and each restore Enter returns holds the
+// compartment its own entry left.
 type Manager struct {
 	mu      sync.Mutex
 	alloc   *pkalloc.Allocator
@@ -192,10 +191,10 @@ func (m *Manager) AddDomain(name string) (*Domain, error) {
 // for reuse by the next AddDomain. Tenant churn therefore consumes
 // neither protection keys nor address space.
 //
-// Removal is refused with vkey.ErrKeyBusy while any register's
-// compartment stack holds the domain: a thread executing inside it (or
-// due to return into it) would otherwise lose its pages mid-flight and
-// its later exit could not re-derive the compartment's rights. Callers
+// Removal is refused with vkey.ErrKeyBusy while the domain has live
+// frames: a thread executing inside it (or due to return into it) would
+// otherwise lose its pages mid-flight and its later exit could not
+// re-derive the compartment's rights. Callers
 // churning tenants under live traffic should treat the error as "try the
 // next victim", the way pkru-servo's churn loop does.
 func (m *Manager) RemoveDomain(name string) error {
@@ -292,16 +291,15 @@ func (m *Manager) Unpin(name string) error {
 // write-then-readback verification the ffi call gates perform — both
 // under the vkey table's lock, so a concurrent eviction cannot rebind the
 // chosen slot between activation and installation. The register is bound
-// to the table for eviction-time revocation for as long as it holds any
-// compartment frame. A nil domain enters the trusted compartment, the
-// reverse-gate case.
+// to the table for eviction-time revocation while it is inside a domain.
+// A nil domain enters the trusted compartment, the reverse-gate case.
 //
-// The returned restore re-enters the *caller's* compartment — activating
+// The returned restore re-enters the compartment Enter left — activating
 // its logical key again rather than reinstating the saved PKRU bits — so
 // the rights installed on exit are always current, even if an eviction
-// rebound the caller's old slot while the callee ran. A restore whose
-// installation fails the audit leaves the entry stack intact, so it can
-// be retried without unwinding past the caller's own frame.
+// rebound the caller's old slot while the callee ran. A static caller
+// gets the rights it held back. A restore whose installation fails the
+// audit leaves the domain entered, so it can be retried.
 func (m *Manager) Enter(reg mpk.RightsRegister, d *Domain) (restore func() error, err error) {
 	id := vkey.Trusted
 	name := "trusted"
@@ -309,18 +307,23 @@ func (m *Manager) Enter(reg mpk.RightsRegister, d *Domain) (restore func() error
 		id = d.VKey
 		name = d.Name
 	}
-	if _, err := m.table.Enter(reg, id); err != nil {
+	outside := reg.Rights()
+	_, from, err := m.table.Enter(reg, id)
+	if err != nil {
 		return nil, err
 	}
 	// The enter→restore pair is a residency span on the entering request's
 	// trace: the window this register held the domain's compartment open.
 	endSpan := m.Tracing().ContextFor(reg).Span("domain:"+name, name)
+	left := false
 	return func() error {
-		_, err := m.table.Leave(reg, mpk.PermitAll)
-		if errors.Is(err, vkey.ErrNotEntered) {
-			return errors.New("domains: restore past the bottom of the entry stack")
+		if left {
+			// A second restore would release a frame some other entry holds.
+			return errors.New("domains: restore called twice")
 		}
+		_, err := m.table.Leave(reg, id, from, outside)
 		if err == nil {
+			left = true
 			endSpan()
 		}
 		return err
@@ -330,7 +333,7 @@ func (m *Manager) Enter(reg mpk.RightsRegister, d *Domain) (restore func() error
 // BindLibrary wires a registered untrusted library to the domain through
 // the ffi runtime: calls into the library gate with the domain's
 // activated rights (cross-domain calls gate even U→U), gate exits
-// re-derive the caller's compartment through the shared vkey table, and
+// re-derive a domain caller's compartment through the shared vkey table, and
 // the library's allocations land in the domain's private pool.
 func (m *Manager) BindLibrary(rt *ffi.Runtime, lib string, d *Domain) {
 	rt.BindLibraryDomain(lib, ffi.DomainBinding{

@@ -6,7 +6,7 @@
 // Calls into an untrusted library pass through a call gate that drops
 // access to the trusted heap MT, and calls back into trusted code pass
 // through a reverse gate that restores it; a per-thread compartment stack
-// guarantees the pre-call rights are reinstated on every return path
+// guarantees the caller's compartment is reinstated on every return path
 // (§3.3). Gates verify the PKRU value they installed and abort the program
 // on mismatch, mirroring the paper's hardened assembly stubs (§4.1).
 package ffi

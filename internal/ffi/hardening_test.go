@@ -475,6 +475,99 @@ func TestDomainGateExitReactivatesAfterEviction(t *testing.T) {
 	}
 }
 
+// nestedHelperWorld is the mixed nesting the split-stack regressions
+// drive: trusted code calls tenantA, tenantA calls back into a trusted
+// helper through a reverse gate, and the helper calls on into inner. The
+// helper records whether it can still read MT after that inner call
+// returns, and what it holds then; tenantA records its rights before and
+// after the callback.
+type nestedHelperWorld struct {
+	rt                     *Runtime
+	secret                 vm.Addr
+	helperRights           mpk.PKRU
+	helperReadErr          error
+	inA, backInA, afterAll mpk.PKRU
+}
+
+func newNestedHelperWorld(t *testing.T, inner func(th *Thread) error) *nestedHelperWorld {
+	t.Helper()
+	rt, _, _ := domainWorld(t)
+	w := &nestedHelperWorld{rt: rt}
+	var err error
+	if w.secret, err = rt.Alloc.Alloc(8); err != nil {
+		t.Fatal(err)
+	}
+	reg := rt.Registry
+	reg.MustLibrary("tenantB", Untrusted).Define("leaf", func(*Thread, []uint64) ([]uint64, error) { return nil, nil })
+	reg.MustLibrary("plain", Untrusted).Define("leaf", func(*Thread, []uint64) ([]uint64, error) { return nil, nil })
+	reg.MustLibrary("helper", Trusted).Define("help", func(th *Thread, _ []uint64) ([]uint64, error) {
+		if err := inner(th); err != nil {
+			return nil, err
+		}
+		w.helperRights = th.VM.Rights()
+		_, w.helperReadErr = th.Load64(w.secret)
+		return nil, nil
+	})
+	reg.MustLibrary("tenantA", Untrusted).Define("outer", func(th *Thread, _ []uint64) ([]uint64, error) {
+		w.inA = th.VM.Rights()
+		if _, err := th.Call("helper", "help"); err != nil {
+			return nil, err
+		}
+		w.backInA = th.VM.Rights()
+		return nil, nil
+	})
+	th := rt.NewThread()
+	if _, err := th.Call("tenantA", "outer"); err != nil {
+		t.Fatal(err)
+	}
+	w.afterAll = th.VM.Rights()
+	return w
+}
+
+// check asserts the helper resumed trusted and every gate restored its
+// caller's compartment.
+func (w *nestedHelperWorld) check(t *testing.T) {
+	t.Helper()
+	if w.helperRights != mpk.PermitAll || w.helperReadErr != nil {
+		t.Errorf("trusted helper resumed with %v (MT read: %v), want PermitAll", w.helperRights, w.helperReadErr)
+	}
+	if w.backInA != w.inA {
+		t.Errorf("tenantA after the callback holds %v, want its own %v", w.backInA, w.inA)
+	}
+	if w.afterAll != mpk.PermitAll || w.rt.Aborted() {
+		t.Errorf("after the call: rights %v, aborted %v", w.afterAll, w.rt.Aborted())
+	}
+}
+
+// TestReverseGateInDomainSurvivesDomainCall: a domain gate taken from a
+// trusted helper that tenantA called back into must return to the helper's
+// full rights — the compartment of the frame below it — not to tenantA's.
+func TestReverseGateInDomainSurvivesDomainCall(t *testing.T) {
+	newNestedHelperWorld(t, func(th *Thread) error {
+		_, err := th.Call("tenantB", "leaf")
+		return err
+	}).check(t)
+}
+
+// TestReverseGateInDomainSurvivesPlainGate: the same nesting with the
+// inner call into an unbound untrusted library, whose plain gate's exit
+// must restore the helper's rights too.
+func TestReverseGateInDomainSurvivesPlainGate(t *testing.T) {
+	newNestedHelperWorld(t, func(th *Thread) error {
+		_, err := th.Call("plain", "leaf")
+		return err
+	}).check(t)
+}
+
+// TestUnwindInReverseGateKeepsTrusted: unwinding to a checkpoint taken in
+// the trusted helper restores the helper's own compartment, full rights,
+// and leaves the domain below it to be re-derived on return.
+func TestUnwindInReverseGateKeepsTrusted(t *testing.T) {
+	newNestedHelperWorld(t, func(th *Thread) error {
+		return th.Unwind(th.Checkpoint())
+	}).check(t)
+}
+
 // TestDomainRightsFailureFailsClosed: if activating the domain's key
 // fails, the call must not proceed with the caller's rights.
 func TestDomainRightsFailureFailsClosed(t *testing.T) {

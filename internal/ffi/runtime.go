@@ -67,10 +67,10 @@ type Runtime struct {
 	domains  map[string]DomainBinding // per-library compartment bindings
 	nDomains atomic.Int32             // len(domains), read lock-free on the call path
 	// vtable is the virtual-key table behind the domain bindings (one per
-	// runtime). Gate exits on a runtime with virtualized domains route
-	// through it so the caller's compartment is re-derived — re-activating
-	// its logical key — instead of replaying saved PKRU bits whose slot
-	// grants an eviction may have rebound to another tenant.
+	// runtime). A gate that leaves or returns to a domain compartment
+	// switches through it, so the domain's rights are re-derived —
+	// re-activating its logical key — instead of replayed from saved PKRU
+	// bits whose slot grants an eviction may have rebound to another tenant.
 	vtable atomic.Pointer[vkey.Table]
 }
 
@@ -281,7 +281,8 @@ func (rt *Runtime) NewThread() *Thread {
 // differ in the gates-off builds, where untrusted library code still runs
 // (and still allocates from its own heap, MU) even though no rights are
 // dropped — exactly as SpiderMonkey keeps using its own malloc in the
-// paper's base configuration.
+// paper's base configuration. It is the only compartment stack: the vkey
+// table keeps just the compartment each register is in now.
 type Thread struct {
 	rt     *Runtime
 	VM     *vm.Thread
@@ -292,10 +293,14 @@ type Thread struct {
 
 // gateFrame is one call into a library, plain or gated, popped on every
 // return path, panics included. A gated frame records one traversal, and
-// every observer of the gate reads its one enter timestamp.
+// every observer of the gate reads its one enter timestamp. A static
+// compartment's rights are held by the gate above it, which saves them at
+// entry and reinstalls them on exit; a plain call inherits its caller's
+// compartment.
 type gateFrame struct {
 	lib   *Library  // whose code runs: its name and trust
 	gates int       // gated frames up to and including this one
+	key   vkey.ID   // domain compartment the code runs in; vkey.Trusted if static
 	enter time.Time // a timed gate's enter clock read; zero otherwise
 }
 
@@ -342,6 +347,15 @@ func (t *Thread) Depth() int {
 	return 0
 }
 
+// compartment returns the logical key of the domain compartment the
+// thread's code runs in, or vkey.Trusted in a static one.
+func (t *Thread) compartment() vkey.ID {
+	if n := len(t.frames); n > 0 {
+		return t.frames[n-1].key
+	}
+	return vkey.Trusted
+}
+
 // Call invokes lib.fn with the gate discipline the annotations imply:
 //
 //   - calling an untrusted library enters U through a forward gate;
@@ -380,7 +394,7 @@ func (t *Thread) Call(lib, fn string, args ...uint64) ([]uint64, error) {
 				// with the caller's PKRU would merge the two. Only a call
 				// that stays within the library's own domain is plain.
 				dom = b
-				gated = gated || b.Table.Current(t.VM) != b.Key
+				gated = gated || t.compartment() != b.Key
 			}
 		}
 		if gated {
@@ -410,7 +424,7 @@ func (t *Thread) CallNoGate(lib, fn string, args ...uint64) ([]uint64, error) {
 // rides a defer so a panicking callee leaves the stack balanced while the
 // panic propagates.
 func (t *Thread) plainCall(l *Library, f Func, args []uint64) ([]uint64, error) {
-	t.frames = append(t.frames, gateFrame{lib: l, gates: t.Depth()})
+	t.frames = append(t.frames, gateFrame{lib: l, gates: t.Depth(), key: t.compartment()})
 	defer func() { t.frames = t.frames[:len(t.frames)-1] }()
 	return f(t, args)
 }
@@ -426,13 +440,14 @@ func (t *Thread) plainCall(l *Library, f Func, args []uint64) ([]uint64, error) 
 // A domain binding with a Table makes this a domain gate: entry binds
 // t.VM to the vkey table for eviction-time revocation and
 // activates-and-installs the domain's rights atomically with respect to
-// eviction, and the exit half re-derives the caller's compartment through
-// vkey.Leave instead of replaying the saved PKRU — whose slot grants an
-// eviction may have rebound to a different tenant while the callee ran
-// (the Garmr stale-PKRU hazard). Plain gates on a runtime with virtualized
-// domains re-derive through vkey.Refresh for the same reason; only a
-// runtime with no domain bindings replays saved bits, which are then
-// always one of the two static compartment values.
+// eviction. Every exit restores the compartment of the frame below: a
+// domain is re-derived through vkey.Leave instead of replaying the saved
+// PKRU — whose slot grants an eviction may have rebound to a different
+// tenant while the callee ran (the Garmr stale-PKRU hazard) — and a
+// static compartment gets the saved rights back, which are then always a
+// static value. A reverse gate into trusted code inside a domain therefore
+// returns to full rights, and the domain below it is re-derived when the
+// trusted code returns.
 func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f Func, args []uint64) (res []uint64, err error) {
 	if tel := t.rt.tel; tel != nil {
 		if l.Trust == Untrusted {
@@ -460,12 +475,19 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 	if t.rt.tel != nil || tc != nil || sink != nil {
 		fr.enter = time.Now()
 	}
+	// The table switches the register whenever a domain compartment is
+	// entered, left or returned to; gates between static compartments
+	// never touch it.
+	below, tab := t.compartment(), dom.Table
+	if tab == nil && below != vkey.Trusted {
+		tab = t.rt.vtable.Load()
+	}
 	prev := t.VM.Rights()
 	var enterErr error
-	domEntered := false
-	if dom.Table != nil {
-		if target, enterErr = dom.Table.Enter(t.VM, dom.Key); enterErr == nil {
-			domEntered = true
+	switch {
+	case dom.Table != nil:
+		if target, _, enterErr = dom.Table.Enter(t.VM, dom.Key); enterErr == nil {
+			fr.key = dom.Key
 		} else if !errors.Is(enterErr, mpk.ErrRightsAudit) {
 			// Activation failed before any rights were written — the key
 			// was freed, or no slot could be found. Fail closed without
@@ -475,7 +497,11 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 			tc.Instant("gate-refused", domain, enterErr.Error())
 			return nil, fmt.Errorf("ffi: entering domain for %s: %w", l.Name, enterErr)
 		}
-	} else {
+	case tab != nil:
+		// Leaving a domain for a static compartment: the register stops
+		// counting as inside the key, whose frame below stays live.
+		_, enterErr = tab.Leave(t.VM, vkey.Trusted, vkey.Trusted, target)
+	default:
 		enterErr = mpk.InstallAudited(t.VM, target)
 	}
 	t.frames = append(t.frames, fr)
@@ -503,12 +529,9 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 		// gate-exit class — trusted code would resume on a poisoned PKRU.
 		restored := prev
 		var rerr error
-		switch {
-		case domEntered:
-			restored, rerr = dom.Table.Leave(t.VM, prev)
-		case t.rt.vtable.Load() != nil:
-			restored, rerr = t.rt.vtable.Load().Refresh(t.VM, prev)
-		default:
+		if tab != nil {
+			restored, rerr = tab.Leave(t.VM, top.key, below, prev)
+		} else {
 			rerr = mpk.InstallAudited(t.VM, prev)
 		}
 		if rerr != nil {
@@ -558,7 +581,6 @@ func (t *Thread) observeGate(fr *gateFrame, domain string, tc *gatetrace.Context
 // by Thread.Unwind.
 type Checkpoint struct {
 	depth  int // frames on the thread's compartment stack
-	vDepth int // vkey compartment-stack depth, when domains are bound
 	rights mpk.PKRU
 }
 
@@ -568,17 +590,15 @@ func (cp Checkpoint) Rights() mpk.PKRU { return cp.rights }
 // Checkpoint records a recovery point at the current frame. Take it in
 // trusted code immediately before a supervised cross-compartment call.
 func (t *Thread) Checkpoint() Checkpoint {
-	cp := Checkpoint{depth: len(t.frames), rights: t.VM.Rights()}
-	if vt := t.rt.vtable.Load(); vt != nil {
-		cp.vDepth = vt.Depth(t.VM)
-	}
-	return cp
+	return Checkpoint{depth: len(t.frames), rights: t.VM.Rights()}
 }
 
 // Unwind forces the thread back to a checkpointed frame: any frames
-// pushed since the checkpoint are discarded, the checkpointed PKRU is
-// reinstalled through a WRPKRU, and — like a gate's own self-check — the
-// installed value is read back and verified. Because gates self-unwind on
+// pushed since the checkpoint are discarded (a domain frame among them
+// releases its logical key), the checkpointed frame's compartment is
+// reinstalled through a WRPKRU — a domain re-derived, a static
+// compartment given the checkpointed PKRU — and, like a gate's own
+// self-check, the installed value is read back and verified. Because gates self-unwind on
 // both error returns and panics, the stack is normally already at
 // checkpoint depth and Unwind only has to prove it; the truncation is the
 // backstop that makes recovery sound even if an untrusted callee
@@ -590,18 +610,27 @@ func (t *Thread) Unwind(cp Checkpoint) error {
 	if cp.depth > len(t.frames) {
 		return fmt.Errorf("ffi: unwind to depth %d above current %d", cp.depth, len(t.frames))
 	}
-	t.frames = t.frames[:cp.depth]
+	to := vkey.Trusted
+	if cp.depth > 0 {
+		to = t.frames[cp.depth-1].key
+	}
 	var err error
-	if vt := t.rt.vtable.Load(); vt != nil {
-		// Discard domain frames pushed since the checkpoint, then restore
-		// the checkpointed compartment by re-derivation: any domain frame
-		// still live at checkpoint depth is re-activated rather than
-		// resurrected from the saved PKRU bits.
-		vt.TruncateTo(t.VM, cp.vDepth)
-		_, err = vt.Refresh(t.VM, cp.rights)
+	if tab := t.rt.vtable.Load(); tab != nil {
+		// Each discarded domain gate frame releases its key, so no key
+		// stays busy for a frame that is gone; every switch lands in the
+		// checkpointed compartment.
+		for i := len(t.frames) - 1; i >= cp.depth && err == nil; i-- {
+			if fr := t.frames[i]; fr.key != vkey.Trusted && (i == 0 || fr.gates > t.frames[i-1].gates) {
+				_, err = tab.Leave(t.VM, fr.key, to, cp.rights)
+			}
+		}
+		if err == nil {
+			_, err = tab.Leave(t.VM, vkey.Trusted, to, cp.rights)
+		}
 	} else {
 		err = mpk.InstallAudited(t.VM, cp.rights)
 	}
+	t.frames = t.frames[:cp.depth]
 	wrpkruDelay(t.rt.gateCost)
 	if err != nil {
 		t.rt.aborted.Store(true)

@@ -398,8 +398,7 @@ func (w *World) mark(tc *gatetrace.Context, name string, tr *resilience.Transiti
 
 // Churn removes tenant i and adds it back, recycling its key slot and
 // pool under whatever requests are in flight. It reports false without
-// error when the tenant could not be removed (its key is live on some
-// thread's compartment stack).
+// error when the tenant could not be removed (its key has live frames).
 func (w *World) Churn(i int) (bool, error) {
 	name := w.names[i]
 	// Touch the victim first so it holds a hardware slot when removed:

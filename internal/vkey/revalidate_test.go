@@ -30,20 +30,20 @@ func revalidateWorld(t *testing.T) (*Table, *vm.Space, []ID) {
 func TestRevalidateReDerivesFromLiveStack(t *testing.T) {
 	tbl, _, ids := revalidateWorld(t)
 	r := &reg{}
-	rights, err := tbl.Enter(r, ids[0])
+	rights, _, err := tbl.Enter(r, ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Whatever PKRU the scheduler saved, a live compartment stack wins:
-	// the restore re-derives the top frame's rights.
+	// Whatever PKRU the scheduler saved, a register inside a compartment
+	// gets that compartment's rights re-derived.
 	got, err := tbl.Revalidate(r, mpk.PermitAll)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != rights {
-		t.Fatalf("Revalidate = %v, want top-of-stack rights %v", got, rights)
+		t.Fatalf("Revalidate = %v, want the compartment's rights %v", got, rights)
 	}
-	if _, err := tbl.Leave(r, mpk.PermitAll); err != nil {
+	if _, err := tbl.Leave(r, ids[0], Trusted, mpk.PermitAll); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,7 +51,7 @@ func TestRevalidateReDerivesFromLiveStack(t *testing.T) {
 func TestRevalidateStripsStaleMuxGrants(t *testing.T) {
 	tbl, _, ids := revalidateWorld(t)
 	r := &reg{}
-	rights, err := tbl.Enter(r, ids[0])
+	rights, _, err := tbl.Enter(r, ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,12 @@ func TestRevalidateStripsStaleMuxGrants(t *testing.T) {
 	if !ok {
 		t.Fatal("tenant not bound")
 	}
-	if _, err := tbl.Leave(r, mpk.PermitAll); err != nil {
+	if _, err := tbl.Leave(r, ids[0], Trusted, mpk.PermitAll); err != nil {
 		t.Fatal(err)
 	}
 	before := tbl.Stats().Invalidations
-	// Stack now empty: the saved compartment PKRU is stale and every
-	// multiplexed slot grant must be stripped.
+	// Back in a static compartment: the saved compartment PKRU is stale
+	// and every multiplexed slot grant must be stripped.
 	got, err := tbl.Revalidate(r, rights)
 	if err != nil {
 		t.Fatal(err)
@@ -113,11 +113,11 @@ func TestBindMigrationRevalidatesThreadRestore(t *testing.T) {
 	if err := th.Store64(base, 99); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Enter(th, id); err != nil {
+	if _, _, err := tbl.Enter(th, id); err != nil {
 		t.Fatal(err)
 	}
 	saved := th.SaveContext()
-	if _, err := tbl.Leave(th, mpk.PermitAll); err != nil {
+	if _, err := tbl.Leave(th, id, Trusted, mpk.PermitAll); err != nil {
 		t.Fatal(err)
 	}
 	tbl.BindMigration(th)

@@ -61,15 +61,14 @@ var ErrNoSlots = errors.New("vkey: no hardware slot available")
 // workload keeps its liveness no matter how many tenants ask for pins.
 var ErrPinLimit = errors.New("vkey: pin limit reached, would leave no evictable slot")
 
-// ErrKeyBusy is returned by Free for a logical key that is live on some
-// register's compartment stack: a thread is currently executing inside
-// the key's compartment (or will return into it), and freeing the key
-// under it would strand that thread — its Leave could no longer re-derive
-// the compartment's rights.
-var ErrKeyBusy = errors.New("vkey: logical key is entered on a live compartment stack")
+// ErrKeyBusy is returned by Free for a logical key with live frames: a
+// thread is currently executing inside the key's compartment (or will
+// return into it), and freeing the key under it would strand that thread
+// — its exit could no longer re-derive the compartment's rights.
+var ErrKeyBusy = errors.New("vkey: logical key has live compartment frames")
 
-// ErrNotEntered is returned by Leave on a register with an empty
-// compartment stack.
+// ErrNotEntered is returned by Leave releasing a logical key that has no
+// live frame.
 var ErrNotEntered = errors.New("vkey: leave with no entered compartment")
 
 // Config parameterizes NewTable.
@@ -94,11 +93,11 @@ type entry struct {
 	name      string
 	hw        mpk.Key // valid only when active
 	active    bool    // bound to a hardware slot
-	faulted   bool
-	pinned    bool // exempt from LRU eviction (libmpk pkey_pin)
+	pinned    bool    // exempt from LRU eviction (libmpk pkey_pin)
 	ranges    []span
 	lastUse   uint64 // LRU clock tick of the most recent Activate
 	evictions uint64 // times this key was pushed off a slot by LRU
+	frames    int    // live frames entered into the key and not yet left
 }
 
 // EvictionSink receives one call per LRU eviction: the rights register
@@ -116,7 +115,6 @@ type Stats struct {
 	Logical int // live logical keys (active + parked)
 	Active  int // logical keys currently bound to a hardware slot
 	Parked  int // logical keys evicted to the inactive key
-	Faulted int // live logical keys marked faulted
 	Pinned  int // live logical keys exempt from LRU eviction
 
 	Activations   uint64 // Activate calls
@@ -136,16 +134,11 @@ type Table struct {
 	free     []mpk.Key           // unbound hardware slots
 	slots    [mpk.NumKeys]*entry // bound entry per hardware slot, nil when free
 	entries  map[ID]*entry
-	threads  map[mpk.RightsRegister]struct{}
-	// stacks is the per-register compartment stack: the nesting of logical
-	// keys entered through Enter (0 = the trusted compartment). Leave
-	// re-derives the frame below instead of replaying saved PKRU bits, so
-	// an eviction while a callee ran can never resurrect rights for a
-	// rebound slot — the discipline domain entry and the ffi domain gates
-	// share. Emptied stacks wait in spare for reuse, so entering from an
-	// empty stack does not allocate.
-	stacks  map[mpk.RightsRegister][]ID
-	spare   [][]ID
+	// threads maps every register inside a logical key's compartment to
+	// that key: the registers eviction revokes and Revalidate re-derives.
+	// The nesting of compartments belongs to whoever enters them (the ffi
+	// thread's frames); the table keeps only where each register is now.
+	threads map[mpk.RightsRegister]ID
 	clock   uint64
 	nextID  ID
 	nslots  int
@@ -157,7 +150,6 @@ type Table struct {
 	evictions     uint64
 	recycled      uint64
 	invalidations uint64
-	faulted       int
 	pinned        int
 
 	// staleEvict, when set, sabotages eviction by skipping the retag of
@@ -193,8 +185,7 @@ func NewTable(space *vm.Space, cfg Config) (*Table, error) {
 		space:    space,
 		inactive: inactive,
 		entries:  make(map[ID]*entry),
-		threads:  make(map[mpk.RightsRegister]struct{}),
-		stacks:   make(map[mpk.RightsRegister][]ID),
+		threads:  make(map[mpk.RightsRegister]ID),
 		nextID:   1,
 	}
 	for k := mpk.Key(0); k < mpk.NumKeys; k++ {
@@ -231,10 +222,9 @@ func (t *Table) Alloc(name string) ID {
 // Free releases a logical key: its pages are parked on the inactive key,
 // its hardware slot (if any) returns to the free pool, and the ID becomes
 // invalid. The caller is responsible for scrubbing the pages first if they
-// held tenant data (pkalloc's quarantine semantics). A key that is live on
-// any register's compartment stack is refused with ErrKeyBusy — freeing it
-// would leave a thread inside (or returning into) a compartment whose
-// rights can no longer be re-derived.
+// held tenant data (pkalloc's quarantine semantics). A key with live frames
+// is refused with ErrKeyBusy — freeing it would leave a thread inside (or
+// returning into) a compartment whose rights can no longer be re-derived.
 func (t *Table) Free(id ID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -242,13 +232,8 @@ func (t *Table) Free(id ID) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownKey, id)
 	}
-	for reg, st := range t.stacks {
-		for _, fid := range st {
-			if fid == id {
-				return fmt.Errorf("%w: %v entered on %d-deep stack of register %p",
-					ErrKeyBusy, id, len(st), reg)
-			}
-		}
+	if e.frames > 0 {
+		return fmt.Errorf("%w: %v has %d", ErrKeyBusy, id, e.frames)
 	}
 	if e.active {
 		if err := t.unbindLocked(e); err != nil {
@@ -259,9 +244,6 @@ func (t *Table) Free(id ID) error {
 		// Parked entries are already on the inactive key; the retag is a
 		// no-op repeated here only so a failure cannot leak tagged pages.
 		return err
-	}
-	if e.faulted {
-		t.faulted--
 	}
 	if e.pinned {
 		t.pinned--
@@ -358,15 +340,16 @@ func (t *Table) HardwareKey(id ID) (mpk.Key, bool) {
 	return e.hw, true
 }
 
-// Trusted is the frame value for the trusted compartment on a register's
-// compartment stack: Enter(reg, Trusted) installs full rights (the reverse
-// gate into T), and Leave out of a frame whose caller is Trusted restores
-// mpk.PermitAll.
+// Trusted names the static compartment in the table's transitions: a
+// register outside every logical key, holding rights no eviction can
+// invalidate — mpk.PermitAll for trusted code, or the two-compartment
+// untrusted value. Enter(reg, Trusted) is the reverse gate into T, and
+// Leave to Trusted installs the static rights the caller names.
 const Trusted ID = 0
 
-// rightsLocked derives the PKRU for a compartment-stack frame: full rights
-// for the trusted frame, otherwise the shared key 0 plus the logical key's
-// (freshly activated, possibly just rebound) hardware slot.
+// rightsLocked derives the PKRU for a compartment: full rights for the
+// trusted one, otherwise the shared key 0 plus the logical key's (freshly
+// activated, possibly just rebound) hardware slot.
 func (t *Table) rightsLocked(id ID, trigger mpk.RightsRegister) (mpk.PKRU, error) {
 	if id == Trusted {
 		return mpk.PermitAll, nil
@@ -378,144 +361,86 @@ func (t *Table) rightsLocked(id ID, trigger mpk.RightsRegister) (mpk.PKRU, error
 	return mpk.DenyAllExcept(0, hw), nil
 }
 
+// switchLocked installs rights on reg, audited, and records reg's new
+// compartment: bound for eviction-time revocation while inside a logical
+// key, unbound in a static one. Nothing changes unless the installation
+// verifies.
+func (t *Table) switchLocked(reg mpk.RightsRegister, to ID, rights mpk.PKRU) error {
+	if err := mpk.InstallAudited(reg, rights); err != nil {
+		return err
+	}
+	if to == Trusted {
+		delete(t.threads, reg)
+	} else {
+		t.threads[reg] = to
+	}
+	return nil
+}
+
 // Enter switches reg into the logical key's compartment (Trusted for the
-// trusted compartment) and pushes the frame onto reg's compartment stack.
-// The whole transition is atomic with respect to eviction: the table lock
-// is held from slot activation through the audited rights installation, so
-// a concurrent Activate cannot evict the key and rebind its slot between
-// the two — the window a bare Activate-then-install leaves open. Entering
-// also binds reg for eviction-time revocation, so a later eviction of any
-// key the register still grants strips those rights immediately.
+// trusted compartment) and counts one live frame for the key. It returns
+// the rights installed and the compartment reg was in before: its logical
+// key, or Trusted when it held static rights. Whoever owns the nesting
+// names that compartment again in the matching Leave.
 //
-// The frame is pushed (and reg left bound, if this was its first frame)
-// only after the installation verifies; a failed audit leaves the stack
-// untouched.
-func (t *Table) Enter(reg mpk.RightsRegister, id ID) (mpk.PKRU, error) {
+// The transition is atomic with respect to eviction: the table lock is
+// held from slot activation through the audited rights installation, so a
+// concurrent Activate cannot evict the key and rebind its slot between
+// the two — the window a bare Activate-then-install leaves open. Inside a
+// logical key, reg stays bound for eviction-time revocation, so a later
+// eviction of the key strips its rights immediately. A failed audit
+// changes nothing.
+func (t *Table) Enter(reg mpk.RightsRegister, id ID) (mpk.PKRU, ID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rights, err := t.rightsLocked(id, reg)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	_, wasBound := t.threads[reg]
-	t.threads[reg] = struct{}{}
-	if err := mpk.InstallAudited(reg, rights); err != nil {
-		if !wasBound {
-			delete(t.threads, reg)
-		}
-		return 0, err
+	from := t.threads[reg]
+	if err := t.switchLocked(reg, id, rights); err != nil {
+		return 0, 0, err
 	}
-	st, ok := t.stacks[reg]
-	if !ok && len(t.spare) > 0 {
-		st = t.spare[len(t.spare)-1]
-		t.spare = t.spare[:len(t.spare)-1]
+	if id != Trusted {
+		t.entries[id].frames++
 	}
-	t.stacks[reg] = append(st, id)
-	return rights, nil
+	return rights, from, nil
 }
 
-// Leave exits the top frame of reg's compartment stack: the rights of the
-// frame below are re-derived — re-activating its logical key, never
-// replaying a saved PKRU whose slot grants may have been rebound to a
-// different tenant while the callee ran (the Garmr stale-PKRU hazard).
-// When the top frame is the bottom of the stack, outside is installed
-// instead: the rights the register held before its first Enter, which the
-// caller saved (mpk.PermitAll, or the legacy two-compartment untrusted
-// value — static values no eviction can invalidate).
+// Leave releases one live frame of release (none when it is Trusted) and
+// switches reg into the compartment to: a logical key's rights are
+// re-derived — re-activating it, never replaying a saved PKRU whose slot
+// grants an eviction may have rebound to another tenant (the Garmr
+// stale-PKRU hazard) — and Trusted installs static, the rights the caller
+// held outside every logical key.
 //
-// The pop commits only after the installation verifies, so a failed audit
-// leaves the stack intact and Leave can be retried without unwinding past
-// the caller's own frame. When the stack empties the register is unbound
-// from eviction-time revocation, atomically with the installation.
-func (t *Table) Leave(reg mpk.RightsRegister, outside mpk.PKRU) (mpk.PKRU, error) {
+// The release commits only after the installation verifies, so a failed
+// audit leaves the frame live and Leave can be retried.
+func (t *Table) Leave(reg mpk.RightsRegister, release, to ID, static mpk.PKRU) (mpk.PKRU, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.stacks[reg]
-	if len(st) == 0 {
-		return 0, ErrNotEntered
+	var e *entry
+	if release != Trusted {
+		if e = t.entries[release]; e == nil || e.frames == 0 {
+			return 0, fmt.Errorf("%w: %v", ErrNotEntered, release)
+		}
 	}
-	rights := outside
-	if len(st) >= 2 {
-		// The frame below cannot have been freed out from under us:
-		// Free refuses keys live on any compartment stack (ErrKeyBusy).
+	rights := static
+	if to != Trusted {
+		// The compartment returned to cannot have been freed: Free refuses
+		// keys with live frames (ErrKeyBusy).
 		var err error
-		if rights, err = t.rightsLocked(st[len(st)-2], reg); err != nil {
+		if rights, err = t.rightsLocked(to, reg); err != nil {
 			return 0, err
 		}
 	}
-	if err := mpk.InstallAudited(reg, rights); err != nil {
+	if err := t.switchLocked(reg, to, rights); err != nil {
 		return 0, err
 	}
-	if len(st) == 1 {
-		delete(t.stacks, reg)
-		delete(t.threads, reg)
-		t.spare = append(t.spare, st[:0])
-	} else {
-		t.stacks[reg] = st[:len(st)-1]
+	if e != nil {
+		e.frames--
 	}
 	return rights, nil
-}
-
-// Refresh re-installs the rights of reg's current top frame, re-activating
-// its logical key, or installs fallback when reg has no frames. It is the
-// exit half of a gate that did not change the compartment stack (a plain
-// T/U gate taken while a domain frame is live): replaying the PKRU saved
-// at gate entry would resurrect slot grants an eviction may have rebound,
-// so the current compartment is derived fresh instead.
-func (t *Table) Refresh(reg mpk.RightsRegister, fallback mpk.PKRU) (mpk.PKRU, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rights := fallback
-	if st := t.stacks[reg]; len(st) > 0 {
-		var err error
-		if rights, err = t.rightsLocked(st[len(st)-1], reg); err != nil {
-			return 0, err
-		}
-	}
-	if err := mpk.InstallAudited(reg, rights); err != nil {
-		return 0, err
-	}
-	return rights, nil
-}
-
-// Current returns the logical key of reg's top compartment-stack frame,
-// or Trusted when the register has no frames (it never entered, or every
-// frame left).
-func (t *Table) Current(reg mpk.RightsRegister) ID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.stacks[reg]
-	if len(st) == 0 {
-		return Trusted
-	}
-	return st[len(st)-1]
-}
-
-// Depth returns reg's compartment-stack depth.
-func (t *Table) Depth(reg mpk.RightsRegister) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.stacks[reg])
-}
-
-// TruncateTo force-pops reg's compartment stack to depth without
-// installing any rights — the supervisor's unwind backstop, run before it
-// reinstalls a checkpointed PKRU. Deeper-than-current depths are a no-op.
-// Emptying the stack unbinds the register.
-func (t *Table) TruncateTo(reg mpk.RightsRegister, depth int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.stacks[reg]
-	if depth < 0 || depth >= len(st) {
-		return
-	}
-	if depth == 0 {
-		delete(t.stacks, reg)
-		delete(t.threads, reg)
-		t.spare = append(t.spare, st[:0])
-		return
-	}
-	t.stacks[reg] = st[:depth]
 }
 
 // lruLocked picks the evictable active entry with the oldest lastUse.
@@ -580,14 +505,6 @@ func (t *Table) Unpin(id ID) error {
 	return nil
 }
 
-// Pinned reports whether the logical key is currently pinned.
-func (t *Table) Pinned(id ID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	return ok && e.pinned
-}
-
 // unbindLocked pushes an active entry off its slot: pages are parked on
 // the inactive key (unless the stale-eviction fault is planted), the
 // slot's rights are revoked in every bound thread, and the slot returns to
@@ -642,16 +559,16 @@ func (t *Table) revokeLocked(hw mpk.Key) {
 // migration half of the Garmr stale-PKRU defense. A saved value cannot be
 // replayed verbatim: any multiplexable slot it grants may have been
 // rebound to a different tenant while the thread was off-CPU, so the
-// rights are re-derived from the register's current compartment frame
-// (re-activating its logical key, exactly as Leave and Refresh do). A
-// register with no live frame gets its saved value back with every
-// multiplexable slot grant stripped; the trusted full-rights value passes
-// through untouched, mirroring revokeLocked's exemption.
+// rights are re-derived from the register's current compartment
+// (re-activating its logical key, exactly as Leave does). A register in a
+// static compartment gets its saved value back with every multiplexable
+// slot grant stripped; the trusted full-rights value passes through
+// untouched, mirroring revokeLocked's exemption.
 func (t *Table) Revalidate(reg mpk.RightsRegister, saved mpk.PKRU) (mpk.PKRU, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if st := t.stacks[reg]; len(st) > 0 {
-		return t.rightsLocked(st[len(st)-1], reg)
+	if id, ok := t.threads[reg]; ok {
+		return t.rightsLocked(id, reg)
 	}
 	if saved == mpk.PermitAll {
 		return saved, nil
@@ -675,39 +592,6 @@ func (t *Table) BindMigration(th *vm.Thread) {
 	})
 }
 
-// Bind registers a thread's rights register for eviction-time PKRU
-// revocation. Every thread that enters virtualized compartments must be
-// bound, or it can keep stale rights for a rebound slot.
-func (t *Table) Bind(th mpk.RightsRegister) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.threads[th] = struct{}{}
-}
-
-// Unbind removes a thread from eviction-time revocation.
-func (t *Table) Unbind(th mpk.RightsRegister) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.threads, th)
-}
-
-// MarkFaulted flags a live logical key as having faulted (a compartment
-// fault attributed to its domain); the count surfaces as a gauge.
-func (t *Table) MarkFaulted(id ID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrUnknownKey, id)
-	}
-	if !e.faulted {
-		e.faulted = true
-		t.faulted++
-		t.publish()
-	}
-	return nil
-}
-
 // SetEvictionSink attaches an eviction observer (nil detaches). The sink
 // fires once per LRU eviction with the triggering register, the victim's
 // name and the rebound slot.
@@ -723,57 +607,43 @@ type KeyState struct {
 	Name      string  `json:"name"`
 	Active    bool    `json:"active"`
 	Slot      mpk.Key `json:"slot"` // valid when Active
-	Faulted   bool    `json:"faulted,omitempty"`
 	Pinned    bool    `json:"pinned,omitempty"`
 	Evictions uint64  `json:"evictions"`
-	StackRefs int     `json:"stack_refs"` // live compartment-stack frames holding this key
+	StackRefs int     `json:"stack_refs"` // live frames entered into this key
 }
 
 // Occupancy is a structured snapshot of the table: which logical keys
 // exist, where they are bound, how often each has been evicted, and how
-// deep the live compartment stacks run. This is what /domains.json serves
-// — the flat pkrusafe_vkey_* counters say *that* slots churn; this says
-// *which tenants* are churning and who is standing on the stacks.
+// many live frames each holds. This is what /domains.json serves — the
+// flat pkrusafe_vkey_* counters say *that* slots churn; this says *which
+// tenants* are churning and which are entered.
 type Occupancy struct {
 	Slots       int        `json:"slots"`
 	FreeSlots   int        `json:"free_slots"`
 	InactiveKey mpk.Key    `json:"inactive_key"`
 	Keys        []KeyState `json:"keys"`
-	// StackDepths lists the compartment-stack depth of every register
-	// currently entered, deepest first (registers are not identified:
-	// a depth profile is what slot-pressure debugging needs).
-	StackDepths []int `json:"stack_depths,omitempty"`
-	Stats       Stats `json:"stats"`
+	Stats       Stats      `json:"stats"`
 }
 
 // Occupancy returns a structured snapshot of the table's state.
 func (t *Table) Occupancy() Occupancy {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	refs := make(map[ID]int)
 	occ := Occupancy{
 		Slots:       t.nslots,
 		FreeSlots:   len(t.free),
 		InactiveKey: t.inactive,
 		Stats:       t.statsLocked(),
 	}
-	for _, st := range t.stacks {
-		occ.StackDepths = append(occ.StackDepths, len(st))
-		for _, id := range st {
-			refs[id]++
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(occ.StackDepths)))
 	for _, e := range t.entries {
 		occ.Keys = append(occ.Keys, KeyState{
 			ID:        e.id,
 			Name:      e.name,
 			Active:    e.active,
 			Slot:      e.hw,
-			Faulted:   e.faulted,
 			Pinned:    e.pinned,
 			Evictions: e.evictions,
-			StackRefs: refs[e.id],
+			StackRefs: e.frames,
 		})
 	}
 	sort.Slice(occ.Keys, func(i, j int) bool { return occ.Keys[i].ID < occ.Keys[j].ID })
@@ -805,7 +675,6 @@ func (t *Table) statsLocked() Stats {
 		Logical:       len(t.entries),
 		Active:        active,
 		Parked:        len(t.entries) - active,
-		Faulted:       t.faulted,
 		Pinned:        t.pinned,
 		Activations:   t.activations,
 		SlotHits:      t.slotHits,
@@ -820,7 +689,6 @@ func (t *Table) statsLocked() Stats {
 type tableTelemetry struct {
 	active  *telemetry.Gauge
 	parked  *telemetry.Gauge
-	faulted *telemetry.Gauge
 	logical *telemetry.Gauge
 	pinned  *telemetry.Gauge
 
@@ -832,7 +700,7 @@ type tableTelemetry struct {
 }
 
 // SetTelemetry attaches the table to a metrics registry: the vkey gauges
-// (active / parked / faulted / logical) track the live population and the
+// (active / parked / logical / pinned) track the live population and the
 // counters mirror activations, slot misses, evictions, slot recycling and
 // eviction-time PKRU invalidations. A nil registry detaches.
 func (t *Table) SetTelemetry(reg *telemetry.Registry) {
@@ -845,7 +713,6 @@ func (t *Table) SetTelemetry(reg *telemetry.Registry) {
 	t.tel = &tableTelemetry{
 		active:  reg.Gauge("pkrusafe_vkey_active", "Logical protection keys currently bound to a hardware slot."),
 		parked:  reg.Gauge("pkrusafe_vkey_parked", "Logical protection keys evicted to the inactive key."),
-		faulted: reg.Gauge("pkrusafe_vkey_faulted", "Live logical protection keys marked faulted."),
 		logical: reg.Gauge("pkrusafe_vkey_logical", "Live logical protection keys (active + parked)."),
 		pinned:  reg.Gauge("pkrusafe_vkey_pinned", "Live logical protection keys exempt from LRU eviction."),
 		activations: reg.Counter("pkrusafe_vkey_activations_total",
@@ -872,7 +739,6 @@ func (t *Table) publish() {
 	st := t.statsLocked()
 	tel.active.Set(float64(st.Active))
 	tel.parked.Set(float64(st.Parked))
-	tel.faulted.Set(float64(st.Faulted))
 	tel.logical.Set(float64(st.Logical))
 	tel.pinned.Set(float64(st.Pinned))
 	setCounter(tel.activations, st.Activations)

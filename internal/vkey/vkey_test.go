@@ -24,6 +24,15 @@ func testTable(t *testing.T) (*Table, *vm.Space) {
 	return tab, space
 }
 
+// bind marks reg as inside id's compartment, so eviction revokes its
+// rights, without installing any: the state Enter leaves a register in,
+// for tests that set the register's rights by hand.
+func (t *Table) bind(reg mpk.RightsRegister, id ID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.threads[reg] = id
+}
+
 // reserveRange reserves one page-sized region for a test key.
 func reserveRange(t *testing.T, space *vm.Space, i int) (vm.Addr, uint64) {
 	t.Helper()
@@ -96,7 +105,7 @@ func TestLRUEvictionRetagsAndRevokes(t *testing.T) {
 	}
 	// A bound thread inside domain 0 holds rights for its slot.
 	th := vm.NewThread(space, nil)
-	tab.Bind(th)
+	tab.bind(th, ids[0])
 	th.SetRights(mpk.DenyAllExcept(0, firstHW))
 
 	// One more activation: every slot is taken, ids[0] is LRU.
@@ -127,7 +136,7 @@ func TestLRUEvictionRetagsAndRevokes(t *testing.T) {
 func TestPermitAllThreadNotRevoked(t *testing.T) {
 	tab, space := testTable(t)
 	th := vm.NewThread(space, nil)
-	tab.Bind(th)
+	tab.bind(th, tab.Alloc("entered"))
 	th.SetRights(mpk.PermitAll) // the trusted compartment's register
 	n := tab.Slots()
 	ids := make([]ID, n+1)
@@ -229,29 +238,6 @@ func TestStaleEvictionInjection(t *testing.T) {
 	}
 }
 
-func TestMarkFaulted(t *testing.T) {
-	tab, _ := testTable(t)
-	id := tab.Alloc("a")
-	if err := tab.MarkFaulted(id); err != nil {
-		t.Fatalf("MarkFaulted: %v", err)
-	}
-	if err := tab.MarkFaulted(id); err != nil {
-		t.Fatalf("MarkFaulted twice: %v", err)
-	}
-	if st := tab.Stats(); st.Faulted != 1 {
-		t.Fatalf("Faulted = %d, want 1", st.Faulted)
-	}
-	if err := tab.Free(id); err != nil {
-		t.Fatalf("Free: %v", err)
-	}
-	if st := tab.Stats(); st.Faulted != 0 {
-		t.Fatalf("Faulted after Free = %d, want 0", st.Faulted)
-	}
-	if err := tab.MarkFaulted(id); !errors.Is(err, ErrUnknownKey) {
-		t.Fatalf("MarkFaulted freed = %v, want ErrUnknownKey", err)
-	}
-}
-
 func TestTelemetryPublishes(t *testing.T) {
 	tab, _ := testTable(t)
 	reg := telemetry.NewRegistry()
@@ -296,5 +282,63 @@ func TestConcurrentAllocActivateFree(t *testing.T) {
 	st := tab.Stats()
 	if st.Active > tab.Slots() {
 		t.Fatalf("Active = %d exceeds %d slots", st.Active, tab.Slots())
+	}
+}
+
+// TestLiveFramesGateFree: each Enter counts one live frame for its key and
+// each Leave releases one; Free answers ErrKeyBusy while any frame is
+// live, Occupancy reports the count, and a Leave with nothing to release
+// is refused.
+func TestLiveFramesGateFree(t *testing.T) {
+	tab, _ := testTable(t)
+	a, b := tab.Alloc("a"), tab.Alloc("b")
+	r := &reg{p: mpk.PermitAll}
+	inA, from, err := tab.Enter(r, a)
+	if err != nil || from != Trusted {
+		t.Fatalf("Enter a = %v, %v, %v", inA, from, err)
+	}
+	if _, from, err = tab.Enter(r, b); err != nil || from != a {
+		t.Fatalf("Enter b from a: from %v, err %v", from, err)
+	}
+	if _, from, err = tab.Enter(r, a); err != nil || from != b {
+		t.Fatalf("Enter a again from b: from %v, err %v", from, err)
+	}
+	refs := func(id ID) int {
+		for _, k := range tab.Occupancy().Keys {
+			if k.ID == id {
+				return k.StackRefs
+			}
+		}
+		return -1
+	}
+	if refs(a) != 2 || refs(b) != 1 {
+		t.Fatalf("StackRefs a=%d b=%d, want 2 and 1", refs(a), refs(b))
+	}
+	if err := tab.Free(b); !errors.Is(err, ErrKeyBusy) {
+		t.Fatalf("Free of entered key = %v, want ErrKeyBusy", err)
+	}
+	if _, err := tab.Leave(r, a, b, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Leave(r, b, a, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Free(b); err != nil {
+		t.Fatalf("Free after its frame left: %v", err)
+	}
+	if _, err := tab.Leave(r, b, a, 0); !errors.Is(err, ErrNotEntered) {
+		t.Fatalf("Leave of a freed key = %v, want ErrNotEntered", err)
+	}
+	if got := r.Rights(); got != inA {
+		t.Fatalf("rights back in a = %v, want %v", got, inA)
+	}
+	if _, err := tab.Leave(r, a, Trusted, mpk.PermitAll); err != nil || r.Rights() != mpk.PermitAll {
+		t.Fatalf("final Leave: %v, rights %v", err, r.Rights())
+	}
+	if _, err := tab.Leave(r, a, Trusted, mpk.PermitAll); !errors.Is(err, ErrNotEntered) {
+		t.Fatalf("Leave past the last frame = %v, want ErrNotEntered", err)
+	}
+	if err := tab.Free(a); err != nil {
+		t.Fatalf("Free after every frame left: %v", err)
 	}
 }
