@@ -392,7 +392,7 @@ func migrationStalePKRU(defenseOn bool) (Outcome, error) {
 		}
 	}
 	victim := len(w.ids) - 1
-	if hw0, ok := w.table.HardwareKey(w.ids[0]); ok && hw0 != w.table.InactiveKey() {
+	if hw0, ok := w.table.HardwareKey(w.ids[0]); ok && hw0 != vkey.InactiveKey {
 		return Outcome{}, fmt.Errorf("setup: tenant 0 still bound to slot %v, eviction did not happen", hw0)
 	}
 	if defenseOn {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ffi"
 	"repro/internal/heap"
 	"repro/internal/profile"
 	"repro/internal/provenance"
@@ -123,13 +124,13 @@ func ablateGateCost() (AblationResult, error) {
 	if err != nil {
 		return AblationResult{}, err
 	}
-	withModel, err := run(100)
+	withModel, err := run(ffi.DefaultGateCost)
 	if err != nil {
 		return AblationResult{}, err
 	}
 	return AblationResult{
 		Name:        "WRPKRU cost model",
-		Design:      "modeled (100 spins/WRPKRU)",
+		Design:      fmt.Sprintf("modeled (%d spins/WRPKRU)", ffi.DefaultGateCost),
 		Alternative: "free gates",
 		DesignNs:    withModel,
 		AltNs:       withCost,

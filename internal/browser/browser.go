@@ -79,8 +79,6 @@ type Options struct {
 	// gated engine calls are attributed to the allocation sites whose
 	// objects they carry across (see core.Options.Crossings).
 	Crossings bool
-	// CrossingInterval samples every Nth forward crossing; <= 1 keeps all.
-	CrossingInterval int
 	// Tracing, when non-nil, attaches the request-scoped gate tracer to
 	// the program: the embedder opens a gatetrace.Context per request and
 	// pins it to the main thread, and every gated engine call becomes a
@@ -101,13 +99,12 @@ func New(cfg core.BuildConfig, prof *profile.Profile, opts ...Options) (*Browser
 		return nil, err
 	}
 	prog, err := core.NewProgram(reg, cfg, prof, core.Options{
-		Telemetry:        opt.Telemetry,
-		Trace:            opt.Trace,
-		Forensics:        opt.Forensics,
-		Supervision:      opt.Supervision,
-		Crossings:        opt.Crossings,
-		CrossingInterval: opt.CrossingInterval,
-		Tracing:          opt.Tracing,
+		Telemetry:   opt.Telemetry,
+		Trace:       opt.Trace,
+		Forensics:   opt.Forensics,
+		Supervision: opt.Supervision,
+		Crossings:   opt.Crossings,
+		Tracing:     opt.Tracing,
 	})
 	if err != nil {
 		return nil, err

@@ -178,7 +178,7 @@ func Run(tr Trace, opts Options) *Result {
 		panic("conformance: vkey setup: " + err.Error())
 	}
 	r.vkeys = vt
-	r.vmir = newVKeyMirror(r.model, vt.InactiveKey())
+	r.vmir = newVKeyMirror(r.model, vkey.InactiveKey)
 	for vs := 0; vs < NumVKeySlots; vs++ {
 		name := fmt.Sprintf("vkey/t%d", vs)
 		if _, err := r.space.Reserve(name, vkeyPage(vs), vm.PageSize, 0); err != nil {

@@ -148,14 +148,6 @@ func poolName(c pkalloc.Compartment) string {
 
 // Options tunes NewProgram beyond the defaults.
 type Options struct {
-	// AllocConfig overrides pkalloc pool placement (zero fields default).
-	AllocConfig pkalloc.Config
-	// Store overrides the provenance metadata store (Profiling builds).
-	Store provenance.Store
-	// GateCost overrides the simulated per-WRPKRU cost (spin iterations).
-	// Nil keeps ffi.DefaultGateCost; a pointer to 0 makes gates free (for
-	// ablations).
-	GateCost *int
 	// Trace, when non-nil, records gate traversals and (in Profiling
 	// builds) fault handling into the ring for post-mortem dumps.
 	Trace *trace.Ring
@@ -181,8 +173,6 @@ type Options struct {
 	// (pkrusafe_profile_*), trace Crossing events and, via FeedStore, the
 	// generational profile store's re-tighten bookkeeping.
 	Crossings bool
-	// CrossingInterval samples every Nth forward crossing; <= 1 keeps all.
-	CrossingInterval int
 	// Tracing, when non-nil, attaches the request-scoped gate tracer:
 	// callers open a gatetrace.Context per request (Tracing.Start) and
 	// attach it to the serving thread (ffi.Thread.SetTraceContext); gate
@@ -208,9 +198,7 @@ func NewProgram(reg *ffi.Registry, cfg BuildConfig, prof *profile.Profile, opts 
 		return nil, fmt.Errorf("core: %v build does not consume a profile", cfg)
 	}
 	space := vm.NewSpace()
-	acfg := opt.AllocConfig
-	acfg.Space = space
-	alloc, err := pkalloc.New(acfg)
+	alloc, err := pkalloc.New(pkalloc.Config{Space: space})
 	if err != nil {
 		return nil, err
 	}
@@ -228,9 +216,6 @@ func NewProgram(reg *ffi.Registry, cfg BuildConfig, prof *profile.Profile, opts 
 		applied: prof,
 		sites:   make(map[profile.AllocID]*Site),
 	}
-	if opt.GateCost != nil {
-		p.runtime.SetGateCost(*opt.GateCost)
-	}
 	if opt.Trace != nil {
 		p.runtime.SetTrace(opt.Trace)
 	}
@@ -244,9 +229,8 @@ func NewProgram(reg *ffi.Registry, cfg BuildConfig, prof *profile.Profile, opts 
 		opt.Forensics = true
 	}
 	if opt.Forensics {
-		// The recorder keeps its own metadata store: Options.Store is the
-		// profiler's, and sharing one instance across the tracer's and the
-		// recorder's locks would race.
+		// The recorder keeps its own metadata store: sharing the profiler's
+		// across the tracer's and the recorder's locks would race.
 		p.rec = obs.NewRecorder(obs.Config{
 			Space:       space,
 			TrustedKey:  alloc.TrustedKey(),
@@ -258,7 +242,7 @@ func NewProgram(reg *ffi.Registry, cfg BuildConfig, prof *profile.Profile, opts 
 		p.rec.Install(sigs)
 	}
 	if cfg == Profiling {
-		p.tracer = provenance.NewTracer(opt.Store, profile.New(), alloc.TrustedKey())
+		p.tracer = provenance.NewTracer(profile.New(), alloc.TrustedKey())
 		if opt.Trace != nil {
 			p.tracer.SetTrace(opt.Trace)
 		}
@@ -275,7 +259,6 @@ func NewProgram(reg *ffi.Registry, cfg BuildConfig, prof *profile.Profile, opts 
 				e, ok := p.rec.Lookup(addr)
 				return e.ID, e.Size, ok
 			},
-			Interval:  opt.CrossingInterval,
 			Telemetry: opt.Telemetry,
 			Ring:      opt.Trace,
 		})

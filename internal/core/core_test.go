@@ -8,7 +8,6 @@ import (
 	"repro/internal/ffi"
 	"repro/internal/pkalloc"
 	"repro/internal/profile"
-	"repro/internal/provenance"
 	"repro/internal/vm"
 )
 
@@ -311,40 +310,5 @@ func TestAccessorsNonNil(t *testing.T) {
 	}
 	if p.Config() != Base {
 		t.Error("config accessor")
-	}
-}
-
-// TestStoreChoiceDoesNotChangeProfile: the interval and linear metadata
-// stores must produce identical profiles for the same workload — the
-// store is a performance knob, not a semantic one.
-func TestStoreChoiceDoesNotChangeProfile(t *testing.T) {
-	reg := buildQuickstartRegistry(t)
-	collect := func(store provenance.Store) *profile.Profile {
-		p, err := NewProgram(reg, Profiling, nil, Options{Store: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := uint32(0); i < 5; i++ {
-			s := p.Site("main", 0, i)
-			buf, err := p.AllocAt(s, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i%2 == 0 { // only even sites cross the boundary
-				if _, err := p.Main().Call("clib", "write_1337", uint64(buf)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		prof, _ := p.RecordedProfile()
-		return prof
-	}
-	a := collect(provenance.NewIntervalStore())
-	b := collect(provenance.NewLinearStore())
-	if a.Len() != 3 || b.Len() != 3 {
-		t.Fatalf("profile sizes: %d vs %d, want 3", a.Len(), b.Len())
-	}
-	if len(a.Diff(b)) != 0 || len(b.Diff(a)) != 0 {
-		t.Errorf("stores disagree: %v vs %v", a.IDs(), b.IDs())
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/ffi"
-	"repro/internal/pkalloc"
-	"repro/internal/vm"
 )
 
 func TestGateCostOption(t *testing.T) {
@@ -17,42 +15,8 @@ func TestGateCostOption(t *testing.T) {
 	if got := p.Runtime().GateCost(); got != ffi.DefaultGateCost {
 		t.Errorf("default gate cost = %d, want %d", got, ffi.DefaultGateCost)
 	}
-	zero := 0
-	p2, err := NewProgram(reg, Base, nil, Options{GateCost: &zero})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p2.Runtime().GateCost(); got != 0 {
-		t.Errorf("gate cost override = %d, want 0", got)
-	}
-	p2.Runtime().SetGateCost(-5)
-	if got := p2.Runtime().GateCost(); got != 0 {
+	p.Runtime().SetGateCost(-5)
+	if got := p.Runtime().GateCost(); got != 0 {
 		t.Errorf("negative gate cost not clamped: %d", got)
-	}
-}
-
-func TestAllocConfigOption(t *testing.T) {
-	reg := ffi.NewRegistry()
-	p, err := NewProgram(reg, Base, nil, Options{
-		AllocConfig: pkalloc.Config{
-			TrustedBase: 0x3000_0000_0000,
-			TrustedSize: 1 << 30,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := p.Allocator().TrustedRegion()
-	if r.Base != 0x3000_0000_0000 || r.Size != 1<<30 {
-		t.Errorf("trusted region = %+v", r)
-	}
-	// Allocations land in the overridden region.
-	s := p.Site("m", 0, 0)
-	addr, err := p.AllocAt(s, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Contains(vm.Addr(addr)) {
-		t.Errorf("allocation %v outside overridden region", addr)
 	}
 }

@@ -169,7 +169,7 @@ func (m *Manager) AddDomain(name string) (*Domain, error) {
 	if _, dup := m.domains[name]; dup {
 		return nil, fmt.Errorf("domains: %q already exists", name)
 	}
-	region, err := m.alloc.AddDomainPool(name, m.table.InactiveKey())
+	region, err := m.alloc.AddDomainPool(name, vkey.InactiveKey)
 	if err != nil {
 		return nil, err
 	}

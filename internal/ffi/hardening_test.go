@@ -229,7 +229,7 @@ func domainWorld(t *testing.T) (*Runtime, *vkey.Table, map[string]vkey.ID) {
 	rt := NewRuntime(reg, alloc, nil, GatesOn)
 	ids := make(map[string]vkey.ID)
 	for _, name := range []string{"tenantA", "tenantB"} {
-		region, err := alloc.AddDomainPool(name, table.InactiveKey())
+		region, err := alloc.AddDomainPool(name, vkey.InactiveKey)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +430,25 @@ func TestDomainGateBindsThreadForRevocation(t *testing.T) {
 // the PKRU saved at gate entry would resurrect rights to the slot's new
 // tenant.
 func TestDomainGateExitReactivatesAfterEviction(t *testing.T) {
+	evictDuringCallback(t, false)
+}
+
+// TestExitAuditAcceptsReactivationAfterEviction runs the same eviction
+// with the gate-exit audit armed. tenantA returns holding the rights its
+// re-derivation installed on a fresh slot, not the rights its gate
+// installed at entry; the audit must accept them, because the runtime
+// itself installed them for that frame, and must not abort the runtime.
+func TestExitAuditAcceptsReactivationAfterEviction(t *testing.T) {
+	evictDuringCallback(t, true)
+}
+
+// evictDuringCallback drives tenantA → trusted callback (evicts tenantA)
+// → back in tenantA → back in trusted code, with the exit audit armed or
+// not.
+func evictDuringCallback(t *testing.T, audit bool) {
+	t.Helper()
 	rt, table, ids := domainWorld(t)
+	rt.SetExitAudit(audit)
 	reg := rt.Registry
 	var inheritedBuf vm.Addr
 	reg.MustLibrary("svc", Trusted).Define("churn", func(th *Thread, _ []uint64) ([]uint64, error) {
@@ -472,6 +490,42 @@ func TestDomainGateExitReactivatesAfterEviction(t *testing.T) {
 	}
 	if rt.Aborted() {
 		t.Error("runtime aborted during clean eviction churn")
+	}
+}
+
+// TestExitAuditCatchesWideningAcrossCallback: moving the audit baseline on
+// a callback's return never admits a widened PKRU. A static callee that
+// widens and then calls back into trusted code gets the widened rights
+// reinstalled by the reverse gate and is caught at its own exit; a domain
+// callee whose rights the reverse gate re-derived, and which widens
+// afterwards, is caught against the re-derived rights.
+func TestExitAuditCatchesWideningAcrossCallback(t *testing.T) {
+	for _, tc := range []struct {
+		lib        string
+		widenFirst bool
+	}{{"plain", true}, {"tenantA", false}} {
+		t.Run(tc.lib, func(t *testing.T) {
+			rt, _, _ := domainWorld(t)
+			rt.SetExitAudit(true)
+			reg := rt.Registry
+			reg.MustLibrary("svc", Trusted).Define("noop", func(*Thread, []uint64) ([]uint64, error) { return nil, nil })
+			reg.MustLibrary(tc.lib, Untrusted).Define("widen", func(th *Thread, _ []uint64) ([]uint64, error) {
+				if tc.widenFirst {
+					th.VM.SetPKRU(uint32(mpk.PermitAll))
+				}
+				_, err := th.Call("svc", "noop")
+				if !tc.widenFirst {
+					th.VM.SetPKRU(uint32(mpk.PermitAll))
+				}
+				return nil, err
+			})
+			if _, err := rt.NewThread().Call(tc.lib, "widen"); !errors.Is(err, ErrGateTampered) {
+				t.Fatalf("err = %v, want ErrGateTampered", err)
+			}
+			if !rt.Aborted() {
+				t.Error("runtime not aborted after a widened callee returned")
+			}
+		})
 	}
 }
 

@@ -80,7 +80,7 @@ func newObsWorld(t *testing.T, mode GateMode) *obsWorld {
 		if err != nil {
 			t.Fatal(err)
 		}
-		region, err := alloc.AddDomainPool("pool-t", w.table.InactiveKey())
+		region, err := alloc.AddDomainPool("pool-t", vkey.InactiveKey)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -256,8 +256,9 @@ func (rt *Runtime) Abort() { rt.aborted.Store(true) }
 
 // SetExitAudit arms (or disarms) the gate-exit PKRU audit: before a gate's
 // exit half restores the caller's rights, the rights the callee left
-// behind are compared against the rights the gate installed. Any
-// escalation — the callee (or a handler it suborned) widened its own PKRU
+// behind are compared against the rights the gate installed (for a domain,
+// its latest re-derivation, which may sit on a new slot after an
+// eviction). Any escalation — the callee (or a handler it suborned) widened its own PKRU
 // and the widening survived to the gate — aborts the runtime with
 // ErrGateTampered instead of silently resuming trusted code. This
 // generalizes the supervisor's write-then-readback check from the one
@@ -298,10 +299,11 @@ type Thread struct {
 // entry and reinstalls them on exit; a plain call inherits its caller's
 // compartment.
 type gateFrame struct {
-	lib   *Library  // whose code runs: its name and trust
-	gates int       // gated frames up to and including this one
-	key   vkey.ID   // domain compartment the code runs in; vkey.Trusted if static
-	enter time.Time // a timed gate's enter clock read; zero otherwise
+	lib    *Library  // whose code runs: its name and trust
+	gates  int       // gated frames up to and including this one
+	key    vkey.ID   // domain compartment the code runs in; vkey.Trusted if static
+	rights mpk.PKRU  // a gated frame's rights as the runtime last installed them
+	enter  time.Time // a timed gate's enter clock read; zero otherwise
 }
 
 // SetTraceContext attaches the request-scoped trace context the thread is
@@ -504,6 +506,7 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 	default:
 		enterErr = mpk.InstallAudited(t.VM, target)
 	}
+	fr.rights = target
 	t.frames = append(t.frames, fr)
 	wrpkruDelay(t.rt.gateCost)
 	if t.rt.ring != nil {
@@ -513,15 +516,17 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 		top := t.frames[len(t.frames)-1]
 		t.frames = t.frames[:len(t.frames)-1]
 		// The gate-exit audit: before restoring anything, check the rights
-		// the callee left behind against the rights this gate installed.
-		// An escalation means the compartment widened its own PKRU and the
-		// widening survived to the gate — restore would paper over it and
-		// trusted code would resume as if the excursion never happened.
-		if t.rt.exitAudit.Load() && enterErr == nil && t.VM.Rights().Escalates(target) {
+		// the callee left behind against the rights the runtime last
+		// installed for this frame — the gate's own at entry, or a domain's
+		// re-derivation when a nested gate returned into it. An escalation
+		// means the compartment widened its own PKRU and the widening
+		// survived to the gate — restore would paper over it and trusted
+		// code would resume as if the excursion never happened.
+		if t.rt.exitAudit.Load() && enterErr == nil && t.VM.Rights().Escalates(top.rights) {
 			t.rt.aborted.Store(true)
 			if err == nil {
-				err = fmt.Errorf("%w: exit audit: callee left %v, gate installed %v",
-					ErrGateTampered, t.VM.Rights(), target)
+				err = fmt.Errorf("%w: exit audit: callee left %v, runtime installed %v",
+					ErrGateTampered, t.VM.Rights(), top.rights)
 			}
 		}
 		// The exit half is audited exactly like the entry: restoring the
@@ -536,6 +541,8 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 		}
 		if rerr != nil {
 			t.rt.aborted.Store(true)
+		} else if below != vkey.Trusted {
+			t.rederived(restored)
 		}
 		wrpkruDelay(t.rt.gateCost)
 		if t.rt.ring != nil {
@@ -552,6 +559,19 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 	}
 	t.rt.transitions.Add(1)
 	return f(t, args)
+}
+
+// rederived records rights the runtime has just re-derived for the domain
+// the thread's code runs in on that domain's gate frame (the nearest gated
+// frame), so the frame's exit audit compares against them: an eviction
+// while a nested gate ran may have moved the domain to another slot.
+func (t *Thread) rederived(r mpk.PKRU) {
+	for i := len(t.frames) - 1; i >= 0; i-- {
+		if i == 0 || t.frames[i].gates > t.frames[i-1].gates {
+			t.frames[i].rights = r
+			return
+		}
+	}
 }
 
 // observeGate hands a finished gate the one exit clock read and gives
@@ -614,6 +634,7 @@ func (t *Thread) Unwind(cp Checkpoint) error {
 	if cp.depth > 0 {
 		to = t.frames[cp.depth-1].key
 	}
+	var installed mpk.PKRU
 	var err error
 	if tab := t.rt.vtable.Load(); tab != nil {
 		// Each discarded domain gate frame releases its key, so no key
@@ -625,7 +646,7 @@ func (t *Thread) Unwind(cp Checkpoint) error {
 			}
 		}
 		if err == nil {
-			_, err = tab.Leave(t.VM, vkey.Trusted, to, cp.rights)
+			installed, err = tab.Leave(t.VM, vkey.Trusted, to, cp.rights)
 		}
 	} else {
 		err = mpk.InstallAudited(t.VM, cp.rights)
@@ -635,6 +656,9 @@ func (t *Thread) Unwind(cp Checkpoint) error {
 	if err != nil {
 		t.rt.aborted.Store(true)
 		return fmt.Errorf("%w: %v", ErrGateTampered, err)
+	}
+	if to != vkey.Trusted {
+		t.rederived(installed)
 	}
 	if t.rt.ring != nil {
 		t.rt.ring.Emit(trace.Event{Kind: trace.Recover, A: uint64(uint32(cp.rights)), Note: "unwind"})

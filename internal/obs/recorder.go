@@ -36,8 +36,6 @@ type Config struct {
 	BuildConfig string
 	// Ring, when non-nil, supplies the report's trace tail.
 	Ring *trace.Ring
-	// Store overrides the allocation metadata store (nil: IntervalStore).
-	Store provenance.Store
 }
 
 // faultState is what the signal handler captures while the faulting
@@ -71,16 +69,12 @@ type Recorder struct {
 
 // NewRecorder creates a recorder for one program instance.
 func NewRecorder(cfg Config) *Recorder {
-	store := cfg.Store
-	if store == nil {
-		store = provenance.NewIntervalStore()
-	}
 	return &Recorder{
 		space:      cfg.Space,
 		trustedKey: cfg.TrustedKey,
 		config:     cfg.BuildConfig,
 		ring:       cfg.Ring,
-		store:      store,
+		store:      provenance.NewIntervalStore(),
 		threads:    make(map[sig.Context]ThreadState),
 	}
 }

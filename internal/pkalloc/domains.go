@@ -184,17 +184,6 @@ func (a *Allocator) DomainStats(name string) (heap.Stats, bool) {
 	return p.alloc.Stats(), true
 }
 
-// DomainPools returns the live pool names.
-func (a *Allocator) DomainPools() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	names := make([]string, 0, len(a.pools))
-	for name := range a.pools {
-		names = append(names, name)
-	}
-	return names
-}
-
 // domainOwnerLocked resolves the pool owning addr in O(log regions): one
 // vm.Space region lookup (binary search) and one map probe on the region
 // base — never a scan over every pool. This is the Free path for domain

@@ -105,13 +105,6 @@ func (s *Store) Active() Generation {
 	return s.gens[s.active]
 }
 
-// Latest returns the newest generation (which may not be active yet).
-func (s *Store) Latest() Generation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gens[len(s.gens)-1]
-}
-
 // Generation returns the generation with the given sequence number.
 func (s *Store) Generation(seq int) (Generation, bool) {
 	s.mu.Lock()

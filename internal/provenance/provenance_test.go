@@ -120,7 +120,7 @@ func profilingWorld(t *testing.T) (*vm.Space, *vm.Thread, *Tracer) {
 		t.Fatal(err)
 	}
 	tbl := new(sig.Table)
-	tr := NewTracer(nil, profile.New(), 1)
+	tr := NewTracer(profile.New(), 1)
 	tr.Install(tbl)
 	return s, vm.NewThread(s, tbl), tr
 }
@@ -200,7 +200,7 @@ func TestTracerChainsForeignFaults(t *testing.T) {
 		appCalls++
 		return sig.Unhandled
 	}))
-	tr := NewTracer(nil, profile.New(), 1)
+	tr := NewTracer(profile.New(), 1)
 	tr.Install(tbl) // installed after the app handler, chains to it
 	th := vm.NewThread(s, tbl)
 	if _, err := th.Load8(0xdead_0000); err == nil { // unmapped: MAPERR
@@ -220,7 +220,7 @@ func TestTracerWrongKeyChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := new(sig.Table)
-	tr := NewTracer(nil, profile.New(), 1) // traces key 1, not key 5
+	tr := NewTracer(profile.New(), 1) // traces key 1, not key 5
 	tr.Install(tbl)
 	th := vm.NewThread(s, tbl)
 	th.SetRights(mpk.PermitAll.With(5, mpk.DenyAll))

@@ -59,14 +59,11 @@ type savedState struct {
 	span telemetry.Span
 }
 
-// NewTracer creates a tracer recording into prof. The store may be nil, in
-// which case an IntervalStore is used.
-func NewTracer(store Store, prof *profile.Profile, trustedKey mpk.Key) *Tracer {
-	if store == nil {
-		store = NewIntervalStore()
-	}
+// NewTracer creates a tracer recording into prof, its allocation metadata
+// kept in an IntervalStore.
+func NewTracer(prof *profile.Profile, trustedKey mpk.Key) *Tracer {
 	return &Tracer{
-		store:      store,
+		store:      NewIntervalStore(),
 		prof:       prof,
 		trustedKey: trustedKey,
 		saved:      make(map[sig.Context]savedState),

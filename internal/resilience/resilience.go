@@ -64,71 +64,38 @@ func (s State) String() string {
 // degraded response — without entering any gate.
 var ErrTenantQuarantined = errors.New("resilience: tenant circuit open, request shed at admission")
 
-// Defaults for Config fields left zero.
+// Breaker thresholds. Only the base probe backoff is configurable
+// (Config.ProbeAfter); the rest are fixed.
 const (
-	// DefaultTripFaults is how many consecutive compartment faults open a
-	// closed breaker.
-	DefaultTripFaults = 3
-	// DefaultWindow is the sliding outcome window per tenant.
-	DefaultWindow = 16
-	// DefaultTripRate is the fault fraction of a full window that opens
-	// the breaker even without a consecutive run.
-	DefaultTripRate = 0.5
-	// DefaultBurnLimit is the per-tenant recovery-budget burn (recovery
-	// actions spent on the tenant) that opens the breaker.
-	DefaultBurnLimit = 16
-	// DefaultProbeAfter is the base open→half-open backoff.
+	// TripFaults is how many consecutive compartment faults open a closed
+	// breaker.
+	TripFaults = 3
+	// Window is the sliding outcome window per tenant.
+	Window = 16
+	// TripRate is the fault fraction of a full window that opens the
+	// breaker even without a consecutive run.
+	TripRate = 0.5
+	// BurnLimit is the per-tenant recovery-budget burn (recovery actions
+	// spent on the tenant) that opens the breaker.
+	BurnLimit = 16
+	// DefaultProbeAfter is the base open→half-open backoff when
+	// Config.ProbeAfter is zero.
 	DefaultProbeAfter = 100 * time.Millisecond
-	// DefaultProbeMax caps the exponential backoff.
-	DefaultProbeMax = 10 * time.Second
-	// DefaultProbeSuccesses is how many half-open probes must succeed in
-	// a row to close the breaker.
-	DefaultProbeSuccesses = 2
-	// DefaultJitterFrac is the fraction of the backoff added as
-	// deterministic per-(tenant, trip) jitter.
-	DefaultJitterFrac = 0.25
+	// ProbeMax caps the exponential backoff.
+	ProbeMax = 10 * time.Second
+	// ProbeSuccesses is how many half-open probes must succeed in a row to
+	// close the breaker.
+	ProbeSuccesses = 2
+	// JitterFrac is the fraction of the backoff added as deterministic
+	// per-(tenant, trip) jitter.
+	JitterFrac = 0.25
 )
 
-// Config parameterizes a Group. Zero-valued fields take the defaults.
+// Config parameterizes a Group. The zero value takes the defaults.
 type Config struct {
-	TripFaults     int           // consecutive faults that open a closed breaker
-	Window         int           // sliding outcome window size
-	TripRate       float64       // fault rate over a full window that opens; negative disables
-	BurnLimit      int           // per-tenant recovery-budget burn that opens; negative disables
-	ProbeAfter     time.Duration // base open→half-open backoff
-	ProbeMax       time.Duration // backoff cap
-	ProbeSuccesses int           // consecutive probe successes that close
-	JitterFrac     float64       // jitter as a fraction of the backoff; negative disables
-	// Now is the clock (time.Now when nil); tests inject a fake.
-	Now func() time.Time
-}
+	ProbeAfter time.Duration // base open→half-open backoff; zero means DefaultProbeAfter
 
-func (c Config) tripFaults() int {
-	if c.TripFaults <= 0 {
-		return DefaultTripFaults
-	}
-	return c.TripFaults
-}
-
-func (c Config) window() int {
-	if c.Window <= 0 {
-		return DefaultWindow
-	}
-	return c.Window
-}
-
-func (c Config) tripRate() float64 {
-	if c.TripRate == 0 {
-		return DefaultTripRate
-	}
-	return c.TripRate
-}
-
-func (c Config) burnLimit() int {
-	if c.BurnLimit == 0 {
-		return DefaultBurnLimit
-	}
-	return c.BurnLimit
+	now func() time.Time // the clock (time.Now when nil); in-package tests inject a fake
 }
 
 func (c Config) probeAfter() time.Duration {
@@ -138,33 +105,9 @@ func (c Config) probeAfter() time.Duration {
 	return c.ProbeAfter
 }
 
-func (c Config) probeMax() time.Duration {
-	if c.ProbeMax <= 0 {
-		return DefaultProbeMax
-	}
-	return c.ProbeMax
-}
-
-func (c Config) probeSuccesses() int {
-	if c.ProbeSuccesses <= 0 {
-		return DefaultProbeSuccesses
-	}
-	return c.ProbeSuccesses
-}
-
-func (c Config) jitterFrac() float64 {
-	if c.JitterFrac == 0 {
-		return DefaultJitterFrac
-	}
-	if c.JitterFrac < 0 {
-		return 0
-	}
-	return c.JitterFrac
-}
-
-func (c Config) now() time.Time {
-	if c.Now != nil {
-		return c.Now()
+func (c Config) clock() time.Time {
+	if c.now != nil {
+		return c.now()
 	}
 	return time.Now()
 }
@@ -188,8 +131,8 @@ func (tr Transition) Instant() string { return "breaker:" + tr.To.String() }
 type breaker struct {
 	tenant      string
 	state       State
-	consecutive int    // consecutive faults while closed
-	window      []bool // ring of recent outcomes, true = fault
+	consecutive int          // consecutive faults while closed
+	window      [Window]bool // ring of recent outcomes, true = fault
 	windowNext  int
 	windowFull  bool
 	burn        int // recovery-budget burn while closed
@@ -267,7 +210,7 @@ func (g *Group) SetTelemetry(reg *telemetry.Registry) {
 func (g *Group) breakerLocked(tenant string) *breaker {
 	b, ok := g.breakers[tenant]
 	if !ok {
-		b = &breaker{tenant: tenant, window: make([]bool, g.cfg.window())}
+		b = &breaker{tenant: tenant}
 		g.breakers[tenant] = b
 	}
 	return b
@@ -291,7 +234,7 @@ func (g *Group) Allow(tenant string) (*Transition, error) {
 	case Closed:
 		return nil, nil
 	case Open:
-		if g.cfg.now().Before(b.openUntil) {
+		if g.cfg.clock().Before(b.openUntil) {
 			b.shed++
 			if g.tel != nil {
 				g.tel.shed.With(tenant).Inc()
@@ -307,7 +250,7 @@ func (g *Group) Allow(tenant string) (*Transition, error) {
 		}
 		return tr, nil
 	default: // HalfOpen
-		if b.inFlight >= g.cfg.probeSuccesses()-b.probeGoods {
+		if b.inFlight >= ProbeSuccesses-b.probeGoods {
 			b.shed++
 			if g.tel != nil {
 				g.tel.shed.With(tenant).Inc()
@@ -343,14 +286,12 @@ func (g *Group) RecordSuccess(tenant string) *Transition {
 			b.inFlight--
 		}
 		b.probeGoods++
-		if b.probeGoods >= g.cfg.probeSuccesses() {
+		if b.probeGoods >= ProbeSuccesses {
 			b.consecutive = 0
 			b.burn = 0
 			b.windowFull = false
 			b.windowNext = 0
-			for i := range b.window {
-				b.window[i] = false
-			}
+			b.window = [Window]bool{}
 			b.closes++
 			if g.tel != nil {
 				g.tel.closes.With(tenant).Inc()
@@ -378,17 +319,17 @@ func (g *Group) RecordFault(tenant string) *Transition {
 	switch b.state {
 	case Closed:
 		b.consecutive++
-		if b.consecutive >= g.cfg.tripFaults() {
+		if b.consecutive >= TripFaults {
 			return g.tripLocked(b, "consecutive-faults")
 		}
-		if rate := g.cfg.tripRate(); rate > 0 && b.windowFull {
+		if b.windowFull {
 			faults := 0
 			for _, f := range b.window {
 				if f {
 					faults++
 				}
 			}
-			if float64(faults) >= rate*float64(len(b.window)) {
+			if float64(faults) >= TripRate*Window {
 				return g.tripLocked(b, "fault-rate")
 			}
 		}
@@ -417,7 +358,7 @@ func (g *Group) RecordBurn(tenant string, n int) *Transition {
 		return nil
 	}
 	b.burn += n
-	if limit := g.cfg.burnLimit(); limit > 0 && b.burn >= limit {
+	if b.burn >= BurnLimit {
 		return g.tripLocked(b, "budget-burn")
 	}
 	return nil
@@ -425,9 +366,6 @@ func (g *Group) RecordBurn(tenant string, n int) *Transition {
 
 // pushOutcome records one outcome in the sliding window.
 func (b *breaker) pushOutcome(fault bool) {
-	if len(b.window) == 0 {
-		return
-	}
 	b.window[b.windowNext] = fault
 	b.windowNext++
 	if b.windowNext == len(b.window) {
@@ -446,16 +384,14 @@ func (g *Group) tripLocked(b *breaker, reason string) *Transition {
 	b.inFlight = 0
 	b.probeGoods = 0
 	backoff := g.cfg.probeAfter()
-	for i := uint64(1); i < b.trips && backoff < g.cfg.probeMax(); i++ {
+	for i := uint64(1); i < b.trips && backoff < ProbeMax; i++ {
 		backoff *= 2
 	}
-	if backoff > g.cfg.probeMax() {
-		backoff = g.cfg.probeMax()
+	if backoff > ProbeMax {
+		backoff = ProbeMax
 	}
-	if jf := g.cfg.jitterFrac(); jf > 0 {
-		backoff += time.Duration(float64(backoff) * jf * jitter(b.tenant, b.trips))
-	}
-	b.openUntil = g.cfg.now().Add(backoff)
+	backoff += time.Duration(float64(backoff) * JitterFrac * jitter(b.tenant, b.trips))
+	b.openUntil = g.cfg.clock().Add(backoff)
 	if g.tel != nil {
 		g.tel.trips.With(b.tenant).Inc()
 	}

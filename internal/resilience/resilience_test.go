@@ -28,13 +28,17 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 func newTestGroup(clk *fakeClock) *Group {
-	return NewGroup(Config{
-		TripFaults:     3,
-		ProbeAfter:     100 * time.Millisecond,
-		ProbeSuccesses: 2,
-		JitterFrac:     -1, // exact backoff arithmetic in tests
-		Now:            clk.Now,
-	})
+	return NewGroup(Config{ProbeAfter: 100 * time.Millisecond, now: clk.Now})
+}
+
+// backoff is the open→half-open delay of the tenant's trip-th opening
+// under newTestGroup: the doubled base plus its deterministic jitter.
+func backoff(tenant string, trip uint64) time.Duration {
+	d := 100 * time.Millisecond << (trip - 1)
+	if d > ProbeMax {
+		d = ProbeMax
+	}
+	return d + time.Duration(float64(d)*JitterFrac*jitter(tenant, trip))
 }
 
 func TestBreakerLifecycle(t *testing.T) {
@@ -42,7 +46,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	g := newTestGroup(clk)
 
 	// Closed: everything admitted, faults below the threshold stay closed.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < TripFaults-1; i++ {
 		if _, err := g.Allow("a"); err != nil {
 			t.Fatalf("closed Allow #%d: %v", i, err)
 		}
@@ -50,7 +54,7 @@ func TestBreakerLifecycle(t *testing.T) {
 			t.Fatalf("tripped after %d faults: %+v", i+1, tr)
 		}
 	}
-	// Third consecutive fault trips it.
+	// The TripFaults-th consecutive fault trips it.
 	tr := g.RecordFault("a")
 	if tr == nil || tr.To != Open || tr.Reason != "consecutive-faults" {
 		t.Fatalf("transition = %+v, want open on consecutive-faults", tr)
@@ -71,13 +75,13 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	// Backoff elapses: the next Allow is a half-open probe.
-	clk.Advance(150 * time.Millisecond)
+	clk.Advance(backoff("a", 1))
 	tr2, err := g.Allow("a")
 	if err != nil || tr2 == nil || tr2.To != HalfOpen {
 		t.Fatalf("probe Allow = %+v, %v; want half-open transition", tr2, err)
 	}
 
-	// Two probe successes close it.
+	// ProbeSuccesses (two) probe successes close it.
 	if tr := g.RecordSuccess("a"); tr != nil {
 		t.Fatalf("closed after one probe success: %+v", tr)
 	}
@@ -96,10 +100,10 @@ func TestBreakerLifecycle(t *testing.T) {
 func TestHalfOpenFaultReopensWithDoubledBackoff(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
 	g := newTestGroup(clk)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < TripFaults; i++ {
 		g.RecordFault("b")
 	}
-	clk.Advance(150 * time.Millisecond)
+	clk.Advance(backoff("b", 1))
 	if _, err := g.Allow("b"); err != nil {
 		t.Fatalf("probe refused: %v", err)
 	}
@@ -107,20 +111,21 @@ func TestHalfOpenFaultReopensWithDoubledBackoff(t *testing.T) {
 	if tr == nil || tr.To != Open || tr.Reason != "probe-faulted" || tr.Trips != 2 {
 		t.Fatalf("transition = %+v, want re-open trip 2", tr)
 	}
-	// Second trip backs off 2× the base: still shedding at base+ε.
-	clk.Advance(150 * time.Millisecond)
+	// Second trip backs off 2× the base plus jitter: still shedding one
+	// nanosecond before it elapses.
+	clk.Advance(backoff("b", 2) - time.Nanosecond)
 	if _, err := g.Allow("b"); !errors.Is(err, ErrTenantQuarantined) {
 		t.Fatalf("Allow inside doubled backoff = %v, want shed", err)
 	}
-	clk.Advance(100 * time.Millisecond) // 250ms total > 200ms
+	clk.Advance(time.Nanosecond)
 	if _, err := g.Allow("b"); err != nil {
 		t.Fatalf("Allow after doubled backoff = %v, want probe", err)
 	}
 }
 
 func TestBudgetBurnTrips(t *testing.T) {
-	g := NewGroup(Config{BurnLimit: 4, Now: func() time.Time { return time.Unix(0, 0) }})
-	if tr := g.RecordBurn("c", 3); tr != nil {
+	g := NewGroup(Config{now: func() time.Time { return time.Unix(0, 0) }})
+	if tr := g.RecordBurn("c", BurnLimit-1); tr != nil {
 		t.Fatalf("tripped below burn limit: %+v", tr)
 	}
 	tr := g.RecordBurn("c", 1)
@@ -130,12 +135,12 @@ func TestBudgetBurnTrips(t *testing.T) {
 }
 
 func TestFaultRateTripsWithoutConsecutiveRun(t *testing.T) {
-	g := NewGroup(Config{TripFaults: 100, Window: 4, TripRate: 0.5,
-		Now: func() time.Time { return time.Unix(0, 0) }})
-	// Alternate success/fault: never 100 consecutive, but the window hits
-	// the 50% rate once full.
+	g := NewGroup(Config{now: func() time.Time { return time.Unix(0, 0) }})
+	// Alternate success/fault: never TripFaults consecutive, but the
+	// window hits the TripRate (50%) once full.
 	var tripped *Transition
-	for i := 0; i < 8 && tripped == nil; i++ {
+	i := 0
+	for ; i < 2*Window && tripped == nil; i++ {
 		if i%2 == 0 {
 			g.RecordSuccess("d")
 		} else {
@@ -144,6 +149,39 @@ func TestFaultRateTripsWithoutConsecutiveRun(t *testing.T) {
 	}
 	if tripped == nil || tripped.Reason != "fault-rate" {
 		t.Fatalf("transition = %+v, want fault-rate open", tripped)
+	}
+	if i != Window {
+		t.Errorf("tripped after %d outcomes, want %d (a full window)", i, Window)
+	}
+}
+
+// TestBackoffDoublesToCapWithJitter drives one tenant through repeated
+// probe faults: each reopening waits exactly its doubled base, capped at
+// ProbeMax, plus the jitter derived from (tenant, trip).
+func TestBackoffDoublesToCapWithJitter(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(0, 0)}
+	g := newTestGroup(clk)
+	for i := 0; i < TripFaults; i++ {
+		g.RecordFault("e")
+	}
+	capped := false
+	for trip := uint64(1); trip <= 10; trip++ {
+		d := backoff("e", trip)
+		capped = capped || d >= ProbeMax
+		clk.Advance(d - time.Nanosecond)
+		if _, err := g.Allow("e"); !errors.Is(err, ErrTenantQuarantined) {
+			t.Fatalf("trip %d: Allow before %v = %v, want shed", trip, d, err)
+		}
+		clk.Advance(time.Nanosecond)
+		if tr, err := g.Allow("e"); err != nil || tr == nil || tr.To != HalfOpen {
+			t.Fatalf("trip %d: Allow at %v = %+v, %v; want half-open", trip, d, tr, err)
+		}
+		if tr := g.RecordFault("e"); tr == nil || tr.Trips != trip+1 {
+			t.Fatalf("trip %d: probe fault = %+v, want reopen", trip, tr)
+		}
+	}
+	if !capped {
+		t.Error("ten trips never reached ProbeMax")
 	}
 }
 
@@ -177,7 +215,7 @@ func TestTelemetryAndSnapshot(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
 	g := newTestGroup(clk)
 	g.SetTelemetry(reg)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < TripFaults; i++ {
 		g.RecordFault("t1")
 	}
 	g.Allow("t1") // shed

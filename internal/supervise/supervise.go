@@ -12,8 +12,8 @@
 //
 //   - Abort: no supervision — the failure propagates unchanged, matching
 //     the paper's fail-stop semantics (§3.3).
-//   - Retry: the call is re-executed up to MaxRetries times with
-//     exponential backoff, for transient failures.
+//   - Retry: the call is re-executed up to MaxRetries times, for
+//     transient failures.
 //   - Quarantine: the untrusted pkalloc pool is epoch-bumped, scrubbed and
 //     reset so a corrupted MU cannot poison the next request; the failed
 //     call itself is dropped.
@@ -32,7 +32,6 @@ package supervise
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Policy selects how the supervisor responds to a compartment failure.
@@ -80,20 +79,21 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// Defaults for Config fields left zero.
+// Recovery bounds.
 const (
-	// DefaultMaxRetries bounds re-executions of one supervised call.
-	DefaultMaxRetries = 3
-	// DefaultBudget bounds recovery actions across the whole program: a
-	// workload that keeps failing must eventually surface, not loop
-	// through an unbounded heal/quarantine cycle.
-	DefaultBudget = 64
-	// DefaultEscalateAfter is how many per-domain quarantines one domain
-	// may absorb before the supervisor escalates to the global tier and
+	// MaxRetries bounds re-executions of one supervised call (Retry and
+	// Heal policies).
+	MaxRetries = 3
+	// Budget bounds recovery actions (retries, quarantines, heals) across
+	// the whole program: a workload that keeps failing must eventually
+	// surface, not loop through an unbounded heal/quarantine cycle.
+	Budget = 64
+	// EscalateAfter is how many per-domain quarantines one domain may
+	// absorb before the supervisor escalates to the global tier and
 	// quarantines the shared MU pool as well: a tenant that keeps
 	// corrupting its own heap eventually forfeits the benefit of the
 	// doubt that the damage stayed inside it.
-	DefaultEscalateAfter = 8
+	EscalateAfter = 8
 )
 
 // Config parameterizes a Supervisor.
@@ -101,50 +101,6 @@ type Config struct {
 	// Policy is the recovery policy; Abort (the zero value) disables
 	// supervision entirely.
 	Policy Policy
-	// MaxRetries bounds how many times one supervised call may be
-	// re-executed after recovery (Retry and Heal policies). Zero means
-	// DefaultMaxRetries; negative means no retries.
-	MaxRetries int
-	// Backoff is the base delay before the first retry; attempt k sleeps
-	// Backoff << k (exponential). Zero disables sleeping, which is what
-	// tests and the simulator's deterministic paths want.
-	Backoff time.Duration
-	// Budget bounds the total number of recovery actions (retries,
-	// quarantines, heals) the program may spend. Zero means
-	// DefaultBudget; negative means unlimited.
-	Budget int
-	// EscalateAfter is the per-domain quarantine count at which the
-	// supervisor escalates a domain-scoped quarantine to the global tier
-	// (the shared MU pool is scrubbed too). Zero means
-	// DefaultEscalateAfter; negative disables escalation.
-	EscalateAfter int
-}
-
-func (c Config) maxRetries() int {
-	if c.MaxRetries == 0 {
-		return DefaultMaxRetries
-	}
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	return c.MaxRetries
-}
-
-func (c Config) budget() int {
-	if c.Budget == 0 {
-		return DefaultBudget
-	}
-	return c.Budget
-}
-
-func (c Config) escalateAfter() int {
-	if c.EscalateAfter == 0 {
-		return DefaultEscalateAfter
-	}
-	if c.EscalateAfter < 0 {
-		return 0
-	}
-	return c.EscalateAfter
 }
 
 // Terminal outcomes a supervised call can end with (CompartmentError.Outcome

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ffi"
+	"repro/internal/gatetrace"
 	"repro/internal/mpk"
 	"repro/internal/obs"
 	"repro/internal/pkalloc"
@@ -105,14 +106,14 @@ func TestRetryExhaustionSurfacesCompartmentError(t *testing.T) {
 		_, e := th.Load64(secret)
 		return nil, e
 	})
-	s := New(Config{Policy: Retry, MaxRetries: 2}, Deps{Alloc: rt.Alloc, Recorder: rec})
+	s := New(Config{Policy: Retry}, Deps{Alloc: rt.Alloc, Recorder: rec})
 	th := rt.NewThread()
 	_, err := s.Call(th, "u", "always_faults")
 	var ce *CompartmentError
 	if !errors.As(err, &ce) {
 		t.Fatalf("error = %v, want *CompartmentError", err)
 	}
-	if ce.Outcome != OutcomeRetriesExceeded || ce.Attempts != 3 || ce.Policy != Retry {
+	if ce.Outcome != OutcomeRetriesExceeded || ce.Attempts != MaxRetries+1 || ce.Policy != Retry {
 		t.Errorf("CompartmentError = %+v", ce)
 	}
 	// The original fault stays reachable for forensics.
@@ -304,15 +305,63 @@ func TestBudgetExhaustion(t *testing.T) {
 		_, e := th.Load64(secret)
 		return nil, e
 	})
-	s := New(Config{Policy: Retry, MaxRetries: 10, Budget: 2}, Deps{Alloc: rt.Alloc, Recorder: rec})
+	s := New(Config{Policy: Retry}, Deps{Alloc: rt.Alloc, Recorder: rec})
 	th := rt.NewThread()
+	// Each exhausted call spends MaxRetries+1 recovery actions: one per
+	// retry plus the one that finds the retries gone.
+	perCall := MaxRetries + 1
+	for i := 0; i < Budget/perCall; i++ {
+		_, err := s.Call(th, "u", "always_faults")
+		var ce *CompartmentError
+		if !errors.As(err, &ce) || ce.Outcome != OutcomeRetriesExceeded {
+			t.Fatalf("call %d: error = %v, want retries_exhausted", i, err)
+		}
+	}
 	_, err := s.Call(th, "u", "always_faults")
 	var ce *CompartmentError
-	if !errors.As(err, &ce) || ce.Outcome != OutcomeBudgetExceeded {
-		t.Fatalf("error = %v, want budget_exhausted", err)
+	if !errors.As(err, &ce) || ce.Outcome != OutcomeBudgetExceeded || ce.Attempts != 1 {
+		t.Fatalf("error = %v, want budget_exhausted on the first attempt", err)
 	}
 	if got := s.BudgetRemaining(); got != 0 {
 		t.Errorf("BudgetRemaining = %d, want 0", got)
+	}
+}
+
+// TestDomainQuarantineEscalates: every EscalateAfter-th quarantine of one
+// domain's pool also scrubs the shared MU pool; the quarantines between
+// leave MU alone.
+func TestDomainQuarantineEscalates(t *testing.T) {
+	rt, reg, rec := world(t)
+	if _, err := rt.Alloc.AddDomainPool("tenantA", mpk.Key(8)); err != nil {
+		t.Fatal(err)
+	}
+	secret, _ := rt.Alloc.Alloc(8)
+	reg.MustLibrary("u", ffi.Untrusted).Define("always_faults", func(th *ffi.Thread, _ []uint64) ([]uint64, error) {
+		_, e := th.Load64(secret)
+		return nil, e
+	})
+	s := New(Config{Policy: Quarantine}, Deps{Alloc: rt.Alloc, Recorder: rec})
+	tracer := gatetrace.New(gatetrace.Config{Capacity: 4})
+	th := rt.NewThread()
+	for n := 1; n <= 2*EscalateAfter; n++ {
+		tc := tracer.Start("tenantA")
+		th.SetTraceContext(tc)
+		_, err := s.Call(th, "u", "always_faults")
+		th.SetTraceContext(nil)
+		tc.Finish()
+		var ce *CompartmentError
+		if !errors.As(err, &ce) || ce.Outcome != OutcomeQuarantined || ce.Domain != "tenantA" {
+			t.Fatalf("quarantine %d: error = %v, want quarantined in tenantA", n, err)
+		}
+		if got, want := rt.Alloc.UntrustedEpoch(), uint64(n/EscalateAfter); got != want {
+			t.Fatalf("after %d domain quarantines MU epoch = %d, want %d", n, got, want)
+		}
+	}
+	if got := s.DomainQuarantines("tenantA"); got != 2*EscalateAfter {
+		t.Errorf("DomainQuarantines = %d, want %d", got, 2*EscalateAfter)
+	}
+	if ep, _ := rt.Alloc.DomainEpoch("tenantA"); ep != 2*EscalateAfter {
+		t.Errorf("tenantA epoch = %d, want %d", ep, 2*EscalateAfter)
 	}
 }
 

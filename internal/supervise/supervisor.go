@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/ffi"
 	"repro/internal/obs"
@@ -65,7 +64,6 @@ type Supervisor struct {
 	delta      *profile.Profile
 	events     []Event
 	budgetLeft int
-	unlimited  bool
 	domainQuar map[string]int // per-domain quarantine counts, for escalation
 }
 
@@ -90,8 +88,7 @@ func New(cfg Config, deps Deps) *Supervisor {
 		ring:       deps.Ring,
 		healed:     make(map[profile.AllocID]bool),
 		delta:      profile.New(),
-		budgetLeft: cfg.budget(),
-		unlimited:  cfg.budget() < 0,
+		budgetLeft: Budget,
 		domainQuar: make(map[string]int),
 	}
 	if reg := deps.Telemetry; reg != nil {
@@ -261,11 +258,10 @@ func (s *Supervisor) recoverOnce(label, domain string, cause error, attempt int)
 	}
 	switch s.cfg.Policy {
 	case Retry:
-		if attempt > s.cfg.maxRetries() {
+		if attempt > MaxRetries {
 			return true, s.terminal(label, domain, OutcomeRetriesExceeded, attempt, cause)
 		}
 		s.note(Event{Action: "retry", Call: label, Attempt: attempt, Cause: cause.Error(), Domain: domain})
-		s.backoff(attempt)
 		return false, nil
 
 	case Quarantine:
@@ -284,13 +280,12 @@ func (s *Supervisor) recoverOnce(label, domain string, cause error, attempt int)
 			_ = s.quarantine(label, domain, attempt, cause)
 			return true, s.terminal(label, domain, OutcomeUnhealable, attempt, cause)
 		}
-		if attempt > s.cfg.maxRetries() {
+		if attempt > MaxRetries {
 			return true, s.terminal(label, domain, OutcomeRetriesExceeded, attempt, cause)
 		}
 		if herr := s.healSite(entry, rep, label, attempt, cause); herr != nil {
 			return true, s.terminal(label, domain, OutcomeHealFailed, attempt, herr)
 		}
-		s.backoff(attempt)
 		return false, nil
 
 	default:
@@ -304,7 +299,8 @@ func (s *Supervisor) recoverOnce(label, domain string, cause error, attempt int)
 // invalidate its neighbours' heaps. A failure with no attributable pool
 // lands on the global tier: the shared MU pool, the original
 // whole-untrusted-world quarantine. A domain that keeps getting
-// quarantined escalates to the global tier too (Config.EscalateAfter).
+// quarantined escalates to the global tier too (every EscalateAfter-th
+// quarantine of it).
 func (s *Supervisor) quarantine(label, domain string, attempt int, cause error) error {
 	if s.alloc == nil {
 		return fmt.Errorf("supervise: no allocator to quarantine: %w", cause)
@@ -325,7 +321,7 @@ func (s *Supervisor) quarantine(label, domain string, attempt int, cause error) 
 			if tel := s.tel; tel != nil {
 				tel.quarantines.With(domain).Inc()
 			}
-			if limit := s.cfg.escalateAfter(); limit > 0 && n >= limit && n%limit == 0 {
+			if n%EscalateAfter == 0 {
 				return s.quarantineGlobal(label, attempt, cause, "escalated:"+domain)
 			}
 			return nil
@@ -493,37 +489,24 @@ func (s *Supervisor) Averted() []*obs.Report {
 }
 
 // BudgetRemaining returns how many recovery actions the program may still
-// spend (negative values never occur; unlimited budgets report -1).
+// spend (never negative).
 func (s *Supervisor) BudgetRemaining() int {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.unlimited {
-		return -1
-	}
 	return s.budgetLeft
 }
 
 func (s *Supervisor) takeBudget() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.unlimited {
-		return true
-	}
 	if s.budgetLeft <= 0 {
 		return false
 	}
 	s.budgetLeft--
 	return true
-}
-
-func (s *Supervisor) backoff(attempt int) {
-	if s.cfg.Backoff <= 0 {
-		return
-	}
-	time.Sleep(s.cfg.Backoff << (attempt - 1))
 }
 
 func (s *Supervisor) note(e Event) {

@@ -59,8 +59,8 @@ func TestPinSurvivesChurn(t *testing.T) {
 	if _, _, err := tab.Activate(id); err != nil {
 		t.Fatalf("Activate after Unpin: %v", err)
 	}
-	if k, _ := space.PKeyAt(base); k != tab.InactiveKey() {
-		t.Errorf("unpinned LRU key not evicted: pages on %v, want inactive %v", k, tab.InactiveKey())
+	if k, _ := space.PKeyAt(base); k != InactiveKey {
+		t.Errorf("unpinned LRU key not evicted: pages on %v, want inactive %v", k, InactiveKey)
 	}
 }
 

@@ -38,12 +38,12 @@ type ID uint32
 
 func (id ID) String() string { return fmt.Sprintf("vkey%d", uint32(id)) }
 
-// DefaultInactiveKey is the hardware key evicted and freed logical keys'
-// pages are parked on. Restricted PKRU values built with
+// InactiveKey is the hardware key evicted and freed logical keys' pages
+// are parked on. Restricted PKRU values built with
 // mpk.DenyAllExcept never grant it, so parked memory faults on any
 // untrusted access; only the trusted compartment's full-rights register
 // (mpk.PermitAll) can still reach it.
-const DefaultInactiveKey mpk.Key = 15
+const InactiveKey mpk.Key = 15
 
 // ErrUnknownKey is returned for operations on an ID the table never
 // allocated or has already freed.
@@ -75,10 +75,8 @@ var ErrNotEntered = errors.New("vkey: leave with no entered compartment")
 type Config struct {
 	// Reserved lists hardware keys the table must never hand out: key 0
 	// (the shared/default key) and the trusted pool's key at minimum.
-	// Key 0 and Inactive are always treated as reserved.
+	// Key 0 and InactiveKey are always treated as reserved.
 	Reserved []mpk.Key
-	// Inactive is the parking key (DefaultInactiveKey when zero).
-	Inactive mpk.Key
 }
 
 // span is one page range attached to a logical key.
@@ -128,12 +126,11 @@ type Stats struct {
 // Table multiplexes logical keys onto hardware slots. It is safe for
 // concurrent use.
 type Table struct {
-	mu       sync.Mutex
-	space    *vm.Space
-	inactive mpk.Key
-	free     []mpk.Key           // unbound hardware slots
-	slots    [mpk.NumKeys]*entry // bound entry per hardware slot, nil when free
-	entries  map[ID]*entry
+	mu      sync.Mutex
+	space   *vm.Space
+	free    []mpk.Key           // unbound hardware slots
+	slots   [mpk.NumKeys]*entry // bound entry per hardware slot, nil when free
+	entries map[ID]*entry
 	// threads maps every register inside a logical key's compartment to
 	// that key: the registers eviction revokes and Revalidate re-derives.
 	// The nesting of compartments belongs to whoever enters them (the ffi
@@ -167,14 +164,7 @@ func NewTable(space *vm.Space, cfg Config) (*Table, error) {
 	if space == nil {
 		return nil, errors.New("vkey: space is required")
 	}
-	inactive := cfg.Inactive
-	if inactive == 0 {
-		inactive = DefaultInactiveKey
-	}
-	if !inactive.Valid() {
-		return nil, fmt.Errorf("vkey: invalid inactive key %d", inactive)
-	}
-	reserved := map[mpk.Key]bool{0: true, inactive: true}
+	reserved := map[mpk.Key]bool{0: true, InactiveKey: true}
 	for _, k := range cfg.Reserved {
 		if !k.Valid() {
 			return nil, fmt.Errorf("vkey: invalid reserved key %d", k)
@@ -182,11 +172,10 @@ func NewTable(space *vm.Space, cfg Config) (*Table, error) {
 		reserved[k] = true
 	}
 	t := &Table{
-		space:    space,
-		inactive: inactive,
-		entries:  make(map[ID]*entry),
-		threads:  make(map[mpk.RightsRegister]ID),
-		nextID:   1,
+		space:   space,
+		entries: make(map[ID]*entry),
+		threads: make(map[mpk.RightsRegister]ID),
+		nextID:  1,
 	}
 	for k := mpk.Key(0); k < mpk.NumKeys; k++ {
 		if !reserved[k] {
@@ -200,9 +189,6 @@ func NewTable(space *vm.Space, cfg Config) (*Table, error) {
 	}
 	return t, nil
 }
-
-// InactiveKey returns the parking key evicted pages are retagged to.
-func (t *Table) InactiveKey() mpk.Key { return t.inactive }
 
 // Slots returns the number of multiplexable hardware slots.
 func (t *Table) Slots() int { return t.nslots }
@@ -240,7 +226,7 @@ func (t *Table) Free(id ID) error {
 			return err
 		}
 		t.recycled++
-	} else if err := t.retagLocked(e, t.inactive); err != nil {
+	} else if err := t.retagLocked(e, InactiveKey); err != nil {
 		// Parked entries are already on the inactive key; the retag is a
 		// no-op repeated here only so a failure cannot leak tagged pages.
 		return err
@@ -265,7 +251,7 @@ func (t *Table) Attach(id ID, base vm.Addr, size uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownKey, id)
 	}
-	key := t.inactive
+	key := InactiveKey
 	if e.active {
 		key = e.hw
 	}
@@ -513,7 +499,7 @@ func (t *Table) Unpin(id ID) error {
 func (t *Table) unbindLocked(e *entry) error {
 	hw := e.hw
 	if !t.staleEvict {
-		if err := t.retagLocked(e, t.inactive); err != nil {
+		if err := t.retagLocked(e, InactiveKey); err != nil {
 			return err
 		}
 	}
@@ -632,7 +618,7 @@ func (t *Table) Occupancy() Occupancy {
 	occ := Occupancy{
 		Slots:       t.nslots,
 		FreeSlots:   len(t.free),
-		InactiveKey: t.inactive,
+		InactiveKey: InactiveKey,
 		Stats:       t.statsLocked(),
 	}
 	for _, e := range t.entries {

@@ -60,8 +60,8 @@ func TestActivateHitAndMiss(t *testing.T) {
 		t.Fatalf("Attach: %v", err)
 	}
 	// Parked: pages carry the inactive key.
-	if k, _ := space.PKeyAt(base); k != tab.InactiveKey() {
-		t.Fatalf("parked page key = %v, want inactive %v", k, tab.InactiveKey())
+	if k, _ := space.PKeyAt(base); k != InactiveKey {
+		t.Fatalf("parked page key = %v, want inactive %v", k, InactiveKey)
 	}
 	hw, miss, err := tab.Activate(id)
 	if err != nil || !miss {
@@ -117,8 +117,8 @@ func TestLRUEvictionRetagsAndRevokes(t *testing.T) {
 		t.Fatalf("recycled slot = %v, want LRU victim's %v", hw, firstHW)
 	}
 	// pkey_sync: the victim's pages are parked on the inactive key …
-	if k, _ := space.PKeyAt(bases[0]); k != tab.InactiveKey() {
-		t.Fatalf("evicted page key = %v, want inactive %v", k, tab.InactiveKey())
+	if k, _ := space.PKeyAt(bases[0]); k != InactiveKey {
+		t.Fatalf("evicted page key = %v, want inactive %v", k, InactiveKey)
 	}
 	// … and the bound thread lost its rights for the rebound slot.
 	if r := th.Rights().Rights(firstHW); r != mpk.DenyAll {
@@ -170,7 +170,7 @@ func TestFreeRecyclesSlotAndParksPages(t *testing.T) {
 	if err := tab.Free(id); err != nil {
 		t.Fatalf("Free: %v", err)
 	}
-	if k, _ := space.PKeyAt(base); k != tab.InactiveKey() {
+	if k, _ := space.PKeyAt(base); k != InactiveKey {
 		t.Fatalf("freed page key = %v, want inactive", k)
 	}
 	if _, _, err := tab.Activate(id); !errors.Is(err, ErrUnknownKey) {

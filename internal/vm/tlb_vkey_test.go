@@ -33,7 +33,7 @@ func TestWarmTranslationSeesEvictAndPark(t *testing.T) {
 		}
 	}
 	th := vm.NewThread(space, nil)
-	th.SetRights(mpk.PermitAll.With(tab.InactiveKey(), mpk.DenyAll))
+	th.SetRights(mpk.PermitAll.With(vkey.InactiveKey, mpk.DenyAll))
 	if _, _, err := tab.Activate(ids[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +45,12 @@ func TestWarmTranslationSeesEvictAndPark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if k, _ := space.PKeyAt(bases[0]); k != tab.InactiveKey() {
-		t.Fatalf("victim page key = %v, want parked on %v", k, tab.InactiveKey())
+	if k, _ := space.PKeyAt(bases[0]); k != vkey.InactiveKey {
+		t.Fatalf("victim page key = %v, want parked on %v", k, vkey.InactiveKey)
 	}
 	_, err = th.Load64(bases[0])
 	var f *vm.Fault
-	if !errors.As(err, &f) || f.Info.Code != sig.CodePKUErr || f.Info.PKey != uint8(tab.InactiveKey()) {
-		t.Fatalf("access after evict-and-park: %v, want SEGV_PKUERR pkey=%d", err, tab.InactiveKey())
+	if !errors.As(err, &f) || f.Info.Code != sig.CodePKUErr || f.Info.PKey != uint8(vkey.InactiveKey) {
+		t.Fatalf("access after evict-and-park: %v, want SEGV_PKUERR pkey=%d", err, vkey.InactiveKey)
 	}
 }
