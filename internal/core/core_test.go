@@ -245,8 +245,8 @@ func TestReallocAndFreeWithTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Tracer().Live() != 1 {
-		t.Errorf("live tracked = %d", p.Tracer().Live())
+	if st := p.Tracer().Stats(); st.TrackedAllocs != 1 || st.TrackedReallocs != 1 {
+		t.Errorf("tracer stats after alloc and realloc = %+v, want one of each", st)
 	}
 	// The grown object, touched from U, must be attributed to the original site.
 	if _, err := p.Main().Call("clib", "write_1337", uint64(b+2000)); err != nil {
@@ -259,8 +259,8 @@ func TestReallocAndFreeWithTracer(t *testing.T) {
 	if err := p.Free(b); err != nil {
 		t.Fatal(err)
 	}
-	if p.Tracer().Live() != 0 {
-		t.Errorf("live after free = %d", p.Tracer().Live())
+	if st := p.Tracer().Stats(); st.TrackedFrees != 1 {
+		t.Errorf("tracer stats after free = %+v, want one free", st)
 	}
 }
 

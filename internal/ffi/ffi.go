@@ -14,7 +14,6 @@ package ffi
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -47,8 +46,7 @@ type Library struct {
 	Trust Trust
 	funcs map[string]Func
 
-	gateNote string                     // "gate:"+Name, the ring note of its gates
-	lat      atomic.Pointer[libLatency] // its gate-latency series, resolved on first use
+	domain atomic.Pointer[gateDomain] // the domain its gates enter, resolved on first use
 }
 
 // Define registers a function in the library, replacing any previous
@@ -62,16 +60,6 @@ func (l *Library) Define(name string, fn Func) *Library {
 func (l *Library) Lookup(name string) (Func, bool) {
 	fn, ok := l.funcs[name]
 	return fn, ok
-}
-
-// FuncNames returns the library's function names in sorted order.
-func (l *Library) FuncNames() []string {
-	names := make([]string, 0, len(l.funcs))
-	for n := range l.funcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ErrNoSuchFunc is returned for calls to unregistered functions.
@@ -110,9 +98,6 @@ func NewRegistry() *Registry {
 // and is not synchronized against in-flight calls.
 func (r *Registry) SetCallFilter(on bool) { r.filterOn = on }
 
-// CallFilter reports whether the reverse-gate call filter is armed.
-func (r *Registry) CallFilter() bool { return r.filterOn }
-
 // Allow adds lib.fn to callerLib's reverse-gate allow-list.
 func (r *Registry) Allow(callerLib, lib, fn string) {
 	if r.allowed == nil {
@@ -147,7 +132,7 @@ func (r *Registry) Library(name string, trust Trust) (*Library, error) {
 		}
 		return l, nil
 	}
-	l := &Library{Name: name, Trust: trust, funcs: make(map[string]Func), gateNote: "gate:" + name}
+	l := &Library{Name: name, Trust: trust, funcs: make(map[string]Func)}
 	r.libs[name] = l
 	return l, nil
 }
@@ -173,14 +158,4 @@ func (r *Registry) Lookup(lib, fn string) (*Library, Func, error) {
 		return nil, nil, fmt.Errorf("%w: %s.%s", ErrNoSuchFunc, lib, fn)
 	}
 	return l, f, nil
-}
-
-// LibNames returns registered library names in sorted order.
-func (r *Registry) LibNames() []string {
-	names := make([]string, 0, len(r.libs))
-	for n := range r.libs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

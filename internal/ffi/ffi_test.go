@@ -45,11 +45,11 @@ func TestRegistryBasics(t *testing.T) {
 	if _, _, err := reg.Lookup("nolib", "f"); !errors.Is(err, ErrNoSuchFunc) {
 		t.Errorf("missing lib = %v", err)
 	}
-	if got := lib.FuncNames(); len(got) != 1 || got[0] != "eval" {
-		t.Errorf("FuncNames = %v", got)
+	if len(lib.funcs) != 1 || lib.funcs["eval"] == nil {
+		t.Errorf("functions = %v", lib.funcs)
 	}
-	if got := reg.LibNames(); len(got) != 1 || got[0] != "mozjs" {
-		t.Errorf("LibNames = %v", got)
+	if len(reg.libs) != 1 || reg.libs["mozjs"] != lib {
+		t.Errorf("libraries = %v", reg.libs)
 	}
 	if Trusted.String() != "trusted" || Untrusted.String() != "untrusted" {
 		t.Error("trust names")

@@ -74,8 +74,8 @@ func TestCallFilterScope(t *testing.T) {
 	}
 	// Disarming restores open calling.
 	reg.SetCallFilter(false)
-	if reg.CallFilter() {
-		t.Error("CallFilter still armed")
+	if reg.filterOn {
+		t.Error("call filter still armed")
 	}
 	if _, err := th.Call("evil", "probe"); err != nil {
 		t.Fatalf("call refused with filter off: %v", err)

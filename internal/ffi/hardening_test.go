@@ -493,22 +493,32 @@ func evictDuringCallback(t *testing.T, audit bool) {
 	}
 }
 
-// TestExitAuditCatchesWideningAcrossCallback: moving the audit baseline on
-// a callback's return never admits a widened PKRU. A static callee that
-// widens and then calls back into trusted code gets the widened rights
-// reinstalled by the reverse gate and is caught at its own exit; a domain
-// callee whose rights the reverse gate re-derived, and which widens
-// afterwards, is caught against the re-derived rights.
+// TestExitAuditCatchesWideningAcrossCallback: a callee that widens its
+// own PKRU is caught whether the widening comes before or after a
+// callback into trusted code. Widened first, the callback's reverse gate
+// catches it on entry, before trusted code runs with the widened rights
+// — otherwise a domain callee would have it erased by the re-derivation
+// on the callback's return; widened after, the callee's own gate catches
+// it on exit, against the rights the callback's return re-derived or
+// reinstalled.
 func TestExitAuditCatchesWideningAcrossCallback(t *testing.T) {
 	for _, tc := range []struct {
 		lib        string
 		widenFirst bool
-	}{{"plain", true}, {"tenantA", false}} {
-		t.Run(tc.lib, func(t *testing.T) {
+	}{{"plain", true}, {"tenantA", false}, {"tenantA", true}} {
+		name := tc.lib
+		if tc.widenFirst && tc.lib == "tenantA" {
+			name += "-widen-first"
+		}
+		t.Run(name, func(t *testing.T) {
 			rt, _, _ := domainWorld(t)
 			rt.SetExitAudit(true)
 			reg := rt.Registry
-			reg.MustLibrary("svc", Trusted).Define("noop", func(*Thread, []uint64) ([]uint64, error) { return nil, nil })
+			ran := 0
+			reg.MustLibrary("svc", Trusted).Define("noop", func(*Thread, []uint64) ([]uint64, error) {
+				ran++
+				return nil, nil
+			})
 			reg.MustLibrary(tc.lib, Untrusted).Define("widen", func(th *Thread, _ []uint64) ([]uint64, error) {
 				if tc.widenFirst {
 					th.VM.SetPKRU(uint32(mpk.PermitAll))
@@ -524,6 +534,13 @@ func TestExitAuditCatchesWideningAcrossCallback(t *testing.T) {
 			}
 			if !rt.Aborted() {
 				t.Error("runtime not aborted after a widened callee returned")
+			}
+			want := 1
+			if tc.widenFirst {
+				want = 0
+			}
+			if ran != want {
+				t.Errorf("trusted callback ran %d times, want %d", ran, want)
 			}
 		})
 	}

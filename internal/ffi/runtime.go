@@ -129,11 +129,12 @@ func (rt *Runtime) domainBinding(lib string) (DomainBinding, bool) {
 // CrossingSink receives one observation per forward (T→U) gate traversal:
 // the target library, the argument words the call carried across the
 // boundary, and the gate's enter→restore latency — the same duration the
-// gate-latency histogram and the request trace receive. The profiling plane's
-// crossing sampler implements this to attribute boundary crossings to
-// allocation sites; the interface lives here so implementations need not
-// import ffi. Observations are delivered from the gate's exit path, after
-// rights are restored, so a sink may safely inspect trusted state.
+// ring's exit event, the gate-latency histogram and the request trace
+// receive. The profiling plane's crossing sampler implements this to
+// attribute boundary crossings to allocation sites; the interface lives
+// here so implementations need not import ffi. Observations are delivered
+// from the gate's exit path, after rights are restored, so a sink may
+// safely inspect trusted state.
 type CrossingSink interface {
 	ObserveCrossing(lib string, args []uint64, latency time.Duration)
 }
@@ -149,31 +150,44 @@ type runtimeTelemetry struct {
 	vm      *vm.Metrics
 	enterU  *telemetry.Counter      // forward gates: trusted → untrusted
 	enterT  *telemetry.Counter      // reverse gates: untrusted → trusted
-	gateLat *telemetry.HistogramVec // gate enter→exit latency by target library
+	gateLat *telemetry.HistogramVec // gate enter→restore latency by domain
 }
 
-// libLatency is a library's gate-latency series and the telemetry it was
-// resolved from; a runtime with other telemetry resolves its own.
-type libLatency struct {
+// gateDomain is the compartment domain a library's gates enter — its
+// bound pool, else the library itself — with the "gate:<domain>" name of
+// their exit records and the domain's gate-latency series, resolved once
+// per library, domain and telemetry attachment instead of per gate. Every
+// observer attributes a gate to its domain, because that is the axis slot
+// pressure and per-tenant latency blame live on.
+type gateDomain struct {
 	tel  *runtimeTelemetry
-	hist *telemetry.Histogram
+	name string // the domain
+	note string // "gate:" + name
+	lat  *telemetry.Histogram
 }
 
-// latency returns l's gate-latency series without a With lookup per gate.
-func (tel *runtimeTelemetry) latency(l *Library) *telemetry.Histogram {
-	if c := l.lat.Load(); c != nil && c.tel == tel {
-		return c.hist
+// domainOf returns the domain l's gates enter under binding b.
+func (t *Thread) domainOf(l *Library, b DomainBinding) *gateDomain {
+	name, tel := l.Name, t.rt.tel
+	if b.Pool != "" {
+		name = b.Pool
 	}
-	h := tel.gateLat.With(l.Name)
-	l.lat.Store(&libLatency{tel: tel, hist: h})
-	return h
+	if d := l.domain.Load(); d != nil && d.tel == tel && d.name == name {
+		return d
+	}
+	d := &gateDomain{tel: tel, name: name, note: "gate:" + name}
+	if tel != nil {
+		d.lat = tel.gateLat.With(name)
+	}
+	l.domain.Store(d)
+	return d
 }
 
 // SetTelemetry attaches the runtime (and every thread minted afterwards)
 // to a metrics registry: gate crossings are counted by direction, each
-// gated call's enter→exit latency is observed into a per-library
-// histogram, and threads promote their access/fault counters into the
-// registry. A nil registry detaches.
+// timed gate's enter→restore latency is observed into its domain's
+// gatetrace.GateLatencyMetric series, and threads promote their
+// access/fault counters into the registry. A nil registry detaches.
 func (rt *Runtime) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		rt.tel = nil
@@ -185,8 +199,8 @@ func (rt *Runtime) SetTelemetry(reg *telemetry.Registry) {
 		vm:     vm.NewMetrics(reg),
 		enterU: crossings.With("enter_untrusted"),
 		enterT: crossings.With("enter_trusted"),
-		gateLat: reg.HistogramVec("pkrusafe_gate_latency_ns",
-			"Gated call latency from gate enter to rights restore, by target library.", "ns", "lib"),
+		gateLat: reg.HistogramVec(gatetrace.GateLatencyMetric,
+			"Gated call latency from gate enter to rights restore, by compartment domain.", "ns", "domain"),
 	}
 }
 
@@ -258,12 +272,15 @@ func (rt *Runtime) Abort() { rt.aborted.Store(true) }
 // exit half restores the caller's rights, the rights the callee left
 // behind are compared against the rights the gate installed (for a domain,
 // its latest re-derivation, which may sit on a new slot after an
-// eviction). Any escalation — the callee (or a handler it suborned) widened its own PKRU
-// and the widening survived to the gate — aborts the runtime with
-// ErrGateTampered instead of silently resuming trusted code. This
-// generalizes the supervisor's write-then-readback check from the one
-// recovery path to every gated return. Default off: the baseline gates
-// match the paper's stubs, which verify only what they themselves write.
+// eviction). Any escalation — the callee (or a handler it suborned)
+// widened its own PKRU and the widening survived to the gate — aborts the
+// runtime with ErrGateTampered instead of silently resuming trusted code.
+// The same comparison guards the other edge: a gate entered from inside a
+// gated compartment, such as a callback into trusted code, aborts when the
+// caller holds more than the runtime installed for it. This generalizes
+// the supervisor's write-then-readback check from the one recovery path
+// to every gated return. Default off: the baseline gates match the
+// paper's stubs, which verify only what they themselves write.
 func (rt *Runtime) SetExitAudit(on bool) { rt.exitAudit.Store(on) }
 
 // NewThread mints an execution context starting in the trusted compartment
@@ -450,7 +467,24 @@ func (t *Thread) plainCall(l *Library, f Func, args []uint64) ([]uint64, error) 
 // static value. A reverse gate into trusted code inside a domain therefore
 // returns to full rights, and the domain below it is re-derived when the
 // trusted code returns.
+//
+// With a ring attached a traversal makes two records, GateEnter and one
+// GateExit; a timed traversal hands the same enter→restore duration to
+// the exit record and to every other observer.
 func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f Func, args []uint64) (res []uint64, err error) {
+	prev := t.VM.Rights()
+	// The gate-entry audit, the exit audit's other edge: the caller must
+	// still hold no more than the runtime last installed for the gate it
+	// runs under. Otherwise a callee that widened its own PKRU could carry
+	// the widening across a callback, whose gate would save it and
+	// reinstall it — or, in a domain, re-derive over it — on its way back.
+	if t.rt.exitAudit.Load() {
+		if g := t.gatedFrame(); g != nil && prev.Escalates(g.rights) {
+			t.rt.aborted.Store(true)
+			return nil, fmt.Errorf("%w: entry audit: caller holds %v, runtime installed %v",
+				ErrGateTampered, prev, g.rights)
+		}
+	}
 	if tel := t.rt.tel; tel != nil {
 		if l.Trust == Untrusted {
 			tel.enterU.Inc()
@@ -458,23 +492,20 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 			tel.enterT.Inc()
 		}
 	}
-	// The request trace attributes the gate to its compartment *domain* —
-	// the tenant pool when one is bound, the target library otherwise —
-	// because that is the axis slot pressure and per-tenant latency blame
-	// live on. Forward crossings alone feed the crossing sink: what trusted
-	// data flowed into U and through which gate.
-	domain := l.Name
-	if dom.Pool != "" {
-		domain = dom.Pool
-	}
-	tc, sink := t.tc, t.rt.sink
+	// Forward crossings alone feed the crossing sink: what trusted data
+	// flowed into U and through which gate. The gate is timed — one clock
+	// read before the enter WRPKRU — only when someone reads its duration.
+	tc, sink, ring := t.tc, t.rt.sink, t.rt.ring
 	if l.Trust != Untrusted {
 		sink = nil
 	}
-	// One clock read before the enter WRPKRU, and only when someone times
-	// the gate.
+	timed := t.rt.tel != nil || tc != nil || sink != nil
+	var gd *gateDomain
+	if timed || ring != nil {
+		gd = t.domainOf(l, dom)
+	}
 	fr := gateFrame{lib: l, gates: t.Depth() + 1}
-	if t.rt.tel != nil || tc != nil || sink != nil {
+	if timed {
 		fr.enter = time.Now()
 	}
 	// The table switches the register whenever a domain compartment is
@@ -484,7 +515,6 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 	if tab == nil && below != vkey.Trusted {
 		tab = t.rt.vtable.Load()
 	}
-	prev := t.VM.Rights()
 	var enterErr error
 	switch {
 	case dom.Table != nil:
@@ -495,8 +525,10 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 			// was freed, or no slot could be found. Fail closed without
 			// running the callee; nothing was installed, so there is no
 			// frame to unwind and the runtime stays alive.
-			t.observeGate(&fr, domain, tc, nil, nil)
-			tc.Instant("gate-refused", domain, enterErr.Error())
+			t.observeGate(&fr, gd, fr.elapsed(), tc, nil, nil)
+			if tc != nil {
+				tc.Instant("gate-refused", gd.name, enterErr.Error())
+			}
 			return nil, fmt.Errorf("ffi: entering domain for %s: %w", l.Name, enterErr)
 		}
 	case tab != nil:
@@ -509,8 +541,8 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 	fr.rights = target
 	t.frames = append(t.frames, fr)
 	wrpkruDelay(t.rt.gateCost)
-	if t.rt.ring != nil {
-		t.rt.ring.Emit(trace.Event{Kind: trace.GateEnter, A: uint64(uint32(target))})
+	if ring != nil {
+		ring.Emit(trace.Event{Kind: trace.GateEnter, A: uint64(uint32(target))})
 	}
 	defer func() {
 		top := t.frames[len(t.frames)-1]
@@ -542,13 +574,16 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 		if rerr != nil {
 			t.rt.aborted.Store(true)
 		} else if below != vkey.Trusted {
-			t.rederived(restored)
+			t.gatedFrame().rights = restored
 		}
 		wrpkruDelay(t.rt.gateCost)
-		if t.rt.ring != nil {
-			t.rt.ring.Emit(trace.Event{Kind: trace.GateExit, A: uint64(uint32(restored))})
+		// The exit clock read precedes the ring's record, so every
+		// observer gets the enter→restore duration.
+		dur := top.elapsed()
+		if ring != nil {
+			ring.Emit(trace.Event{Kind: trace.GateExit, A: uint64(uint32(restored)), B: uint64(dur), Note: gd.note})
 		}
-		t.observeGate(&top, domain, tc, sink, args)
+		t.observeGate(&top, gd, dur, tc, sink, args)
 	}()
 	// The gate's self-check: the PKRU we installed must be the one the gate
 	// was compiled to enforce. On real hardware this defeats whole-function
@@ -561,35 +596,42 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 	return f(t, args)
 }
 
-// rederived records rights the runtime has just re-derived for the domain
-// the thread's code runs in on that domain's gate frame (the nearest gated
-// frame), so the frame's exit audit compares against them: an eviction
-// while a nested gate ran may have moved the domain to another slot.
-func (t *Thread) rederived(r mpk.PKRU) {
+// gatedFrame returns the nearest gated frame, whose gate holds the
+// compartment the thread's code runs in, or nil when no gate is live.
+// Its rights are the ones the runtime last installed for that
+// compartment: an eviction while a nested gate ran may have re-derived
+// a domain onto another slot.
+func (t *Thread) gatedFrame() *gateFrame {
 	for i := len(t.frames) - 1; i >= 0; i-- {
-		if i == 0 || t.frames[i].gates > t.frames[i-1].gates {
-			t.frames[i].rights = r
-			return
+		below := 0
+		if i > 0 {
+			below = t.frames[i-1].gates
+		}
+		if t.frames[i].gates > below {
+			return &t.frames[i]
 		}
 	}
+	return nil
 }
 
-// observeGate hands a finished gate the one exit clock read and gives
-// every observer the same duration: the latency histogram and its ring
-// Span (both only with telemetry attached), the request trace and the
-// crossing sink. An untimed gate reads no clock.
-func (t *Thread) observeGate(fr *gateFrame, domain string, tc *gatetrace.Context, sink CrossingSink, args []uint64) {
+// elapsed is a timed gate's exit clock read: the enter→now duration every
+// observer of the gate gets. An untimed gate reads no clock and reports 0.
+func (fr *gateFrame) elapsed() time.Duration {
+	if fr.enter.IsZero() {
+		return 0
+	}
+	return time.Since(fr.enter)
+}
+
+// observeGate gives every observer of a finished timed gate its one
+// duration: the domain's latency series, with the trace ID as exemplar
+// when a request is traced, the request trace and the crossing sink.
+func (t *Thread) observeGate(fr *gateFrame, gd *gateDomain, dur time.Duration, tc *gatetrace.Context, sink CrossingSink, args []uint64) {
 	if fr.enter.IsZero() {
 		return
 	}
-	dur := time.Since(fr.enter)
-	if tel := t.rt.tel; tel != nil {
-		tel.latency(fr.lib).Observe(uint64(dur))
-		if ring := t.rt.ring; ring != nil {
-			ring.Emit(trace.Event{Kind: trace.Span, A: uint64(dur), Note: fr.lib.gateNote})
-		}
-	}
-	tc.Gate(domain, fr.enter, dur)
+	gd.lat.ObserveEx(uint64(dur), tc.ID())
+	tc.Gate(gd.note, fr.enter, dur)
 	if sink != nil {
 		sink.ObserveCrossing(fr.lib.Name, args, dur)
 	}
@@ -658,7 +700,7 @@ func (t *Thread) Unwind(cp Checkpoint) error {
 		return fmt.Errorf("%w: %v", ErrGateTampered, err)
 	}
 	if to != vkey.Trusted {
-		t.rederived(installed)
+		t.gatedFrame().rights = installed
 	}
 	if t.rt.ring != nil {
 		t.rt.ring.Emit(trace.Event{Kind: trace.Recover, A: uint64(uint32(cp.rights)), Note: "unwind"})

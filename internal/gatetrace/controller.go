@@ -18,29 +18,23 @@ type SamplerControl interface {
 	SetInterval(n int)
 }
 
-// Controller retunes a crossing sampler's interval from the live
-// per-domain gate-latency p99 — the ROADMAP's "adaptive sampling
-// interval" item. The control law is deliberately coarse (multiplicative
-// increase / decrease with hysteresis): when the gates run hot the
-// profiler backs off to stop compounding the tail, and when they run well
-// under target it leans back in for attribution coverage. Coarse is
-// correct here — the histogram is log2-bucketed, so finer steps would be
-// tuning inside the measurement error.
+// Controller retunes a crossing sampler's interval from the live gate
+// latency p99, merged over every series of GateLatencyMetric — the
+// ROADMAP's "adaptive sampling interval" item. The control law is
+// deliberately coarse (multiplicative increase / decrease with
+// hysteresis): when the gates run hot the profiler backs off to stop
+// compounding the tail, and when they run well under target it leans back
+// in for attribution coverage. Coarse is correct here — the histogram is
+// log2-bucketed, so finer steps would be tuning inside the measurement
+// error.
 type Controller struct {
 	// Sampler is the knob (required).
 	Sampler SamplerControl
 	// Registry is read for the gate-latency family (required).
 	Registry *telemetry.Registry
-	// Metric is the histogram family to watch; GateLatencyMetric when "".
-	Metric string
 	// Target is the gate-latency p99 the controller steers around
 	// (required, > 0).
 	Target time.Duration
-	// Min and Max clamp the interval (defaults 1 and 1<<16).
-	Min, Max int
-	// MinSamples gates retuning until the histogram has enough mass to
-	// mean anything (default 16).
-	MinSamples uint64
 
 	mu        sync.Mutex
 	lastCount uint64
@@ -55,29 +49,14 @@ type Retuning struct {
 	Changed bool
 }
 
-func (c *Controller) metric() string {
-	if c.Metric == "" {
-		return GateLatencyMetric
-	}
-	return c.Metric
-}
-
-func (c *Controller) clamp(n int) int {
-	min, max := c.Min, c.Max
-	if min < 1 {
-		min = 1
-	}
-	if max <= 0 {
-		max = 1 << 16
-	}
-	if n < min {
-		return min
-	}
-	if n > max {
-		return max
-	}
-	return n
-}
+// The interval stays within [minInterval, maxInterval], and the
+// controller holds until the watched family has minSamples observations:
+// below that its p99 means nothing.
+const (
+	minInterval = 1
+	maxInterval = 1 << 16
+	minSamples  = 16
+)
 
 // Retune reads the current merged p99 of the watched family and adjusts
 // the sampler: p99 above target doubles the interval (sample less, shed
@@ -87,15 +66,11 @@ func (c *Controller) clamp(n int) int {
 // since the previous call never acts: a stale p99 is yesterday's weather.
 func (c *Controller) Retune() Retuning {
 	r := Retuning{Old: c.Sampler.Interval(), New: c.Sampler.Interval()}
-	vals, count, ok := c.Registry.HistogramQuantiles(c.metric(), 0.99)
+	vals, count, ok := c.Registry.HistogramQuantiles(GateLatencyMetric, 0.99)
 	if !ok || len(vals) == 0 {
 		return r
 	}
 	r.P99, r.Count = time.Duration(vals[0]), count
-	minSamples := c.MinSamples
-	if minSamples == 0 {
-		minSamples = 16
-	}
 	c.mu.Lock()
 	fresh := count > c.lastCount
 	c.lastCount = count
@@ -105,12 +80,13 @@ func (c *Controller) Retune() Retuning {
 	}
 	switch {
 	case r.P99 > c.Target:
-		r.New = c.clamp(r.Old * 2)
+		r.New = r.Old * 2
 	case r.P99 < c.Target/2:
-		r.New = c.clamp(r.Old / 2)
+		r.New = r.Old / 2
 	default:
 		return r
 	}
+	r.New = min(max(r.New, minInterval), maxInterval)
 	if r.New != r.Old {
 		c.Sampler.SetInterval(r.New)
 		r.Changed = true

@@ -13,13 +13,14 @@
 // workload. Both are per-request, per-domain phenomena, so the evidence
 // trail must be too.
 //
-// The layer is tail-based: every finished Context updates the per-domain
-// gate-latency and per-tenant request-latency histograms (with exemplar
-// trace IDs, so a tail bucket in /metrics names a trace to go look at),
-// but only the traces worth reading — those that faulted, recovered,
-// suffered an eviction, or ran slower than the configured threshold — are
-// retained in full. Retained traces export as Chrome trace_event JSON
-// (see export.go) viewable in chrome://tracing or Perfetto.
+// The layer is tail-based: every finished Context updates the per-tenant
+// request-latency histogram (with exemplar trace IDs, so a tail bucket in
+// /metrics names a trace to go look at; the call gate gives its own
+// per-domain latency series the same exemplars), but only the traces
+// worth reading — those that faulted, recovered, suffered an eviction, or
+// ran slower than the configured threshold — are retained in full.
+// Retained traces export as Chrome trace_event JSON (see export.go)
+// viewable in chrome://tracing or Perfetto.
 //
 // Every method on a nil *Tracer or nil *Context is a no-op, so the gate
 // machinery instruments unconditionally and pays one pointer test when
@@ -28,6 +29,7 @@ package gatetrace
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,17 +38,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Metric family names registered by New. Exported so the obs plane and
-// the adaptive controller agree on them without string duplication.
+// Metric family names. Exported so the call gate, the obs plane and the
+// adaptive controller agree on them without string duplication.
 const (
-	// GateLatencyMetric is the per-domain gate enter→restore latency
-	// histogram (label: domain). Distinct from ffi's per-library family:
-	// this one is attributed to the *compartment domain* a traced request
-	// crossed into, which is the axis slot pressure and tenant blame live
-	// on.
-	GateLatencyMetric = "pkrusafe_domain_gate_latency_ns"
+	// GateLatencyMetric is the gate enter→restore latency histogram
+	// (label: domain), which the ffi runtime registers and observes once
+	// per timed gate, with the trace ID as exemplar when a request is
+	// traced. Its label is the *compartment domain* the gate enters — the
+	// bound pool, else the library — which is the axis slot pressure and
+	// tenant blame live on. The Controller watches it.
+	GateLatencyMetric = "pkrusafe_gate_latency_ns"
 	// RequestLatencyMetric is the per-tenant whole-request latency
-	// histogram (label: tenant).
+	// histogram (label: tenant), registered by New.
 	RequestLatencyMetric = "pkrusafe_request_latency_ns"
 )
 
@@ -60,21 +63,19 @@ type Config struct {
 	TailThreshold time.Duration
 	// RetainAll keeps every finished trace (CLI `pkrusafe trace` mode).
 	RetainAll bool
-	// Registry receives the gate- and request-latency histogram families.
-	// Nil disables metrics but not retention.
+	// Registry receives the request-latency histogram family. Nil
+	// disables it but not retention.
 	Registry *telemetry.Registry
 }
 
-// Tracer mints contexts, owns the latency histograms and the retained
-// ring, and maps rights registers back to the context currently driving
-// them (for eviction attribution). Safe for concurrent use.
+// Tracer mints contexts, owns the request-latency histogram and the
+// retained ring, and maps rights registers back to the context currently
+// driving them (for eviction attribution). Safe for concurrent use.
 type Tracer struct {
-	cfg     Config
-	epoch   time.Time
-	gateLat *telemetry.HistogramVec
-	reqLat  *telemetry.HistogramVec
-	nextID  atomic.Uint64
-	gates   sync.Map // domain → *gateDomain, resolved on the domain's first gate
+	cfg    Config
+	epoch  time.Time
+	reqLat *telemetry.HistogramVec
+	nextID atomic.Uint64
 
 	mu       sync.Mutex
 	retained []*Trace // ring, oldest overwritten
@@ -129,8 +130,6 @@ func New(cfg Config) *Tracer {
 		binds: make(map[mpk.RightsRegister]*Context),
 	}
 	if reg := cfg.Registry; reg != nil {
-		t.gateLat = reg.HistogramVec(GateLatencyMetric,
-			"Gate enter-to-restore latency of traced crossings, by compartment domain.", "ns", "domain")
 		t.reqLat = reg.HistogramVec(RequestLatencyMetric,
 			"Whole-request latency of traced requests, by tenant.", "ns", "tenant")
 	}
@@ -225,13 +224,7 @@ func (t *Tracer) Stats() Stats {
 	return Stats{Started: t.started, Finished: t.finished, Retained: t.next, Dropped: t.dropped}
 }
 
-// gateDomain is a domain's gate span name and gate-latency series.
-type gateDomain struct {
-	name string
-	lat  *telemetry.Histogram
-}
-
-// finish files a completed context: histograms always, full retention
+// finish files a completed context: the histogram always, full retention
 // only for traces worth reading.
 func (t *Tracer) finish(c *Context, total time.Duration) {
 	if t == nil {
@@ -313,21 +306,14 @@ func (c *Context) add(s Span) {
 	c.mu.Unlock()
 }
 
-// Gate records a "gate:<domain>" span the gate timed itself: start is its
-// enter clock read, dur the enter→restore latency all its observers get.
-// dur also feeds the per-domain histogram with the trace ID as exemplar,
-// so the tail buckets of /metrics name retained traces to go read.
-func (c *Context) Gate(domain string, start time.Time, dur time.Duration) {
+// Gate records a span the gate timed itself: name is its "gate:<domain>"
+// record name, whose suffix is the span's domain, start its enter clock
+// read, dur the enter→restore latency all its observers get.
+func (c *Context) Gate(name string, start time.Time, dur time.Duration) {
 	if c == nil {
 		return
 	}
-	gd, ok := c.tr.gates.Load(domain)
-	if !ok { // the domain's first gate: build its span name and series once
-		gd, _ = c.tr.gates.LoadOrStore(domain, &gateDomain{name: "gate:" + domain, lat: c.tr.gateLat.With(domain)})
-	}
-	g := gd.(*gateDomain)
-	c.add(Span{Name: g.name, Domain: domain, Start: start.Sub(c.start), Dur: dur})
-	g.lat.ObserveEx(uint64(dur), c.id)
+	c.add(Span{Name: name, Domain: strings.TrimPrefix(name, "gate:"), Start: start.Sub(c.start), Dur: dur})
 }
 
 // Span opens a generic timed span (request bodies, domain enter/leave
@@ -399,16 +385,6 @@ func (c *Context) MarkEviction(victim string, slot mpk.Key) {
 	c.evicted = true
 	c.mu.Unlock()
 	c.Instant("evict:"+victim, victim, "slot="+strconv.Itoa(int(slot)))
-}
-
-// Flagged reports whether the trace has hit a retention-forcing event.
-func (c *Context) Flagged() bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.faulted || c.recovered || c.evicted || c.breaker
 }
 
 // Finish closes the context: the per-tenant request-latency histogram is

@@ -23,19 +23,18 @@ func (f *fakeReg) SetRights(v mpk.PKRU) { f.r = v }
 // enter, one at exit — and returns the exit half, which records it.
 func gateSpan(c *Context, domain string) func() {
 	start := time.Now()
-	return func() { c.Gate(domain, start, time.Since(start)) }
+	return func() { c.Gate("gate:"+domain, start, time.Since(start)) }
 }
 
 // TestGateRecordsTheGatesOwnTiming: Gate files the span at the gate's
 // enter instant, relative to the request, with exactly the duration the
-// gate measured, and observes that duration into the domain's series.
+// gate measured.
 func TestGateRecordsTheGatesOwnTiming(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr := New(Config{RetainAll: true, Registry: reg})
+	tr := New(Config{RetainAll: true})
 	c := tr.Start("tenant-a")
 	enter := c.start.Add(3 * time.Millisecond)
-	c.Gate("pool-a", enter, 1234*time.Nanosecond)
-	c.Gate("pool-a", enter.Add(time.Millisecond), 0)
+	c.Gate("gate:pool-a", enter, 1234*time.Nanosecond)
+	c.Gate("gate:pool-a", enter.Add(time.Millisecond), 0)
 	c.Finish()
 	got := tr.Retained()[0].Spans
 	want := []Span{
@@ -44,10 +43,6 @@ func TestGateRecordsTheGatesOwnTiming(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("spans = %+v, want %+v", got, want)
-	}
-	h := reg.HistogramVec(GateLatencyMetric, "", "ns", "domain").With("pool-a")
-	if h.Count() != 2 || h.Sum() != 1234 {
-		t.Errorf("pool-a gate latency: count %d sum %d, want 2 and 1234", h.Count(), h.Sum())
 	}
 }
 
@@ -86,13 +81,10 @@ func TestRetentionPolicy(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 
-	// The dropped trace still fed the histograms: all four requests and
-	// the one gate observation are in the registry.
+	// The dropped trace still fed the histogram: all four requests are in
+	// the registry.
 	if _, count, ok := reg.HistogramQuantiles(RequestLatencyMetric, 0.5); !ok || count != 4 {
 		t.Errorf("request histogram count = %d ok=%v, want 4", count, ok)
-	}
-	if _, count, ok := reg.HistogramQuantiles(GateLatencyMetric, 0.5); !ok || count != 1 {
-		t.Errorf("gate histogram count = %d ok=%v, want 1", count, ok)
 	}
 }
 
@@ -203,14 +195,14 @@ func TestNilTracerAndContext(t *testing.T) {
 	if c != nil {
 		t.Fatal("nil tracer minted a context")
 	}
-	c.Gate("d", time.Now(), 0)
+	c.Gate("gate:d", time.Now(), 0)
 	c.Span("s", "")()
 	c.Instant("i", "", "")
 	c.MarkFault("f")
 	c.MarkRecovery("retry", "c")
 	c.MarkEviction("v", 1)
 	c.Finish()
-	if c.ID() != "" || c.Tenant() != "" || c.Flagged() {
+	if c.ID() != "" || c.Tenant() != "" {
 		t.Error("nil context leaked state")
 	}
 	tr.Bind(&fakeReg{}, nil)
@@ -351,22 +343,30 @@ func (f *fakeSampler) SetInterval(n int) {
 	f.n = n
 }
 
+// gateLatency is the series the call gate observes for domain.
+func gateLatency(reg *telemetry.Registry, domain string) *telemetry.Histogram {
+	return reg.HistogramVec(GateLatencyMetric, "", "ns", "domain").With(domain)
+}
+
+// observeN records n gate latencies of d into domain's series.
+func observeN(reg *telemetry.Registry, domain string, n int, d time.Duration) {
+	h := gateLatency(reg, domain)
+	for i := 0; i < n; i++ {
+		h.Observe(uint64(d))
+	}
+}
+
 // TestControllerRetunesOnLatencyShift is the acceptance criterion: the
-// controller measurably changes the sampling interval when injected gate
-// latency shifts across the target.
+// controller measurably changes the sampling interval when gate latency
+// shifts across the target, on p99 merged over every domain's series.
 func TestControllerRetunesOnLatencyShift(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := New(Config{Capacity: 4, Registry: reg})
 	s := &fakeSampler{n: 8}
-	ctl := &Controller{Sampler: s, Registry: reg, Target: 10 * time.Microsecond, Min: 1, Max: 64, MinSamples: 8}
+	ctl := &Controller{Sampler: s, Registry: reg, Target: 10 * time.Microsecond}
 
-	// Phase 1: hot gates — injected latencies far above target. The
-	// controller must back off (double the interval).
-	hot := tr.Start("hot")
-	for i := 0; i < 32; i++ {
-		hot.Gate("libu", time.Now(), 100*time.Microsecond)
-	}
-	hot.Finish()
+	// Phase 1: hot gates — latencies far above target. The controller
+	// must back off (double the interval).
+	observeN(reg, "pool-a", 2*minSamples, 100*time.Microsecond)
 	r := ctl.Retune()
 	if !r.Changed || r.New != 16 {
 		t.Fatalf("hot retune = %+v, want interval 8→16", r)
@@ -376,46 +376,45 @@ func TestControllerRetunesOnLatencyShift(t *testing.T) {
 		t.Fatalf("retuned on stale window: %+v", r)
 	}
 
-	// Phase 2: flood with fast observations until the merged p99 sits
-	// under half the target, then the controller leans back in.
-	cold := tr.Start("cold")
-	for i := 0; i < 20000; i++ {
-		cold.Gate("libu", time.Now(), 100*time.Nanosecond)
-	}
-	cold.Finish()
+	// Phase 2: flood another domain with fast gates until the merged p99
+	// sits under half the target, then the controller leans back in.
+	observeN(reg, "pool-b", 20000, 100*time.Nanosecond)
 	r = ctl.Retune()
 	if !r.Changed || r.New != 8 {
 		t.Fatalf("cold retune = %+v (p99=%v), want interval 16→8", r, r.P99)
 	}
 }
 
+// TestControllerClampsAndMinSamples: the controller holds below
+// minSamples observations and never leaves [minInterval, maxInterval].
 func TestControllerClampsAndMinSamples(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := New(Config{Capacity: 4, Registry: reg})
-	s := &fakeSampler{n: 1}
-	ctl := &Controller{Sampler: s, Registry: reg, Target: time.Microsecond, Min: 1, Max: 4, MinSamples: 8}
+	s := &fakeSampler{n: maxInterval / 2}
+	ctl := &Controller{Sampler: s, Registry: reg, Target: time.Microsecond}
 
 	// Too few samples: hold even though p99 is over target.
-	c := tr.Start("x")
-	c.Gate("libu", time.Now(), time.Millisecond)
-	c.Finish()
+	observeN(reg, "libu", minSamples-1, time.Millisecond)
 	if r := ctl.Retune(); r.Changed {
-		t.Fatalf("retuned under MinSamples: %+v", r)
+		t.Fatalf("retuned under minSamples: %+v", r)
 	}
-	// Enough samples: double, but never past Max.
-	c = tr.Start("y")
-	for i := 0; i < 32; i++ {
-		c.Gate("libu", time.Now(), time.Millisecond)
+	// The minSamples-th sample: double to maxInterval, then never past it.
+	observeN(reg, "libu", 1, time.Millisecond)
+	if r := ctl.Retune(); !r.Changed || r.New != maxInterval {
+		t.Fatalf("retune at minSamples = %+v, want interval %d→%d", r, maxInterval/2, maxInterval)
 	}
-	ctl.Retune() // 1 → 2
-	for i := 0; i < 8; i++ {
-		c.Gate("libu", time.Now(), time.Millisecond)
+	observeN(reg, "libu", minSamples, time.Millisecond)
+	if r := ctl.Retune(); r.Changed || r.New != maxInterval {
+		t.Fatalf("interval escaped maxInterval: %+v", r)
 	}
-	ctl.Retune() // 2 → 4
-	for i := 0; i < 8; i++ {
-		c.Gate("libu", time.Now(), time.Millisecond)
+
+	// Cold gates halve the interval, but never below minInterval.
+	s.n = 2
+	observeN(reg, "libu", 1<<12, time.Nanosecond)
+	if r := ctl.Retune(); !r.Changed || r.New != minInterval {
+		t.Fatalf("cold retune = %+v, want interval 2→%d", r, minInterval)
 	}
-	if r := ctl.Retune(); r.New != 4 {
-		t.Fatalf("interval escaped Max: %+v", r)
+	observeN(reg, "libu", 1<<12, time.Nanosecond)
+	if r := ctl.Retune(); r.Changed || r.New != minInterval {
+		t.Fatalf("interval escaped minInterval: %+v", r)
 	}
 }

@@ -200,8 +200,8 @@ func TestCaptureNonFaultErrors(t *testing.T) {
 	nilRec.LogRealloc(1, 2, 3)
 	nilRec.LogDealloc(1)
 	nilRec.Install(nil)
-	if nilRec.Live() != 0 {
-		t.Error("nil recorder Live != 0")
+	if _, ok := nilRec.Lookup(1); ok {
+		t.Error("nil recorder found an object")
 	}
 }
 
@@ -218,21 +218,27 @@ func TestRecorderTracksFrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prog.Forensics().Live(); got != 1 {
-		t.Fatalf("live = %d, want 1", got)
+	rec := prog.Forensics()
+	if e, ok := rec.Lookup(uint64(a)); !ok || e.ID != site.ID {
+		t.Fatalf("after alloc: lookup = %+v, %v, want site %v", e, ok, site.ID)
 	}
 	b, err := prog.Realloc(a, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prog.Forensics().Live(); got != 1 {
-		t.Fatalf("live after realloc = %d, want 1", got)
+	if e, ok := rec.Lookup(uint64(b) + 100); !ok || e.ID != site.ID || uint64(e.Base) != uint64(b) || e.Size != 128 {
+		t.Fatalf("after realloc: lookup = %+v, %v, want %d bytes at %#x from site %v", e, ok, 128, b, site.ID)
+	}
+	if b != a {
+		if _, ok := rec.Lookup(uint64(a)); ok {
+			t.Fatal("after realloc: the old block is still tracked")
+		}
 	}
 	if err := prog.Free(b); err != nil {
 		t.Fatal(err)
 	}
-	if got := prog.Forensics().Live(); got != 0 {
-		t.Fatalf("live after free = %d, want 0", got)
+	if _, ok := rec.Lookup(uint64(b)); ok {
+		t.Fatal("after free: the block is still tracked")
 	}
 }
 

@@ -171,16 +171,6 @@ func (r *Recorder) Lookup(addr uint64) (provenance.Entry, bool) {
 	return r.store.Lookup(vm.Addr(addr))
 }
 
-// Live returns the number of currently tracked objects.
-func (r *Recorder) Live() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.store.Len()
-}
-
 // Capture builds a crash report from the error a run died with. It
 // reports ok=false when err does not carry a *vm.Fault (the run did not
 // die on a memory fault) or the recorder is nil.

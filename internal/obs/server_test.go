@@ -303,7 +303,7 @@ func TestServerTraceJSONEndpoint(t *testing.T) {
 	c := tr.Start("tenant-a")
 	enter := time.Now()
 	c.MarkFault("pkey fault at 0x2000")
-	c.Gate("libu", enter, time.Since(enter))
+	c.Gate("gate:libu", enter, time.Since(enter))
 	c.Finish()
 
 	srv, err := obs.ListenAndServe("127.0.0.1:0", obs.ServerConfig{Traces: tr})

@@ -175,14 +175,6 @@ func (s *Sampler) SetInterval(n int) {
 	s.interval.Store(uint64(n))
 }
 
-// Seen returns how many forward crossings passed the sampler.
-func (s *Sampler) Seen() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.seen.Load()
-}
-
 // Sampled returns how many crossings the sampling interval kept.
 func (s *Sampler) Sampled() uint64 {
 	if s == nil {
@@ -204,34 +196,6 @@ func (s *Sampler) Sites() []profile.AllocID {
 	s.mu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i].String() < ids[j].String() })
 	return ids
-}
-
-// Observations returns a copy of the per-site aggregates.
-func (s *Sampler) Observations() map[profile.AllocID]SiteObs {
-	out := make(map[profile.AllocID]SiteObs)
-	if s == nil {
-		return out
-	}
-	s.mu.Lock()
-	for id, o := range s.sites {
-		out[id] = *o
-	}
-	s.mu.Unlock()
-	return out
-}
-
-// Observed returns the aggregate for one site.
-func (s *Sampler) Observed(id profile.AllocID) (SiteObs, bool) {
-	if s == nil {
-		return SiteObs{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.sites[id]
-	if !ok {
-		return SiteObs{}, false
-	}
-	return *o, true
 }
 
 // FeedStore marks every attributed site as seen in the store's active

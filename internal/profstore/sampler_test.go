@@ -9,6 +9,17 @@ import (
 	"repro/internal/trace"
 )
 
+// observed returns the sampler's aggregate for one site.
+func observed(s *Sampler, id profile.AllocID) (SiteObs, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	o, ok := s.sites[id]
+	if !ok {
+		return SiteObs{}, false
+	}
+	return *o, true
+}
+
 // rangeResolver attributes addresses inside [base, base+size) to one site.
 func rangeResolver(id profile.AllocID, base, size uint64) Resolver {
 	return func(addr uint64) (profile.AllocID, uint64, bool) {
@@ -30,10 +41,10 @@ func TestSamplerAttributesCrossings(t *testing.T) {
 	s.ObserveCrossing("ulib", []uint64{0x1000}, 5*time.Nanosecond)
 	s.ObserveCrossing("ulib", []uint64{0x9999}, time.Nanosecond) // unattributed
 
-	if s.Seen() != 2 || s.Sampled() != 2 {
-		t.Fatalf("seen/sampled = %d/%d, want 2/2", s.Seen(), s.Sampled())
+	if s.seen.Load() != 2 || s.Sampled() != 2 {
+		t.Fatalf("seen/sampled = %d/%d, want 2/2", s.seen.Load(), s.Sampled())
 	}
-	obs, ok := s.Observed(id)
+	obs, ok := observed(s, id)
 	if !ok || obs.Crossings != 1 || obs.Bytes != 64 {
 		t.Fatalf("observed = %+v,%v", obs, ok)
 	}
@@ -52,7 +63,7 @@ func TestSamplerDedupesObjectsWithinOneCrossing(t *testing.T) {
 	s := NewSampler(SamplerConfig{Resolve: rangeResolver(id, 0x1000, 64)})
 	// Pointer + interior pointer into the same object: one attribution.
 	s.ObserveCrossing("ulib", []uint64{0x1000, 0x1008}, 0)
-	obs, _ := s.Observed(id)
+	obs, _ := observed(s, id)
 	if obs.Crossings != 1 {
 		t.Fatalf("crossings = %d, want 1 (dedup within a call)", obs.Crossings)
 	}
@@ -64,10 +75,10 @@ func TestSamplerInterval(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.ObserveCrossing("ulib", []uint64{0x1000}, 0)
 	}
-	if s.Seen() != 8 || s.Sampled() != 2 {
-		t.Fatalf("seen/sampled = %d/%d, want 8/2 at interval 4", s.Seen(), s.Sampled())
+	if s.seen.Load() != 8 || s.Sampled() != 2 {
+		t.Fatalf("seen/sampled = %d/%d, want 8/2 at interval 4", s.seen.Load(), s.Sampled())
 	}
-	obs, _ := s.Observed(id)
+	obs, _ := observed(s, id)
 	if obs.Crossings != 2 {
 		t.Fatalf("attributed crossings = %d, want 2", obs.Crossings)
 	}
@@ -83,16 +94,10 @@ func TestSamplerNoResolver(t *testing.T) {
 
 func TestSamplerNilSafety(t *testing.T) {
 	var s *Sampler
-	if s.Seen() != 0 || s.Sampled() != 0 || s.Sites() != nil {
+	if s.Sampled() != 0 || s.Sites() != nil {
 		t.Fatal("nil sampler accessors not zero-valued")
 	}
-	if _, ok := s.Observed(site("a", 0, 0)); ok {
-		t.Fatal("nil sampler observed a site")
-	}
 	s.FeedStore(New()) // must not panic
-	if len(s.Observations()) != 0 {
-		t.Fatal("nil sampler has observations")
-	}
 }
 
 func TestSamplerFeedStore(t *testing.T) {

@@ -11,6 +11,13 @@ import (
 	"repro/internal/vm"
 )
 
+// live returns the number of objects t currently tracks.
+func live(t *Tracer) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.store.Len()
+}
+
 func stores() map[string]Store {
 	return map[string]Store{
 		"interval": NewIntervalStore(),
@@ -237,8 +244,8 @@ func TestTracerReallocCarriesID(t *testing.T) {
 	id := profile.AllocID{Func: "buf"}
 	tr.LogAlloc(0x10_0000, 32, id)
 	tr.LogRealloc(0x10_0000, 0x10_1000, 128)
-	if tr.Live() != 1 {
-		t.Fatalf("live = %d", tr.Live())
+	if live(tr) != 1 {
+		t.Fatalf("live = %d", live(tr))
 	}
 	th.SetRights(mpk.PermitAll.With(1, mpk.DenyAll))
 	if _, err := th.Load8(0x10_1000 + 100); err != nil {
@@ -249,8 +256,8 @@ func TestTracerReallocCarriesID(t *testing.T) {
 	}
 	// Realloc of an untracked base is a no-op, not a crash.
 	tr.LogRealloc(0xaaaa, 0xbbbb, 8)
-	if tr.Live() != 1 {
-		t.Errorf("live after foreign realloc = %d", tr.Live())
+	if live(tr) != 1 {
+		t.Errorf("live after foreign realloc = %d", live(tr))
 	}
 }
 
@@ -259,8 +266,8 @@ func TestTracerDeallocStopsTracking(t *testing.T) {
 	id := profile.AllocID{Func: "temp"}
 	tr.LogAlloc(0x10_0000, 64, id)
 	tr.LogDealloc(0x10_0000)
-	if tr.Live() != 0 {
-		t.Fatalf("live = %d", tr.Live())
+	if live(tr) != 0 {
+		t.Fatalf("live = %d", live(tr))
 	}
 	th.SetRights(mpk.PermitAll.With(1, mpk.DenyAll))
 	if _, err := th.Load8(0x10_0000); err != nil {

@@ -108,13 +108,6 @@ func (t *Tracer) Stats() TracerStats {
 	return t.stats
 }
 
-// Live returns the number of currently tracked objects.
-func (t *Tracer) Live() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.store.Len()
-}
-
 // LogAlloc is the callback inserted after every instrumented allocation:
 // it records (address, size, AllocId) in the runtime metadata.
 func (t *Tracer) LogAlloc(base uint64, size uint64, id profile.AllocID) {

@@ -27,11 +27,15 @@ func TestObserveExStoresExemplar(t *testing.T) {
 	if ex[1].TraceID != "t2" || ex[1].Value != 5000 || ex[1].Bucket != bucketIndex(5000) {
 		t.Errorf("second exemplar = %+v", ex[1])
 	}
-	// Last writer wins within a bucket.
+	// Last writer wins within a bucket, rewriting the bucket's exemplar
+	// in place.
 	h.ObserveEx(101, "t3")
 	ex = h.Exemplars()
 	if ex[0].TraceID != "t3" || ex[0].Value != 101 {
 		t.Errorf("exemplar not overwritten: %+v", ex[0])
+	}
+	if n := testing.AllocsPerRun(100, func() { h.ObserveEx(102, "t4") }); n != 0 {
+		t.Errorf("ObserveEx into a bucket with an exemplar: %v allocations, want 0", n)
 	}
 	// Nil histogram: all no-ops.
 	var nilH *Histogram
@@ -44,13 +48,16 @@ func TestObserveExStoresExemplar(t *testing.T) {
 // TestHistogramVecExemplarConcurrent hammers one HistogramVec series from
 // many goroutines mixing Observe and ObserveEx (run under -race in CI).
 // Afterwards the counts must be exact and every surviving exemplar must be
-// internally consistent — a trace ID paired with a value that belongs to
-// the exemplar's bucket — i.e. racing writers may overwrite each other but
-// can never produce a torn pair.
+// one observation's: racing writers on one bucket may overwrite each
+// other but can never pair one writer's trace ID with another's value.
 func TestHistogramVecExemplarConcurrent(t *testing.T) {
 	r := NewRegistry()
 	vec := r.HistogramVec("gate_latency_test_ns", "", "ns", "domain")
 	const goroutines, each = 8, 1000
+	ids := make([]string, 1024) // ids[v-1024] names the observation of v
+	for i := range ids {
+		ids[i] = fmt.Sprintf("t%d", 1024+i)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -58,11 +65,16 @@ func TestHistogramVecExemplarConcurrent(t *testing.T) {
 			defer wg.Done()
 			h := vec.With("tenant-a")
 			for i := 0; i < each; i++ {
-				v := uint64(1 << (g % 10))
-				if i%2 == 0 {
-					h.ObserveEx(v, fmt.Sprintf("t%d-%d", g, i))
-				} else {
-					h.Observe(v)
+				// Every writer shares bucket 11 ([1024, 2048)) but writes
+				// its own values there; a few other buckets see traffic too.
+				j := (g*each + i) % 1024
+				switch {
+				case i%2 == 0:
+					h.ObserveEx(uint64(1024+j), ids[j])
+				case i%3 == 0:
+					h.ObserveEx(uint64(1+g), ids[j])
+				default:
+					h.Observe(uint64(1024 + j))
 				}
 			}
 		}(g)
@@ -73,12 +85,19 @@ func TestHistogramVecExemplarConcurrent(t *testing.T) {
 	if got := h.Count(); got != goroutines*each {
 		t.Fatalf("count = %d, want %d", got, goroutines*each)
 	}
-	for _, e := range h.Exemplars() {
+	ex := h.Exemplars()
+	if len(ex) == 0 {
+		t.Fatal("no exemplars survived")
+	}
+	for _, e := range ex {
 		if e.TraceID == "" {
 			t.Errorf("exemplar in bucket %d has empty trace ID", e.Bucket)
 		}
 		if bucketIndex(e.Value) != e.Bucket {
 			t.Errorf("exemplar %+v: value belongs to bucket %d", e, bucketIndex(e.Value))
+		}
+		if e.Bucket == bucketIndex(1024) && e.TraceID != fmt.Sprintf("t%d", e.Value) {
+			t.Errorf("torn exemplar %+v: trace ID of another observation", e)
 		}
 	}
 }

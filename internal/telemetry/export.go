@@ -172,7 +172,7 @@ func writePromHistogram(w io.Writer, f *family, s *series) error {
 		// which takes the first field after the metric name) still read the
 		// bucket count unchanged.
 		var ex string
-		if e := s.hist.exemplars[i].Load(); e != nil {
+		if e, ok := s.hist.exemplar(i); ok {
 			ex = fmt.Sprintf(` # {trace_id="%s"} %d`, escapeLabel(e.TraceID), e.Value)
 		}
 		if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", f.name, labelPairs(f.labels, s.values, le), cum, ex); err != nil {

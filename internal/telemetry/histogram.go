@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -20,7 +21,7 @@ type Histogram struct {
 	count     atomic.Uint64
 	sum       atomic.Uint64
 	buckets   [numBuckets]atomic.Uint64
-	exemplars [numBuckets]atomic.Pointer[Exemplar]
+	exemplars [numBuckets]atomic.Pointer[exemplarSlot]
 }
 
 // Exemplar ties a concrete observation to an identifier — in this runtime
@@ -32,6 +33,16 @@ type Exemplar struct {
 	TraceID string `json:"trace_id"`
 	Value   uint64 `json:"value"`
 	Bucket  int    `json:"-"` // index; set on snapshot reads
+}
+
+// exemplarSlot is one bucket's exemplar. The bucket's first traced
+// observation creates it already filled; later ones rewrite it in place
+// under its lock, so a traced observation allocates nothing once its
+// bucket has a slot, and a reader always gets the trace ID and the value
+// of one observation.
+type exemplarSlot struct {
+	mu sync.Mutex
+	ex Exemplar
 }
 
 // bucketIndex maps a value to its bucket.
@@ -67,10 +78,10 @@ func (h *Histogram) Observe(v uint64) {
 }
 
 // ObserveEx records one value and, when traceID is non-empty, publishes it
-// as the bucket's exemplar. The exemplar write is a single atomic pointer
-// store, so ObserveEx stays lock-free and safe under concurrent callers;
-// racing writers simply overwrite each other, which is the semantics we
-// want (keep a recent example, not all of them).
+// as the bucket's exemplar. Racing writers overwrite each other, which is
+// the semantics we want (keep a recent example, not all of them), but
+// never tear a pair: the ID and the value are written together under the
+// bucket slot's lock.
 func (h *Histogram) ObserveEx(v uint64, traceID string) {
 	if h == nil {
 		return
@@ -79,27 +90,49 @@ func (h *Histogram) ObserveEx(v uint64, traceID string) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[i].Add(1)
-	if traceID != "" {
-		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v})
+	if traceID == "" {
+		return
 	}
+	s := h.exemplars[i].Load()
+	if s == nil {
+		if h.exemplars[i].CompareAndSwap(nil, &exemplarSlot{ex: Exemplar{TraceID: traceID, Value: v}}) {
+			return
+		}
+		s = h.exemplars[i].Load()
+	}
+	s.mu.Lock()
+	s.ex = Exemplar{TraceID: traceID, Value: v}
+	s.mu.Unlock()
 }
 
 // Exemplars returns the current exemplars, lowest bucket first, with
-// Bucket set to the owning bucket index. Loosely consistent under
-// concurrent ObserveEx, like snapshot.
+// Bucket set to the owning bucket index. Under concurrent ObserveEx each
+// exemplar is whole, but the set is only loosely consistent, like
+// snapshot.
 func (h *Histogram) Exemplars() []Exemplar {
 	if h == nil {
 		return nil
 	}
 	var out []Exemplar
 	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil {
-			ex := *e
-			ex.Bucket = i
+		if ex, ok := h.exemplar(i); ok {
 			out = append(out, ex)
 		}
 	}
 	return out
+}
+
+// exemplar returns bucket i's exemplar, with Bucket set, if it has one.
+func (h *Histogram) exemplar(i int) (Exemplar, bool) {
+	s := h.exemplars[i].Load()
+	if s == nil {
+		return Exemplar{}, false
+	}
+	s.mu.Lock()
+	ex := s.ex
+	s.mu.Unlock()
+	ex.Bucket = i
+	return ex, true
 }
 
 // Count returns the number of observations.

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestDroppedCounts(t *testing.T) {
@@ -53,16 +52,6 @@ func TestDumpReportsDropped(t *testing.T) {
 	}
 }
 
-func TestSpanEventString(t *testing.T) {
-	e := Event{Seq: 7, Kind: Span, A: uint64(1500 * time.Nanosecond), Note: "gate:libm"}
-	s := e.String()
-	for _, want := range []string{"span", "gate:libm", "took=1.5µs"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("span string %q missing %q", s, want)
-		}
-	}
-}
-
 // TestConcurrentDropped exercises Emit racing against the read-side
 // accessors; meaningful under -race.
 func TestConcurrentDropped(t *testing.T) {
@@ -73,7 +62,7 @@ func TestConcurrentDropped(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				r.Emit(Event{Kind: Span, A: uint64(i)})
+				r.Emit(Event{Kind: GateExit, A: uint64(i)})
 			}
 		}()
 	}

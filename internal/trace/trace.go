@@ -19,7 +19,10 @@ type Kind uint8
 const (
 	// GateEnter: a call gate installed new rights (A = PKRU installed).
 	GateEnter Kind = iota
-	// GateExit: a call gate restored saved rights (A = PKRU restored).
+	// GateExit: a call gate restored its caller's rights — the one exit
+	// record of a gate traversal (A = PKRU restored, B = enter→restore
+	// duration in nanoseconds when the gate is timed, else 0,
+	// Note = "gate:<domain>").
 	GateExit
 	// Fault: a protection-key violation was delivered (A = address,
 	// B = pkey).
@@ -30,9 +33,6 @@ const (
 	// Record: the profiler attributed a fault to an allocation site
 	// (A = object base, Note = AllocId).
 	Record
-	// Span: a telemetry span ended (A = duration in nanoseconds,
-	// Note = span name).
-	Span
 	// Recover: the fault supervisor unwound a failed compartment call back
 	// to its recovery point (A = PKRU restored, Note = policy outcome).
 	Recover
@@ -60,8 +60,6 @@ func (k Kind) String() string {
 		return "resume"
 	case Record:
 		return "record"
-	case Span:
-		return "span"
 	case Recover:
 		return "recover"
 	case Heal:
@@ -91,8 +89,17 @@ type Event struct {
 func (e Event) String() string {
 	prefix := fmt.Sprintf("#%d +%-12s %-10s", e.Seq, e.When, e.Kind)
 	switch e.Kind {
-	case GateEnter, GateExit:
+	case GateEnter:
 		return fmt.Sprintf("%s pkru=%#08x", prefix, e.A)
+	case GateExit:
+		s := fmt.Sprintf("%s pkru=%#08x", prefix, e.A)
+		if e.Note != "" {
+			s += " " + e.Note
+		}
+		if e.B != 0 {
+			s += fmt.Sprintf(" took=%v", time.Duration(e.B))
+		}
+		return s
 	case Fault:
 		return fmt.Sprintf("%s addr=%#x pkey=%d", prefix, e.A, e.B)
 	case Record, Heal:
@@ -103,8 +110,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("%s addr=%#x site=%s lat=%v", prefix, e.A, e.Note, time.Duration(e.B))
 	case ProfileSwap:
 		return fmt.Sprintf("%s generation=%d prev=%d source=%s", prefix, e.A, e.B, e.Note)
-	case Span:
-		return fmt.Sprintf("%s %s took=%v", prefix, e.Note, time.Duration(e.A))
 	default:
 		return fmt.Sprintf("%s addr=%#x", prefix, e.A)
 	}
