@@ -47,9 +47,10 @@ resilience-demo:
 		-trace-json /tmp/pkru-resilience-demo.json -latency-out /tmp/pkru-resilience-lat.json
 	@echo "--- breaker transitions on the timeline + healthy latency report ---"
 	go run ./scripts/tracecheck /tmp/pkru-resilience-demo.json /tmp/pkru-resilience-lat.json
-	@echo "--- containment overhead (smoke iterations) ---"
-	go run ./cmd/pkru-bench -experiment resilience -micro-iters 20000
-	@rm -f /tmp/pkru-resilience-demo.json /tmp/pkru-resilience-lat.json
+	@echo "--- containment overhead (smoke iterations, BENCH record to a temporary dir) ---"
+	@mkdir -p /tmp/pkru-resilience-bench
+	go run ./cmd/pkru-bench -experiment resilience -micro-iters 20000 -json /tmp/pkru-resilience-bench
+	@rm -rf /tmp/pkru-resilience-demo.json /tmp/pkru-resilience-lat.json /tmp/pkru-resilience-bench
 
 # domains-demo exercises the N-domain layer end to end
 # (docs/domains.md): 64 logical domains multiplexed onto 13 hardware
@@ -63,8 +64,10 @@ domains-demo:
 	go run ./cmd/pkru-conform -vkeys -vkey-domains 64
 	@echo "--- multiplexing stats ---"
 	go run ./cmd/pkrusafe domains 32
-	@echo "--- slot-miss overhead (smoke iterations) ---"
-	go run ./cmd/pkru-bench -experiment vkeys -micro-iters 2000
+	@echo "--- slot-miss overhead (smoke iterations, BENCH record to a temporary dir) ---"
+	@mkdir -p /tmp/pkru-domains-bench
+	go run ./cmd/pkru-bench -experiment vkeys -micro-iters 2000 -json /tmp/pkru-domains-bench
+	@rm -rf /tmp/pkru-domains-bench
 
 # recover-demo proves the supervisor's headline property on the quickstart
 # example run without a profile (so its shared site is misclassified MT):

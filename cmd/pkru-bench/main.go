@@ -38,7 +38,7 @@ func main() {
 	repeats := flag.Int("repeats", 3, "timed repetitions per configuration (min kept)")
 	microIters := flag.Int("micro-iters", 200000, "iterations per micro-benchmark measurement")
 	csvDir := flag.String("csv", "", "directory to also write per-suite CSV data into")
-	jsonDir := flag.String("json", "", "directory to also write per-suite JSON reports (timings + telemetry) into")
+	jsonDir := flag.String("json", "", "directory to also write each experiment's BENCH record (JSON: timings, telemetry, config, environment) into")
 	flag.Parse()
 
 	opt := bench.Options{Scale: *scale, Repeats: *repeats}
@@ -69,7 +69,7 @@ func main() {
 			writeReport(*csvDir, name+".csv", func(w io.Writer) error { return bench.WriteCSV(w, r) })
 		}
 		if *jsonDir != "" {
-			writeReport(*jsonDir, name+".json", func(w io.Writer) error { return bench.WriteJSON(w, r) })
+			writeReport(*jsonDir, name+".json", bench.SuiteRecord(r, opt).Write)
 		}
 		return r
 	}
@@ -109,7 +109,7 @@ func main() {
 		exitOn(err)
 		fmt.Println(bench.FormatRecovery(rs))
 		if *jsonDir != "" {
-			writeReport(*jsonDir, "recovery.json", func(w io.Writer) error { return bench.WriteRecoveryJSON(w, *microIters, rs) })
+			writeReport(*jsonDir, "recovery.json", bench.RecoveryRecord(*microIters, rs).Write)
 		}
 	}
 	if run("profiling") {
@@ -117,7 +117,7 @@ func main() {
 		exitOn(err)
 		fmt.Println(bench.FormatProfiling(rs, stats))
 		if *jsonDir != "" {
-			writeReport(*jsonDir, "profiling.json", func(w io.Writer) error { return bench.WriteProfilingJSON(w, *microIters, rs, stats) })
+			writeReport(*jsonDir, "profiling.json", bench.ProfilingRecord(*microIters, rs, stats).Write)
 		}
 	}
 	if run("vkeys") {
@@ -125,7 +125,7 @@ func main() {
 		exitOn(err)
 		fmt.Println(bench.FormatVKeys(rs))
 		if *jsonDir != "" {
-			writeReport(*jsonDir, "vkeys.json", func(w io.Writer) error { return bench.WriteVKeysJSON(w, *microIters, rs) })
+			writeReport(*jsonDir, "vkeys.json", bench.VKeysRecord(*microIters, rs).Write)
 		}
 	}
 	if run("resilience") {
@@ -134,7 +134,7 @@ func main() {
 		exitOn(err)
 		fmt.Println(bench.FormatResilience(rs))
 		if *jsonDir != "" {
-			writeReport(*jsonDir, "resilience.json", func(w io.Writer) error { return bench.WriteResilienceJSON(w, iters, rs) })
+			writeReport(*jsonDir, "resilience.json", bench.ResilienceRecord(iters, rs).Write)
 		}
 	}
 	if !anyExperiment(*experiment) {

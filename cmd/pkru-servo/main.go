@@ -55,9 +55,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/browser"
 	"repro/internal/cli"
 	"repro/internal/core"
@@ -354,10 +356,9 @@ func main() {
 		}
 	}
 	if *latencyOut != "" {
-		writeLatencyReport(*latencyOut, latencyReport{
-			Schema: benchSchema, Experiment: "gatetrace", Mode: "browser",
-			Policy: policy.String(), Requests: served + dropped, Dropped: dropped,
-		}, lr, elapsed)
+		rec := bench.NewRecord("gatetrace", map[string]string{"mode": "browser", "policy": policy.String()})
+		rec.Add("gatetrace", "dropped", "count", 1, float64(dropped))
+		writeLatencyRecord(*latencyOut, rec, served+dropped, lr, elapsed)
 	}
 	if *traceJSON != "" {
 		exitOn(cli.WriteTo(*traceJSON, tracer.WriteChromeTrace))
@@ -499,13 +500,13 @@ churn:
 	}
 
 	if o.latencyOut != "" {
-		writeLatencyReport(o.latencyOut, latencyReport{
-			Schema: benchSchema, Experiment: "gatetrace", Mode: "domains",
-			Policy: cfg.Policy.String(), Domains: cfg.Tenants, Workers: o.workers,
-			Requests: int(w.Entries.Value() + w.Dropped.Value()),
-			Dropped:  int(w.Dropped.Value()),
-			Shed:     int(w.Shed.Value()),
-		}, w.Latency, elapsed)
+		rec := bench.NewRecord("gatetrace", map[string]string{
+			"mode": "domains", "policy": cfg.Policy.String(),
+			"domains": strconv.Itoa(cfg.Tenants), "workers": strconv.Itoa(o.workers),
+		})
+		rec.Add("gatetrace", "dropped", "count", 1, float64(w.Dropped.Value()))
+		rec.Add("gatetrace", "shed", "count", 1, float64(w.Shed.Value()))
+		writeLatencyRecord(o.latencyOut, rec, int(w.Entries.Value()+w.Dropped.Value()), w.Latency, elapsed)
 	}
 	if o.traceJSON != "" {
 		exitOn(cli.WriteTo(o.traceJSON, w.Tracer.WriteChromeTrace))
@@ -542,68 +543,35 @@ func startController(target time.Duration, sampler *profstore.Sampler, reg *tele
 	return func() { close(done) }
 }
 
-// benchSchema versions the -latency-out report, like the other BENCH_*
-// seeds in the repo root.
-const benchSchema = 1
-
-// tenantLatency is one tenant's row in the latency report.
-type tenantLatency struct {
-	Tenant        string  `json:"tenant"`
-	Requests      int     `json:"requests"`
-	P50Ns         int64   `json:"p50_ns"`
-	P95Ns         int64   `json:"p95_ns"`
-	P99Ns         int64   `json:"p99_ns"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-}
-
-// latencyReport is the -latency-out payload (see BENCH_gatetrace.json).
-type latencyReport struct {
-	Schema        int             `json:"schema"`
-	Experiment    string          `json:"experiment"`
-	Mode          string          `json:"mode"`
-	Policy        string          `json:"policy"`
-	Domains       int             `json:"domains,omitempty"`
-	Workers       int             `json:"workers,omitempty"`
-	Requests      int             `json:"requests"`
-	Dropped       int             `json:"dropped"`
-	Shed          int             `json:"shed,omitempty"`
-	ElapsedS      float64         `json:"elapsed_s"`
-	ThroughputRPS float64         `json:"throughput_rps"`
-	Tenants       []tenantLatency `json:"tenants"`
-}
-
-// writeLatencyReport fills the per-tenant rows from the recorder and
-// writes the schema-versioned JSON.
-func writeLatencyReport(path string, rep latencyReport, lr *tenantworld.Recorder, elapsed time.Duration) {
-	rep.ElapsedS = elapsed.Seconds()
-	if rep.ElapsedS > 0 {
-		rep.ThroughputRPS = float64(rep.Requests) / rep.ElapsedS
+// writeLatencyRecord completes rec, the -latency-out BENCH record (see
+// BENCH_gatetrace.json), with the run's request count and throughput
+// and each tenant's request count, throughput and p50/p95/p99, and
+// writes it. The quantiles are exact nearest-rank reads of the
+// recorder's samples: the gate-latency histograms are log2 buckets,
+// accurate only to within 2x, too coarse to judge a 1.25x bar.
+func writeLatencyRecord(path string, rec *bench.Record, requests int, lr *tenantworld.Recorder, elapsed time.Duration) {
+	secs := elapsed.Seconds()
+	rate := func(n int) float64 {
+		if secs <= 0 {
+			return 0
+		}
+		return float64(n) / secs
 	}
+	rec.Add("gatetrace", "requests", "count", 1, float64(requests))
+	rec.Add("gatetrace", "elapsed_s", "s", 1, secs)
+	rec.Add("gatetrace", "throughput_rps", "1/s", requests, rate(requests))
 	tenants := lr.Tenants()
-	rep.Tenants = make([]tenantLatency, 0, len(tenants))
 	for _, t := range tenants {
 		samples := lr.Sorted(func(x string) bool { return x == t })
-		row := tenantLatency{
-			Tenant:   t,
-			Requests: len(samples),
-			P50Ns:    tenantworld.Quantile(samples, 0.50).Nanoseconds(),
-			P95Ns:    tenantworld.Quantile(samples, 0.95).Nanoseconds(),
-			P99Ns:    tenantworld.Quantile(samples, 0.99).Nanoseconds(),
-		}
-		if rep.ElapsedS > 0 {
-			row.ThroughputRPS = float64(len(samples)) / rep.ElapsedS
-		}
-		rep.Tenants = append(rep.Tenants, row)
+		n := len(samples)
+		rec.Add(t, "requests", "count", 1, float64(n))
+		rec.Add(t, "p50_ns", "ns", n, float64(tenantworld.Quantile(samples, 0.50)))
+		rec.Add(t, "p95_ns", "ns", n, float64(tenantworld.Quantile(samples, 0.95)))
+		rec.Add(t, "p99_ns", "ns", n, float64(tenantworld.Quantile(samples, 0.99)))
+		rec.Add(t, "throughput_rps", "1/s", n, rate(n))
 	}
-	exitOn(cli.WriteTo(path, func(w io.Writer) error {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(append(data, '\n'))
-		return err
-	}))
-	fmt.Fprintf(os.Stderr, "pkru-servo: latency report (%d tenant(s)) written to %s\n", len(rep.Tenants), path)
+	exitOn(cli.WriteTo(path, rec.Write))
+	fmt.Fprintf(os.Stderr, "pkru-servo: latency report (%d tenant(s)) written to %s\n", len(tenants), path)
 }
 
 // runProfilePlane closes the profiling loop after the serving phase: live

@@ -166,6 +166,24 @@ func TestTableFormatting(t *testing.T) {
 	if !strings.Contains(fig, "alloc") || !strings.Contains(fig, "mpk") {
 		t.Errorf("figure missing series:\n%s", fig)
 	}
+	// The BENCH record carries Table 2's per-sub-suite figures and Table
+	// 3's scores.
+	rec := roundTrip(t, SuiteRecord(rep, quickOpts))
+	subs := rep.Subs()
+	if len(subs) != 2 || subs[0].Suite != "dom" || subs[1].Suite != "v8" {
+		t.Fatalf("sub-suites = %+v, want dom then v8", subs)
+	}
+	for _, sub := range subs {
+		name := "dromaeo/" + sub.Suite
+		wantRow(t, rec, name, "mean_alloc_overhead", sub.MeanAllocOverhead())
+		wantRow(t, rec, name, "mean_mpk_overhead", sub.MeanMPKOverhead())
+		wantRow(t, rec, name, "transitions", float64(sub.TotalTransitions()))
+		wantRow(t, rec, name, "mu_share", sub.MeanUntrustedShare())
+		if rec.Config[sub.Results[0].Bench.Name+".sub"] != sub.Suite {
+			t.Errorf("config %v lacks %s's sub-suite", rec.Config, sub.Results[0].Bench.Name)
+		}
+	}
+	wantRow(t, rec, "dromaeo", "score_mpk", rep.GeomeanScore(func(r BenchResult) float64 { return r.MPK.Seconds }))
 }
 
 func TestRunSites(t *testing.T) {

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -47,34 +46,26 @@ func TestWriteCSV(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	rep := miniReport(t)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, rep); err != nil {
-		t.Fatal(err)
+	rec := roundTrip(t, SuiteRecord(rep, quickOpts))
+	if rec.Experiment != "mini" || rec.Config["suite"] != "mini" || rec.Config["repeats"] != "1" {
+		t.Errorf("record header = %q, config %v", rec.Experiment, rec.Config)
 	}
-	var decoded map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded["suite"] != "mini" {
-		t.Errorf("suite = %v", decoded["suite"])
-	}
-	results, ok := decoded["results"].([]any)
-	if !ok || len(results) != 1 {
-		t.Fatalf("results = %v", decoded["results"])
-	}
-	if !strings.Contains(buf.String(), "mean_mpk_overhead") {
-		t.Error("aggregates missing")
-	}
-	tel, ok := results[0].(map[string]any)["telemetry"].(map[string]any)
-	if !ok {
-		t.Fatalf("telemetry section missing: %v", results[0])
-	}
-	if tel["schema"] != float64(TelemetrySummarySchema) {
-		t.Errorf("telemetry schema = %v, want %d", tel["schema"], TelemetrySummarySchema)
-	}
-	for _, key := range []string{"gate_crossings", "wrpkru", "gate_p50_ns", "mt_bytes_total"} {
-		if v, ok := tel[key].(float64); !ok || v <= 0 {
-			t.Errorf("telemetry[%q] = %v, want > 0", key, tel[key])
+	// FormatFigure prints each benchmark's alloc and mpk runtimes;
+	// FormatTable1 the suite's mean overheads, transitions and %MU.
+	res := rep.Results[0]
+	name := res.Bench.Name
+	wantRow(t, rec, name, "base_s", res.Base.Seconds)
+	wantRow(t, rec, name, "alloc_overhead", res.AllocOverhead())
+	wantRow(t, rec, name, "mpk_overhead", res.MPKOverhead())
+	wantRow(t, rec, name, "transitions", float64(res.MPK.Transitions))
+	wantRow(t, rec, name, "mu_share", res.MPK.UntrustedShare)
+	wantRow(t, rec, "mini", "mean_alloc_overhead", rep.MeanAllocOverhead())
+	wantRow(t, rec, "mini", "mean_mpk_overhead", rep.MeanMPKOverhead())
+	wantRow(t, rec, "mini", "transitions", float64(rep.TotalTransitions()))
+	wantRow(t, rec, "mini", "mu_share", rep.MeanUntrustedShare())
+	for _, metric := range []string{"telemetry.gate_crossings", "telemetry.wrpkru", "telemetry.gate_p50_ns", "telemetry.mt_bytes_total"} {
+		if v, ok := rowValue(rec, name, metric); !ok || v <= 0 {
+			t.Errorf("%s %s = %v (present %v), want > 0", name, metric, v, ok)
 		}
 	}
 }

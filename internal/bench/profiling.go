@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -104,40 +104,19 @@ func FormatProfiling(rs []ProfilingResult, stats ProfilingStats) string {
 	return s + "\n"
 }
 
-// ProfilingReportSchema versions the profiling-overhead JSON report.
-const ProfilingReportSchema = 1
-
-// jsonProfiling is the serialized shape of the profiling experiment.
-type jsonProfiling struct {
-	Schema     int                   `json:"schema"`
-	Experiment string                `json:"experiment"`
-	Iters      int                   `json:"iters"`
-	Results    []jsonProfilingResult `json:"results"`
-	Crossings  uint64                `json:"crossings"`
-	Sites      []string              `json:"sites"`
-}
-
-type jsonProfilingResult struct {
-	Name       string  `json:"name"`
-	UnsampledS float64 `json:"unsampled_s"`
-	SampledS   float64 `json:"sampled_s"`
-	Factor     float64 `json:"factor"`
-}
-
-// WriteProfilingJSON emits the profiling-overhead results as
-// schema-versioned JSON.
-func WriteProfilingJSON(w io.Writer, iters int, rs []ProfilingResult, stats ProfilingStats) error {
-	out := jsonProfiling{Schema: ProfilingReportSchema, Experiment: "profiling", Iters: iters,
-		Crossings: stats.Crossings, Sites: append([]string{}, stats.Sites...)}
+// ProfilingRecord is the profiling experiment's BENCH record: each
+// workload's bare and sampled loop times and their factor, and the
+// sampler's crossing count; the attributed sites are config.
+func ProfilingRecord(iters int, rs []ProfilingResult, stats ProfilingStats) *Record {
+	rec := NewRecord("profiling", map[string]string{
+		"iters": strconv.Itoa(iters),
+		"sites": strings.Join(stats.Sites, ","),
+	})
 	for _, r := range rs {
-		out.Results = append(out.Results, jsonProfilingResult{
-			Name:       r.Name,
-			UnsampledS: r.Unsampled.Seconds(),
-			SampledS:   r.Sampled.Seconds(),
-			Factor:     r.Factor,
-		})
+		rec.Add(r.Name, "unsampled_s", "s", iters, r.Unsampled.Seconds())
+		rec.Add(r.Name, "sampled_s", "s", iters, r.Sampled.Seconds())
+		rec.Add(r.Name, "factor", "ratio", iters, r.Factor)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	rec.Add("profiling", "crossings", "count", 1, float64(stats.Crossings))
+	return rec
 }

@@ -1,16 +1,14 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
 // TestRunProfiling smoke-runs the crossing-sampler benchmark and checks
 // the report plumbing: both workloads measured, the sampler really
-// attributed the site-tracked buffer, and the schema-versioned JSON
-// round-trip.
+// attributed the site-tracked buffer, and every printed quantity through
+// the record round trip.
 func TestRunProfiling(t *testing.T) {
 	rs, stats, err := RunProfiling(200)
 	if err != nil {
@@ -40,23 +38,14 @@ func TestRunProfiling(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := WriteProfilingJSON(&buf, 200, rs, stats); err != nil {
-		t.Fatal(err)
+	rec := roundTrip(t, ProfilingRecord(200, rs, stats))
+	if rec.Experiment != "profiling" || rec.Config["iters"] != "200" || rec.Config["sites"] != "micro::shared@0.0" {
+		t.Errorf("record header = %q, config %v", rec.Experiment, rec.Config)
 	}
-	var rep struct {
-		Schema     int      `json:"schema"`
-		Experiment string   `json:"experiment"`
-		Sites      []string `json:"sites"`
-		Results    []struct {
-			Name   string  `json:"name"`
-			Factor float64 `json:"factor"`
-		} `json:"results"`
+	for _, r := range rs {
+		wantRow(t, rec, r.Name, "unsampled_s", r.Unsampled.Seconds())
+		wantRow(t, rec, r.Name, "sampled_s", r.Sampled.Seconds())
+		wantRow(t, rec, r.Name, "factor", r.Factor)
 	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("JSON report: %v\n%s", err, buf.String())
-	}
-	if rep.Schema != ProfilingReportSchema || rep.Experiment != "profiling" || len(rep.Results) != 2 || len(rep.Sites) != 1 {
-		t.Errorf("report header = %+v", rep)
-	}
+	wantRow(t, rec, "profiling", "crossings", float64(stats.Crossings))
 }

@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -103,37 +102,14 @@ func FormatRecovery(rs []RecoveryResult) string {
 	return s
 }
 
-// RecoveryReportSchema versions the recovery-overhead JSON report.
-const RecoveryReportSchema = 1
-
-// jsonRecovery is the serialized shape of the recovery experiment.
-type jsonRecovery struct {
-	Schema     int                  `json:"schema"`
-	Experiment string               `json:"experiment"`
-	Iters      int                  `json:"iters"`
-	Results    []jsonRecoveryResult `json:"results"`
-}
-
-type jsonRecoveryResult struct {
-	Name          string  `json:"name"`
-	UnsupervisedS float64 `json:"unsupervised_s"`
-	SupervisedS   float64 `json:"supervised_s"`
-	Factor        float64 `json:"factor"`
-}
-
-// WriteRecoveryJSON emits the recovery-overhead results as
-// schema-versioned JSON.
-func WriteRecoveryJSON(w io.Writer, iters int, rs []RecoveryResult) error {
-	out := jsonRecovery{Schema: RecoveryReportSchema, Experiment: "recovery", Iters: iters}
+// RecoveryRecord is the recovery experiment's BENCH record: each
+// workload's bare and supervised loop times and their factor.
+func RecoveryRecord(iters int, rs []RecoveryResult) *Record {
+	rec := NewRecord("recovery", map[string]string{"iters": strconv.Itoa(iters)})
 	for _, r := range rs {
-		out.Results = append(out.Results, jsonRecoveryResult{
-			Name:          r.Name,
-			UnsupervisedS: r.Unsupervised.Seconds(),
-			SupervisedS:   r.Supervised.Seconds(),
-			Factor:        r.Factor,
-		})
+		rec.Add(r.Name, "unsupervised_s", "s", iters, r.Unsupervised.Seconds())
+		rec.Add(r.Name, "supervised_s", "s", iters, r.Supervised.Seconds())
+		rec.Add(r.Name, "factor", "ratio", iters, r.Factor)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return rec
 }

@@ -1,15 +1,13 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
 // TestRunRecovery smoke-runs the fault-free supervision benchmark and
 // checks the report plumbing: all three workloads measured, sane
-// factors, and the schema-versioned JSON round-trip.
+// factors, and every printed quantity through the record round trip.
 func TestRunRecovery(t *testing.T) {
 	rs, err := RunRecovery(200)
 	if err != nil {
@@ -33,22 +31,13 @@ func TestRunRecovery(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := WriteRecoveryJSON(&buf, 200, rs); err != nil {
-		t.Fatal(err)
+	rec := roundTrip(t, RecoveryRecord(200, rs))
+	if rec.Experiment != "recovery" || rec.Config["iters"] != "200" {
+		t.Errorf("record header = %q, config %v", rec.Experiment, rec.Config)
 	}
-	var rep struct {
-		Schema     int    `json:"schema"`
-		Experiment string `json:"experiment"`
-		Results    []struct {
-			Name   string  `json:"name"`
-			Factor float64 `json:"factor"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("JSON report: %v\n%s", err, buf.String())
-	}
-	if rep.Schema != RecoveryReportSchema || rep.Experiment != "recovery" || len(rep.Results) != 3 {
-		t.Errorf("report header = %+v", rep)
+	for _, r := range rs {
+		wantRow(t, rec, r.Name, "unsupervised_s", r.Unsupervised.Seconds())
+		wantRow(t, rec, r.Name, "supervised_s", r.Supervised.Seconds())
+		wantRow(t, rec, r.Name, "factor", r.Factor)
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/browser"
@@ -31,25 +30,9 @@ func FormatTable2(dromaeo SuiteReport) string {
 	var b strings.Builder
 	b.WriteString("Table 2: Dromaeo benchmark overhead and statistics\n")
 	fmt.Fprintf(&b, "%-10s %8s %8s %14s %8s\n", "sub-suite", "alloc", "mpk", "transitions", "%MU")
-	subs := dromaeo.BySub()
-	names := make([]string, 0, len(subs))
-	for s := range subs {
-		names = append(names, s)
-	}
-	// Present in the paper's row order where possible.
-	order := map[string]int{"dom": 0, "v8": 1, "dromaeo": 2, "sunspider": 3, "jslib": 4}
-	sort.Slice(names, func(i, j int) bool {
-		oi, iok := order[names[i]]
-		oj, jok := order[names[j]]
-		if iok && jok {
-			return oi < oj
-		}
-		return names[i] < names[j]
-	})
-	for _, name := range names {
-		sub := SuiteReport{Suite: name, Results: subs[name]}
+	for _, sub := range dromaeo.Subs() {
 		fmt.Fprintf(&b, "%-10s %7.2f%% %7.2f%% %14d %7.2f%%\n",
-			name,
+			sub.Suite,
 			100*sub.MeanAllocOverhead(),
 			100*sub.MeanMPKOverhead(),
 			sub.TotalTransitions(),

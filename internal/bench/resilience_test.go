@@ -1,8 +1,7 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -36,16 +35,32 @@ func TestRunResilience(t *testing.T) {
 	if !strings.Contains(FormatResilience(rs), "healthy p99 overhead") {
 		t.Errorf("format:\n%s", FormatResilience(rs))
 	}
-	var buf bytes.Buffer
-	if err := WriteResilienceJSON(&buf, iters, rs); err != nil {
-		t.Fatal(err)
+	rec := roundTrip(t, ResilienceRecord(iters, rs))
+	for _, r := range rs {
+		if len(r.RunP99) != resiliencePairs {
+			t.Errorf("%s: %d runs, want %d", r.Name, len(r.RunP99), resiliencePairs)
+		}
+		wantRow(t, rec, r.Name, "domains", float64(r.Domains))
+		wantRow(t, rec, r.Name, "healthy_requests", float64(r.HealthyRequests))
+		wantRow(t, rec, r.Name, "healthy_p50_ns", float64(r.HealthyP50))
+		wantRow(t, rec, r.Name, "healthy_p99_ns", float64(r.HealthyP99))
+		wantRow(t, rec, r.Name, "shed", float64(r.Shed))
+		wantRow(t, rec, r.Name, "hostile_faults", float64(r.HostileFaults))
+		wantRow(t, rec, r.Name, "hostile_epochs", float64(r.HostileEpochs))
+		for k, p99 := range r.RunP99 {
+			wantRow(t, rec, fmt.Sprintf("%s.run%d", r.Name, k+1), "healthy_p99_ns", float64(p99))
+		}
 	}
-	var doc struct {
-		Results []struct {
-			Shed uint64 `json:"shed"`
-		} `json:"results"`
+	wantRow(t, rec, "resilience", "healthy_p99_overhead", ResilienceOverhead(rs))
+}
+
+// TestABBAOrder pins the scenario order RunResilience alternates in.
+func TestABBAOrder(t *testing.T) {
+	var got strings.Builder
+	for k := 0; k < 8; k++ {
+		got.WriteByte("AB"[abba(k)])
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil || len(doc.Results) != 2 || doc.Results[1].Shed != host.Shed {
-		t.Errorf("json (%v):\n%s", err, buf.String())
+	if got.String() != "ABBAABBA" {
+		t.Errorf("order = %s, want ABBAABBA", got.String())
 	}
 }

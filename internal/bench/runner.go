@@ -7,6 +7,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/browser"
@@ -28,9 +29,9 @@ type BenchResult struct {
 	Base  Measurement
 	Alloc Measurement
 	MPK   Measurement
-	// Telemetry summarizes a separate instrumented mpk run (the timed
-	// runs above stay uninstrumented). Nil when collection was skipped.
-	Telemetry *TelemetrySummary
+	// Telemetry holds the "telemetry.*" rows of a separate instrumented
+	// mpk run (the timed runs above stay uninstrumented).
+	Telemetry []Row
 }
 
 // AllocOverhead returns the alloc configuration's overhead vs base
@@ -196,11 +197,9 @@ func RunBenchmark(b workload.Benchmark, opt Options) (BenchResult, error) {
 	if res.MPK, err = measure(b, core.MPK, prof, opt); err != nil {
 		return res, err
 	}
-	tel, err := CollectTelemetry(b, prof, opt)
-	if err != nil {
+	if res.Telemetry, err = CollectTelemetry(b, prof, opt); err != nil {
 		return res, fmt.Errorf("telemetry for %s: %w", b.Name, err)
 	}
-	res.Telemetry = &tel
 	return res, nil
 }
 
@@ -255,11 +254,29 @@ func (r SuiteReport) MeanUntrustedShare() float64 {
 	return s / float64(len(r.Results))
 }
 
-// BySub groups results by Dromaeo sub-suite.
-func (r SuiteReport) BySub() map[string][]BenchResult {
-	out := make(map[string][]BenchResult)
+// Subs splits the results by Dromaeo sub-suite into one report per
+// sub-suite, named after it, in the paper's row order where possible.
+func (r SuiteReport) Subs() []SuiteReport {
+	bySub := make(map[string][]BenchResult)
+	var names []string
 	for _, res := range r.Results {
-		out[res.Bench.Sub] = append(out[res.Bench.Sub], res)
+		if _, ok := bySub[res.Bench.Sub]; !ok {
+			names = append(names, res.Bench.Sub)
+		}
+		bySub[res.Bench.Sub] = append(bySub[res.Bench.Sub], res)
+	}
+	order := map[string]int{"dom": 0, "v8": 1, "dromaeo": 2, "sunspider": 3, "jslib": 4}
+	sort.Slice(names, func(i, j int) bool {
+		oi, iok := order[names[i]]
+		oj, jok := order[names[j]]
+		if iok && jok {
+			return oi < oj
+		}
+		return names[i] < names[j]
+	})
+	out := make([]SuiteReport, len(names))
+	for i, name := range names {
+		out[i] = SuiteReport{Suite: name, Results: bySub[name]}
 	}
 	return out
 }

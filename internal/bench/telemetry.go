@@ -11,65 +11,45 @@ import (
 	"repro/internal/workload"
 )
 
-// TelemetrySummarySchema versions the telemetry section embedded in
-// exported suite reports; bump it when the field set changes.
-const TelemetrySummarySchema = 1
-
-// TelemetrySummary condenses one instrumented mpk run of a benchmark into
-// the counters the evaluation cares about: how often the compartment
-// boundary was crossed, what a crossing cost, and how the heap traffic
-// split between the trusted (MT) and untrusted (MU) pools.
-type TelemetrySummary struct {
-	Schema        int     `json:"schema"`
-	Transitions   uint64  `json:"transitions"`
-	GateCrossings uint64  `json:"gate_crossings"`
-	PKUFaults     uint64  `json:"pku_faults"`
-	WRPKRU        uint64  `json:"wrpkru"`
-	GateP50Ns     float64 `json:"gate_p50_ns"`
-	GateP95Ns     float64 `json:"gate_p95_ns"`
-	GateP99Ns     float64 `json:"gate_p99_ns"`
-	MTBytesTotal  uint64  `json:"mt_bytes_total"`
-	MUBytesTotal  uint64  `json:"mu_bytes_total"`
-}
-
 // CollectTelemetry performs one instrumented mpk run of the benchmark and
-// condenses the registry into a summary. The run is separate from the
-// timed repeats — those stay uninstrumented, so attaching telemetry can
-// never perturb the timings the tables report.
-func CollectTelemetry(b workload.Benchmark, prof *profile.Profile, opt Options) (TelemetrySummary, error) {
+// condenses the registry into the benchmark's "telemetry.*" rows: how
+// often the compartment boundary was crossed, what a crossing cost, and
+// how the heap traffic split between the trusted (MT) and untrusted (MU)
+// pools. The run is separate from the timed repeats — those stay
+// uninstrumented, so attaching telemetry can never perturb the timings
+// the tables report.
+func CollectTelemetry(b workload.Benchmark, prof *profile.Profile, opt Options) ([]Row, error) {
 	opt.fill()
 	reg := telemetry.NewRegistry()
 	br, err := browser.New(core.MPK, prof, browser.Options{StepLimit: opt.StepLimit, Telemetry: reg})
 	if err != nil {
-		return TelemetrySummary{}, err
+		return nil, err
 	}
 	if err := runOnce(br, b, math.Max(1, b.N*opt.Scale/4)); err != nil {
-		return TelemetrySummary{}, fmt.Errorf("telemetry run %s: %w", b.Name, err)
+		return nil, fmt.Errorf("telemetry run %s: %w", b.Name, err)
 	}
-	s := summarize(reg)
-	s.Transitions = br.Stats().Transitions
-	return s, nil
-}
-
-// summarize reads the registry into a schema-stamped summary.
-func summarize(reg *telemetry.Registry) TelemetrySummary {
-	s := TelemetrySummary{Schema: TelemetrySummarySchema}
-	if v, ok := reg.CounterValue("pkrusafe_gate_crossings_total"); ok {
-		s.GateCrossings = uint64(v)
+	var rows []Row
+	add := func(metric, unit string, n int, v float64) {
+		rows = append(rows, Row{Name: b.Name, Metric: "telemetry." + metric, Unit: unit, N: n, Value: v})
 	}
-	if v, ok := reg.CounterValue("pkrusafe_vm_pku_faults_total"); ok {
-		s.PKUFaults = uint64(v)
+	crossings, _ := reg.CounterValue("pkrusafe_gate_crossings_total")
+	faults, _ := reg.CounterValue("pkrusafe_vm_pku_faults_total")
+	wrpkru, _ := reg.CounterValue("pkrusafe_vm_wrpkru_total")
+	add("transitions", "count", 1, float64(br.Stats().Transitions))
+	add("gate_crossings", "count", 1, crossings)
+	add("pku_faults", "count", 1, faults)
+	add("wrpkru", "count", 1, wrpkru)
+	qs, gates, ok := reg.HistogramQuantiles("pkrusafe_gate_latency_ns", 0.5, 0.95, 0.99)
+	if !ok {
+		qs = make([]float64, 3)
 	}
-	if v, ok := reg.CounterValue("pkrusafe_vm_wrpkru_total"); ok {
-		s.WRPKRU = uint64(v)
-	}
-	if qs, _, ok := reg.HistogramQuantiles("pkrusafe_gate_latency_ns", 0.5, 0.95, 0.99); ok {
-		s.GateP50Ns, s.GateP95Ns, s.GateP99Ns = qs[0], qs[1], qs[2]
-	}
+	add("gate_p50_ns", "ns", int(gates), qs[0])
+	add("gate_p95_ns", "ns", int(gates), qs[1])
+	add("gate_p99_ns", "ns", int(gates), qs[2])
 	snap := reg.Snapshot()
-	s.MTBytesTotal = uint64(sumSeries(snap, "pkrusafe_site_bytes_total", "pool", "MT"))
-	s.MUBytesTotal = uint64(sumSeries(snap, "pkrusafe_site_bytes_total", "pool", "MU"))
-	return s
+	add("mt_bytes_total", "B", 1, sumSeries(snap, "pkrusafe_site_bytes_total", "pool", "MT"))
+	add("mu_bytes_total", "B", 1, sumSeries(snap, "pkrusafe_site_bytes_total", "pool", "MU"))
+	return rows, nil
 }
 
 // sumSeries totals a metric's series whose label equals value.

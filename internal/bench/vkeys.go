@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
+	"strconv"
 	"time"
 
 	"repro/internal/domains"
@@ -122,45 +121,17 @@ func FormatVKeys(rs []VKeyResult) string {
 	return s
 }
 
-// VKeysReportSchema versions the virtual-key JSON report.
-const VKeysReportSchema = 1
-
-type jsonVKeys struct {
-	Schema     int              `json:"schema"`
-	Experiment string           `json:"experiment"`
-	Iters      int              `json:"iters"`
-	MissFactor float64          `json:"slot_miss_factor"`
-	Results    []jsonVKeyResult `json:"results"`
-}
-
-type jsonVKeyResult struct {
-	Name       string  `json:"name"`
-	Domains    int     `json:"domains"`
-	PerCycleNs float64 `json:"per_cycle_ns"`
-	TotalS     float64 `json:"total_s"`
-	Misses     uint64  `json:"misses"`
-	Evictions  uint64  `json:"evictions"`
-}
-
-// WriteVKeysJSON emits the virtual-key results as schema-versioned JSON.
-func WriteVKeysJSON(w io.Writer, iters int, rs []VKeyResult) error {
-	out := jsonVKeys{
-		Schema:     VKeysReportSchema,
-		Experiment: "vkeys",
-		Iters:      iters,
-		MissFactor: VKeyMissFactor(rs),
-	}
+// VKeysRecord is the vkeys experiment's BENCH record: each scenario's
+// round-trip cost, loop time and slot traffic, and the slot-miss factor.
+func VKeysRecord(iters int, rs []VKeyResult) *Record {
+	rec := NewRecord("vkeys", map[string]string{"iters": strconv.Itoa(iters)})
 	for _, r := range rs {
-		out.Results = append(out.Results, jsonVKeyResult{
-			Name:       r.Name,
-			Domains:    r.Domains,
-			PerCycleNs: float64(r.PerCycle.Nanoseconds()),
-			TotalS:     r.Total.Seconds(),
-			Misses:     r.Misses,
-			Evictions:  r.Evictions,
-		})
+		rec.Add(r.Name, "domains", "count", 1, float64(r.Domains))
+		rec.Add(r.Name, "per_cycle_ns", "ns", iters, float64(r.PerCycle.Nanoseconds()))
+		rec.Add(r.Name, "total_s", "s", iters, r.Total.Seconds())
+		rec.Add(r.Name, "misses", "count", 1, float64(r.Misses))
+		rec.Add(r.Name, "evictions", "count", 1, float64(r.Evictions))
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	rec.Add("vkeys", "slot_miss_factor", "ratio", iters, VKeyMissFactor(rs))
+	return rec
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/ffi"
 	"repro/internal/gatetrace"
 	"repro/internal/jsengine"
-	"repro/internal/mpk"
 	"repro/internal/profile"
 	"repro/internal/supervise"
 	"repro/internal/telemetry"
@@ -523,10 +522,4 @@ func (b *Browser) Stats() Stats {
 		UntrustedSites: rep.UntrustedSites,
 		PKUFaults:      b.th().VM.Stats().PKUFaults,
 	}
-}
-
-// TrustedRights reports whether the main thread currently holds full
-// rights (sanity check for tests).
-func (b *Browser) TrustedRights() bool {
-	return b.th().VM.Rights() == mpk.PermitAll
 }

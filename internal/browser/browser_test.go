@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mpk"
 	"repro/internal/profile"
 	"repro/internal/vm"
 )
@@ -241,7 +242,7 @@ func TestBrowserPipeline(t *testing.T) {
 	if st.UntrustedSites == 0 || st.UntrustedSites >= st.TotalSites {
 		t.Errorf("site split = %d/%d", st.UntrustedSites, st.TotalSites)
 	}
-	if !b3.TrustedRights() {
+	if b3.th().VM.Rights() != mpk.PermitAll {
 		t.Error("main thread rights not restored after workload")
 	}
 }

@@ -7,10 +7,15 @@ import (
 )
 
 // TestDrillAttacks is the CI anchor for the attack corpus: every Garmr
-// scenario must pass both its red and green drill.
+// scenario must pass both its red drill (defense disabled; the breach
+// must land and be detected) and its green drill (defense armed; the
+// attack must die with the expected fault). Each failed drill is
+// reported by its verdict line, naming the class/defense pair.
 func TestDrillAttacks(t *testing.T) {
-	if err := DrillAttacks(); err != nil {
-		t.Fatal(err)
+	for _, r := range attack.RunAll() {
+		if !r.Pass {
+			t.Error(r.Verdict())
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func FuzzDifferential(f *testing.F) {
 	for _, fault := range Faults() {
 		f.Add(DirectedTrace(fault).Encode())
 	}
-	f.Add(DirectedVKeyTrace().Encode())
+	f.Add(directedVKeyTrace().Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := Decode(data)
 		if len(tr.Ops) > maxFuzzOps {

@@ -210,68 +210,3 @@ func (v *vkeyMirror) returnToTenant(tid int) {
 	st := v.stacks[tid]
 	v.m.SetPKRU(tid, mpk.DenyAllExcept(0, v.activate(st[len(st)-1].vs)))
 }
-
-// DirectedVKeyTrace returns a hand-written trace that exercises the
-// virtual-key machinery end to end: five tenants multiplexed over three
-// hardware slots, so enters evict mid-trace; compartment isolation probed
-// from inside and outside; a busy free; nested enters whose below-frame
-// re-derivation rebinds an evicted tenant; slot recycling through
-// free+alloc; and a cross-thread eviction that revokes a bound thread's
-// grant. With no injection it must replay divergence-free.
-func DirectedVKeyTrace() Trace {
-	var ops []Op
-	// Five tenants on three slots.
-	for vs := 0; vs < 5; vs++ {
-		ops = append(ops, Op{Kind: OpVKeyAlloc, Slot: uint8(vs)})
-	}
-	ops = append(ops,
-		// Inside tenant 0: the own page is reachable, a parked neighbor is
-		// not (its page sits on the inactive key the compartment denies).
-		Op{Kind: OpVKeyEnter, Slot: 0},
-		Op{Kind: OpLoad, Flags: FlagRawAddr, Addr: vkeyPage(0), Size: 8},
-		Op{Kind: OpStore, Flags: FlagRawAddr, Addr: vkeyPage(1), Size: 8},
-		Op{Kind: OpVKeyLeave},
-		// Fill the remaining slots, then force evictions of the LRU keys.
-		Op{Kind: OpVKeyEnter, Slot: 1},
-		Op{Kind: OpVKeyLeave},
-		Op{Kind: OpVKeyEnter, Slot: 2},
-		Op{Kind: OpVKeyLeave},
-		Op{Kind: OpVKeyEnter, Slot: 3}, // evicts tenant 0
-		// The evicted tenant's page is parked: unreachable from tenant 3.
-		Op{Kind: OpLoad, Flags: FlagRawAddr, Addr: vkeyPage(0), Size: 8},
-		// Nested enter rebinds the evicted tenant from inside tenant 3.
-		Op{Kind: OpVKeyEnter, Slot: 0},
-		Op{Kind: OpLoad, Flags: FlagRawAddr, Addr: vkeyPage(0), Size: 8},
-		// An entered key cannot be freed.
-		Op{Kind: OpVKeyFree, Slot: 0},
-		Op{Kind: OpVKeyLeave}, // re-derives tenant 3's frame below
-		Op{Kind: OpVKeyLeave},
-		// Recycle: free a parked tenant, reuse its table slot.
-		Op{Kind: OpVKeyFree, Slot: 1},
-		Op{Kind: OpVKeyAlloc, Slot: 1},
-		Op{Kind: OpVKeyEnter, Slot: 4}, // more slot pressure
-		Op{Kind: OpVKeyLeave},
-		// Cross-thread revocation: thread 0 holds tenant 2's grant while
-		// thread 1 churns enough tenants to evict it; thread 0's PKRU loses
-		// the slot and its own page goes dark until it leaves.
-		Op{Kind: OpVKeyEnter, Slot: 2, Thread: 0},
-		Op{Kind: OpVKeyEnter, Slot: 1, Thread: 1},
-		Op{Kind: OpVKeyLeave, Thread: 1},
-		Op{Kind: OpVKeyEnter, Slot: 3, Thread: 1},
-		Op{Kind: OpVKeyLeave, Thread: 1},
-		Op{Kind: OpVKeyEnter, Slot: 4, Thread: 1},
-		Op{Kind: OpVKeyLeave, Thread: 1},
-		Op{Kind: OpVKeyEnter, Slot: 0, Thread: 1},
-		Op{Kind: OpLoad, Flags: FlagRawAddr, Addr: vkeyPage(2), Size: 8, Thread: 0},
-		Op{Kind: OpVKeyLeave, Thread: 1},
-		Op{Kind: OpVKeyLeave, Thread: 0},
-		// Back outside: full rights again, every tenant page readable.
-		Op{Kind: OpLoad, Flags: FlagRawAddr, Addr: vkeyPage(2), Size: 8, Thread: 0},
-		// Recycle a slot the hard way: free a tenant while it is still
-		// bound, returning its hardware slot to the pool.
-		Op{Kind: OpVKeyEnter, Slot: 3},
-		Op{Kind: OpVKeyLeave},
-		Op{Kind: OpVKeyFree, Slot: 3},
-	)
-	return Trace{Ops: ops}
-}

@@ -316,8 +316,7 @@ func TestGateObservations(t *testing.T) {
 				}
 
 				// The ring: the same two records per traversal with the ring
-				// alone and with every observer; only a timed exit carries
-				// its duration.
+				// alone and with every observer.
 				var wantRing []ringEvent
 				for _, e := range tc.ring {
 					if obs != "none" {
@@ -338,12 +337,23 @@ func TestGateObservations(t *testing.T) {
 				if !reflect.DeepEqual(gotRing, wantRing) {
 					t.Errorf("ring = %v, want %v", gotRing, wantRing)
 				}
-				if obs != "all" {
-					for _, d := range ringDur {
-						if d != 0 {
-							t.Errorf("untimed gate exit carries duration %v", d)
+				// A ringed gate is timed and the ring stamps both records
+				// from the gate's own clock reads: on one thread, each exit's
+				// took= is exactly its offset from the matching enter.
+				var entered []time.Duration
+				for _, e := range o.ring {
+					switch e.Kind {
+					case trace.GateEnter:
+						entered = append(entered, e.When)
+					case trace.GateExit:
+						at := entered[len(entered)-1]
+						entered = entered[:len(entered)-1]
+						if took := time.Duration(e.B); took <= 0 || e.When-at != took {
+							t.Errorf("gate exit took=%v, %v after its enter", took, e.When-at)
 						}
 					}
+				}
+				if obs != "all" {
 					return
 				}
 

@@ -469,8 +469,9 @@ func (t *Thread) plainCall(l *Library, f Func, args []uint64) ([]uint64, error) 
 // trusted code returns.
 //
 // With a ring attached a traversal makes two records, GateEnter and one
-// GateExit; a timed traversal hands the same enter→restore duration to
-// the exit record and to every other observer.
+// GateExit, stamped with the gate's own enter and exit clock reads; a
+// timed traversal hands the same enter→restore duration to the exit
+// record and to every other observer.
 func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f Func, args []uint64) (res []uint64, err error) {
 	prev := t.VM.Rights()
 	// The gate-entry audit, the exit audit's other edge: the caller must
@@ -494,14 +495,15 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 	}
 	// Forward crossings alone feed the crossing sink: what trusted data
 	// flowed into U and through which gate. The gate is timed — one clock
-	// read before the enter WRPKRU — only when someone reads its duration.
+	// read before the enter WRPKRU — only when someone reads its duration
+	// or its timestamps: the ring stamps both records from the gate's reads.
 	tc, sink, ring := t.tc, t.rt.sink, t.rt.ring
 	if l.Trust != Untrusted {
 		sink = nil
 	}
-	timed := t.rt.tel != nil || tc != nil || sink != nil
+	timed := t.rt.tel != nil || tc != nil || sink != nil || ring != nil
 	var gd *gateDomain
-	if timed || ring != nil {
+	if timed {
 		gd = t.domainOf(l, dom)
 	}
 	fr := gateFrame{lib: l, gates: t.Depth() + 1}
@@ -542,7 +544,7 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 	t.frames = append(t.frames, fr)
 	wrpkruDelay(t.rt.gateCost)
 	if ring != nil {
-		ring.Emit(trace.Event{Kind: trace.GateEnter, A: uint64(uint32(target))})
+		ring.EmitAt(trace.Event{Kind: trace.GateEnter, A: uint64(uint32(target))}, fr.enter)
 	}
 	defer func() {
 		top := t.frames[len(t.frames)-1]
@@ -578,10 +580,11 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 		}
 		wrpkruDelay(t.rt.gateCost)
 		// The exit clock read precedes the ring's record, so every
-		// observer gets the enter→restore duration.
+		// observer gets the enter→restore duration and the record's
+		// offset from GateEnter's is that duration.
 		dur := top.elapsed()
 		if ring != nil {
-			ring.Emit(trace.Event{Kind: trace.GateExit, A: uint64(uint32(restored)), B: uint64(dur), Note: gd.note})
+			ring.EmitAt(trace.Event{Kind: trace.GateExit, A: uint64(uint32(restored)), B: uint64(dur), Note: gd.note}, top.enter.Add(dur))
 		}
 		t.observeGate(&top, gd, dur, tc, sink, args)
 	}()

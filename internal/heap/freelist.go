@@ -287,12 +287,3 @@ func (f *FreeList) Stats() Stats {
 	s.PageFresh = f.pool.FreshCount()
 	return s
 }
-
-// FreeChunks returns the length of the free list (for tests).
-func (f *FreeList) FreeChunks() int {
-	n := 0
-	for c := f.head; c != 0; c = vm.Addr(f.ld(c + 16)) {
-		n++
-	}
-	return n
-}

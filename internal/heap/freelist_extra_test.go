@@ -59,8 +59,8 @@ func TestFreeListExactFitDoesNotSplit(t *testing.T) {
 	if b != a {
 		t.Errorf("exact fit = %v, want %v", b, a)
 	}
-	if f.FreeChunks() != 0 {
-		t.Errorf("free chunks after exact fit = %d", f.FreeChunks())
+	if freeChunks(f) != 0 {
+		t.Errorf("free chunks after exact fit = %d", freeChunks(f))
 	}
 }
 
@@ -129,7 +129,7 @@ func TestArenaManySizeClassesChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mapped := p.MappedPages()
+	mapped := p.mapped
 	for _, class := range smallClasses {
 		for i := 0; i < 10; i++ {
 			if _, err := a.Alloc(class); err != nil {
@@ -137,8 +137,17 @@ func TestArenaManySizeClassesChurn(t *testing.T) {
 			}
 		}
 	}
-	if p.MappedPages() != mapped {
+	if p.mapped != mapped {
 		t.Errorf("refill allocated fresh pages (%d -> %d); partial slabs not reused",
-			mapped, p.MappedPages())
+			mapped, p.mapped)
 	}
+}
+
+// freeChunks returns the length of f's free list.
+func freeChunks(f *FreeList) int {
+	n := 0
+	for c := f.head; c != 0; c = vm.Addr(f.ld(c + 16)) {
+		n++
+	}
+	return n
 }

@@ -72,8 +72,8 @@ func TestPagePoolAllocFree(t *testing.T) {
 	if a == b || b != a+4*vm.PageSize {
 		t.Errorf("unexpected layout a=%v b=%v", a, b)
 	}
-	if p.MappedPages() != 6 {
-		t.Errorf("mapped = %d", p.MappedPages())
+	if p.mapped != 6 {
+		t.Errorf("mapped = %d", p.mapped)
 	}
 	if err := p.FreePages(a, 4); err != nil {
 		t.Fatal(err)
@@ -102,8 +102,8 @@ func TestPagePoolCoalescing(t *testing.T) {
 	if err := p.FreePages(b, 1); err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeRuns() != 1 {
-		t.Errorf("free runs = %d, want 1 coalesced run", p.FreeRuns())
+	if len(p.free) != 1 {
+		t.Errorf("free runs = %d, want 1 coalesced run", len(p.free))
 	}
 	d, err := p.AllocPages(3)
 	if err != nil || d != a {
@@ -356,14 +356,14 @@ func TestArenaSlabPageRecycling(t *testing.T) {
 		}
 		addrs = append(addrs, addr)
 	}
-	mappedBefore := p.MappedPages()
+	mappedBefore := p.mapped
 	for _, addr := range addrs {
 		if err := a.Free(addr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if p.MappedPages() != 0 {
-		t.Errorf("pages still mapped after freeing every slot: %d (was %d)", p.MappedPages(), mappedBefore)
+	if p.mapped != 0 {
+		t.Errorf("pages still mapped after freeing every slot: %d (was %d)", p.mapped, mappedBefore)
 	}
 }
 
@@ -381,8 +381,8 @@ func TestArenaLargeAllocations(t *testing.T) {
 	if err := a.Free(addr); err != nil {
 		t.Fatal(err)
 	}
-	if p.MappedPages() != 0 {
-		t.Errorf("large pages not returned: %d", p.MappedPages())
+	if p.mapped != 0 {
+		t.Errorf("large pages not returned: %d", p.mapped)
 	}
 }
 
@@ -414,14 +414,14 @@ func TestFreeListCoalescing(t *testing.T) {
 	if err := f.Free(c); err != nil {
 		t.Fatal(err)
 	}
-	if f.FreeChunks() != 2 {
-		t.Fatalf("free chunks = %d, want 2 (non-adjacent)", f.FreeChunks())
+	if freeChunks(f) != 2 {
+		t.Fatalf("free chunks = %d, want 2 (non-adjacent)", freeChunks(f))
 	}
 	if err := f.Free(b); err != nil { // b bridges a and c
 		t.Fatal(err)
 	}
-	if f.FreeChunks() != 1 {
-		t.Errorf("free chunks = %d, want 1 after bridge coalesce", f.FreeChunks())
+	if freeChunks(f) != 1 {
+		t.Errorf("free chunks = %d, want 1 after bridge coalesce", freeChunks(f))
 	}
 	// The coalesced chunk must satisfy a request no single piece could.
 	big, err := f.Alloc(300)
@@ -441,8 +441,8 @@ func TestFreeListMergeIntoTop(t *testing.T) {
 	if err := f.Free(a); err != nil {
 		t.Fatal(err)
 	}
-	if f.FreeChunks() != 0 {
-		t.Errorf("chunk adjacent to top should merge into top, free list len %d", f.FreeChunks())
+	if freeChunks(f) != 0 {
+		t.Errorf("chunk adjacent to top should merge into top, free list len %d", freeChunks(f))
 	}
 	b, _ := f.Alloc(50)
 	if b != a {

@@ -108,9 +108,6 @@ func (p *PagePool) FreePages(addr vm.Addr, n uint64) error {
 	return nil
 }
 
-// MappedPages returns the number of pages currently held by callers.
-func (p *PagePool) MappedPages() uint64 { return p.mapped }
-
 // ReuseCount returns how many AllocPages calls were served from recycled
 // free runs.
 func (p *PagePool) ReuseCount() uint64 { return p.reuse }
@@ -118,6 +115,3 @@ func (p *PagePool) ReuseCount() uint64 { return p.reuse }
 // FreshCount returns how many AllocPages calls were served from the
 // never-used tail of the region.
 func (p *PagePool) FreshCount() uint64 { return p.fresh }
-
-// FreeRuns returns the number of coalesced free runs (for tests).
-func (p *PagePool) FreeRuns() int { return len(p.free) }

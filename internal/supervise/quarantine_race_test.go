@@ -90,7 +90,7 @@ func TestConcurrentShieldDomainQuarantineRace(t *testing.T) {
 							names[i], addr, r.Base, r.Base+vm.Addr(r.Size))
 					}
 				}
-				if left := sup.BudgetRemaining(); left < 0 {
+				if left := sup.budgetRemaining(); left < 0 {
 					errs <- fmt.Sprintf("recovery budget went negative: %d", left)
 				}
 			}
@@ -127,4 +127,12 @@ func TestConcurrentShieldDomainQuarantineRace(t *testing.T) {
 	if quarantined == 0 {
 		t.Error("no domain was ever quarantined; the race exercised nothing")
 	}
+}
+
+// budgetRemaining returns how many recovery actions the program may still
+// spend.
+func (s *Supervisor) budgetRemaining() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.budgetLeft
 }

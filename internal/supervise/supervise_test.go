@@ -322,8 +322,8 @@ func TestBudgetExhaustion(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Outcome != OutcomeBudgetExceeded || ce.Attempts != 1 {
 		t.Fatalf("error = %v, want budget_exhausted on the first attempt", err)
 	}
-	if got := s.BudgetRemaining(); got != 0 {
-		t.Errorf("BudgetRemaining = %d, want 0", got)
+	if got := s.budgetRemaining(); got != 0 {
+		t.Errorf("budgetRemaining = %d, want 0", got)
 	}
 }
 

@@ -488,17 +488,6 @@ func (s *Supervisor) Averted() []*obs.Report {
 	return out
 }
 
-// BudgetRemaining returns how many recovery actions the program may still
-// spend (never negative).
-func (s *Supervisor) BudgetRemaining() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.budgetLeft
-}
-
 func (s *Supervisor) takeBudget() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -76,7 +76,7 @@ func (k Kind) String() string {
 // Event is one runtime occurrence. A and B are kind-specific payloads
 // (addresses, PKRU values, keys); Note carries an identifier when one
 // exists. When is a monotonic timestamp — the offset from the owning
-// ring's creation, stamped by Ring.Emit — so dumped events order and
+// ring's creation, stamped by Ring.EmitAt — so dumped events order and
 // space themselves on a timeline even after the ring wraps.
 type Event struct {
 	Seq  uint64
@@ -120,8 +120,9 @@ func (e Event) String() string {
 type Ring struct {
 	mu    sync.Mutex
 	buf   []Event
-	next  uint64    // total events ever emitted
-	epoch time.Time // monotonic reference When offsets are measured from
+	next  uint64        // total events ever emitted
+	last  time.Duration // When of the newest event
+	epoch time.Time     // monotonic reference When offsets are measured from
 }
 
 // NewRing creates a ring holding the last n events (n >= 1).
@@ -132,15 +133,23 @@ func NewRing(n int) *Ring {
 	return &Ring{buf: make([]Event, n), epoch: time.Now()}
 }
 
-// Emit appends an event, stamping its sequence number and its monotonic
-// When offset. A caller-provided When is overwritten: the ring is the
-// single clock, so every retained event is comparable.
-func (r *Ring) Emit(e Event) {
+// Emit appends an event that happened now; see EmitAt.
+func (r *Ring) Emit(e Event) { r.EmitAt(e, time.Now()) }
+
+// EmitAt appends an event that happened at a clock reading the caller
+// already took, stamping its sequence number and its When offset from
+// the ring's epoch; a caller-provided When is overwritten. A gate hands
+// in its own enter and exit reads, so the ring reads no clock for it.
+func (r *Ring) EmitAt(e Event, at time.Time) {
+	e.When = at.Sub(r.epoch)
 	r.mu.Lock()
-	// The clock is read under the lock so When and Seq order identically:
-	// a dump is a timeline, and a timeline that disagrees with the
-	// sequence numbers would be worse than no timestamps at all.
-	e.When = time.Since(r.epoch)
+	// When is clamped to the newest event's so When and Seq order
+	// identically: a dump is a timeline, and a timeline that disagrees
+	// with the sequence numbers would be worse than no timestamps at all.
+	if e.When < r.last {
+		e.When = r.last
+	}
+	r.last = e.When
 	e.Seq = r.next
 	r.buf[r.next%uint64(len(r.buf))] = e
 	r.next++

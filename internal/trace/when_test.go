@@ -26,11 +26,18 @@ func TestEmitStampsMonotonicWhen(t *testing.T) {
 	if snap[1].When-snap[0].When < time.Millisecond {
 		t.Errorf("second event only %v after first, slept 1ms", snap[1].When-snap[0].When)
 	}
-	// A caller-provided When must be overwritten by the ring's clock.
+	// A clock reading older than the newest event is clamped to it, so
+	// When never runs backwards against Seq; a caller-provided When is
+	// overwritten either way.
 	r2 := NewRing(4)
 	r2.Emit(Event{Kind: Fault, When: -time.Hour})
-	if got := r2.Snapshot()[0].When; got < 0 {
-		t.Errorf("Emit kept caller-provided When %v", got)
+	r2.EmitAt(Event{Kind: GateEnter}, time.Now().Add(-time.Hour))
+	snap2 := r2.Snapshot()
+	if snap2[0].When < 0 {
+		t.Errorf("Emit kept caller-provided When %v", snap2[0].When)
+	}
+	if snap2[1].When != snap2[0].When {
+		t.Errorf("stale EmitAt stamped %v after %v, want clamped to it", snap2[1].When, snap2[0].When)
 	}
 }
 

@@ -102,9 +102,6 @@ func (t *Thread) sigreturn(entry mpk.PKRU, fromTrap bool) {
 // pass — dropping one's own rights is never an escape.
 func (t *Thread) SetPKRUGuard(on bool) { t.guard.Store(on) }
 
-// PKRUGuard reports whether the WRPKRU guard is armed.
-func (t *Thread) PKRUGuard() bool { return t.guard.Load() }
-
 // BeginPrivilegedPKRU opens a privileged PKRU-write bracket and returns
 // the closer (one shared closure per thread — the bracket must not
 // allocate). Gate code on a Thread doesn't need it: mpk.InstallAudited

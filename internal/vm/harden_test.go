@@ -11,7 +11,7 @@ func TestPKRUGuardSuppressesRogueWidening(t *testing.T) {
 	th := NewThread(NewSpace(), nil)
 	th.SetRights(mpk.DenyAllExcept(0))
 	th.SetPKRUGuard(true)
-	if !th.PKRUGuard() {
+	if !th.guard.Load() {
 		t.Fatal("guard not armed")
 	}
 

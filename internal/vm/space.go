@@ -428,9 +428,6 @@ func (s *Space) ResidentPages() int {
 	return len(s.pages)
 }
 
-// ResidentBytes returns ResidentPages expressed in bytes.
-func (s *Space) ResidentBytes() uint64 { return uint64(s.ResidentPages()) * PageSize }
-
 // Peek copies len(buf) bytes from the address space into buf without any
 // protection-key check. It stands in for accesses made by the trusted
 // runtime itself (the profiler's metadata lookups, test assertions); it

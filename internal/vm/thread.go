@@ -348,22 +348,6 @@ func (t *Thread) Store8(addr Addr, v byte) error {
 	return t.access(addr, b[:], sig.AccessWrite)
 }
 
-// Load32 reads a little-endian uint32 at addr.
-func (t *Thread) Load32(addr Addr) (uint32, error) {
-	var b [4]byte
-	if err := t.access(addr, b[:], sig.AccessRead); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// Store32 writes a little-endian uint32 at addr.
-func (t *Thread) Store32(addr Addr, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return t.access(addr, b[:], sig.AccessWrite)
-}
-
 // Load64 reads a little-endian uint64 at addr.
 func (t *Thread) Load64(addr Addr) (uint64, error) {
 	var b [8]byte

@@ -89,12 +89,13 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	if v != 0xdeadbeefcafef00d {
 		t.Errorf("Load64 = %#x", v)
 	}
-	if err := th.Store32(addr+8, 0x1337); err != nil {
-		t.Fatalf("Store32: %v", err)
+	w32 := []byte{0x37, 0x13, 0, 0}
+	if err := th.access(addr+8, w32, sig.AccessWrite); err != nil {
+		t.Fatalf("4-byte store: %v", err)
 	}
-	v32, err := th.Load32(addr + 8)
-	if err != nil || v32 != 0x1337 {
-		t.Errorf("Load32 = %#x, %v", v32, err)
+	r32 := make([]byte, 4)
+	if err := th.access(addr+8, r32, sig.AccessRead); err != nil || string(r32) != string(w32) {
+		t.Errorf("4-byte load = %x, %v", r32, err)
 	}
 	if err := th.Store8(addr+12, 0xab); err != nil {
 		t.Fatalf("Store8: %v", err)
@@ -294,9 +295,6 @@ func TestOnDemandPaging(t *testing.T) {
 	}
 	if got := s.ResidentPages(); got != 1 {
 		t.Errorf("resident pages after one touch = %d, want 1", got)
-	}
-	if got := s.ResidentBytes(); got != PageSize {
-		t.Errorf("resident bytes = %d, want %d", got, PageSize)
 	}
 }
 

@@ -10,10 +10,10 @@
 // span, a fault instant and a recovery instant on the same thread
 // (trace) ID. Every "gate:<d>" span must name d as its args.domain and
 // lie inside its thread's request span, give or take a microsecond of
-// rounding. The latency report must be schema 1 with ordered
-// per-tenant quantiles. Exit status 1 with a diagnostic on any
-// violation; `make trace-demo` and the CI tracing job run this against
-// freshly generated artifacts.
+// rounding. The latency report must be a schema 2 BENCH record, read
+// with internal/bench's reader, with ordered per-tenant quantiles. Exit
+// status 1 with a diagnostic on any violation; `make trace-demo` and
+// the CI tracing job run this against freshly generated artifacts.
 package main
 
 import (
@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"repro/internal/bench"
 )
 
 type chromeEvent struct {
@@ -41,22 +43,6 @@ type chromeTrace struct {
 		Finished uint64 `json:"finished"`
 		Retained uint64 `json:"retained"`
 	} `json:"pkrusafeStats"`
-}
-
-type tenantRow struct {
-	Tenant        string  `json:"tenant"`
-	Requests      int     `json:"requests"`
-	P50Ns         int64   `json:"p50_ns"`
-	P95Ns         int64   `json:"p95_ns"`
-	P99Ns         int64   `json:"p99_ns"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-}
-
-type latencyReport struct {
-	Schema     int         `json:"schema"`
-	Experiment string      `json:"experiment"`
-	Requests   int         `json:"requests"`
-	Tenants    []tenantRow `json:"tenants"`
 }
 
 func fail(format string, args ...any) {
@@ -178,37 +164,48 @@ func checkTimeline(path string) {
 }
 
 func checkLatency(path string) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		fail("%v", err)
 	}
-	var rep latencyReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		fail("%s is not valid JSON: %v", path, err)
+	defer f.Close()
+	rec, err := bench.ReadRecord(f)
+	if err != nil {
+		fail("%s: %v", path, err)
 	}
-	if rep.Schema != 1 {
-		fail("%s: schema = %d, want 1", path, rep.Schema)
+	if rec.Experiment != "gatetrace" {
+		fail("%s: experiment = %q, want \"gatetrace\"", path, rec.Experiment)
 	}
-	if rep.Experiment != "gatetrace" {
-		fail("%s: experiment = %q, want \"gatetrace\"", path, rep.Experiment)
+	// Every row not named after the experiment belongs to a tenant.
+	rows := map[string]map[string]float64{}
+	var tenants []string
+	for _, row := range rec.Rows {
+		if rows[row.Name] == nil {
+			rows[row.Name] = map[string]float64{}
+			if row.Name != rec.Experiment {
+				tenants = append(tenants, row.Name)
+			}
+		}
+		rows[row.Name][row.Metric] = row.Value
 	}
-	if len(rep.Tenants) == 0 {
+	if len(tenants) == 0 {
 		fail("%s: no per-tenant rows", path)
 	}
-	for _, row := range rep.Tenants {
-		if row.Requests <= 0 {
-			fail("%s: tenant %s: %d requests", path, row.Tenant, row.Requests)
+	for _, t := range tenants {
+		m := rows[t]
+		if m["requests"] <= 0 {
+			fail("%s: tenant %s: %v requests", path, t, m["requests"])
 		}
-		if row.P50Ns <= 0 || row.P50Ns > row.P95Ns || row.P95Ns > row.P99Ns {
-			fail("%s: tenant %s: quantiles out of order (p50=%d p95=%d p99=%d)",
-				path, row.Tenant, row.P50Ns, row.P95Ns, row.P99Ns)
+		if m["p50_ns"] <= 0 || m["p50_ns"] > m["p95_ns"] || m["p95_ns"] > m["p99_ns"] {
+			fail("%s: tenant %s: quantiles out of order (p50=%v p95=%v p99=%v)",
+				path, t, m["p50_ns"], m["p95_ns"], m["p99_ns"])
 		}
-		if row.ThroughputRPS <= 0 {
-			fail("%s: tenant %s: throughput %.3f", path, row.Tenant, row.ThroughputRPS)
+		if m["throughput_rps"] <= 0 {
+			fail("%s: tenant %s: throughput %.3f", path, t, m["throughput_rps"])
 		}
 	}
-	fmt.Printf("tracecheck: %s: %d tenant(s), %d request(s), quantiles ordered\n",
-		path, len(rep.Tenants), rep.Requests)
+	fmt.Printf("tracecheck: %s: %d tenant(s), %.0f request(s), quantiles ordered\n",
+		path, len(tenants), rows[rec.Experiment]["requests"])
 }
 
 func main() {
