@@ -37,7 +37,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale factor (lower = faster)")
 	repeats := flag.Int("repeats", 3, "timed repetitions per configuration (min kept)")
 	microIters := flag.Int("micro-iters", 200000, "iterations per micro-benchmark measurement")
-	csvDir := flag.String("csv", "", "directory to also write per-suite CSV data into")
 	jsonDir := flag.String("json", "", "directory to also write each experiment's BENCH record (JSON: timings, telemetry, config, environment) into")
 	flag.Parse()
 
@@ -65,9 +64,6 @@ func main() {
 		r, err := bench.RunSuite(name, suites[name], opt)
 		exitOn(err)
 		reports[name] = r
-		if *csvDir != "" {
-			writeReport(*csvDir, name+".csv", func(w io.Writer) error { return bench.WriteCSV(w, r) })
-		}
 		if *jsonDir != "" {
 			writeReport(*jsonDir, name+".json", bench.SuiteRecord(r, opt).Write)
 		}

@@ -357,8 +357,7 @@ func main() {
 	}
 	if *latencyOut != "" {
 		rec := bench.NewRecord("gatetrace", map[string]string{"mode": "browser", "policy": policy.String()})
-		rec.Add("gatetrace", "dropped", "count", 1, float64(dropped))
-		writeLatencyRecord(*latencyOut, rec, served+dropped, lr, elapsed)
+		writeLatencyRecord(*latencyOut, rec, [4]uint64{uint64(served), uint64(dropped), 0, 0}, lr, elapsed)
 	}
 	if *traceJSON != "" {
 		exitOn(cli.WriteTo(*traceJSON, tracer.WriteChromeTrace))
@@ -504,9 +503,8 @@ churn:
 			"mode": "domains", "policy": cfg.Policy.String(),
 			"domains": strconv.Itoa(cfg.Tenants), "workers": strconv.Itoa(o.workers),
 		})
-		rec.Add("gatetrace", "dropped", "count", 1, float64(w.Dropped.Value()))
-		rec.Add("gatetrace", "shed", "count", 1, float64(w.Shed.Value()))
-		writeLatencyRecord(o.latencyOut, rec, int(w.Entries.Value()+w.Dropped.Value()), w.Latency, elapsed)
+		writeLatencyRecord(o.latencyOut, rec,
+			[4]uint64{w.Entries.Value(), w.Dropped.Value(), w.Refused.Value(), w.Shed.Value()}, w.Latency, elapsed)
 	}
 	if o.traceJSON != "" {
 		exitOn(cli.WriteTo(o.traceJSON, w.Tracer.WriteChromeTrace))
@@ -543,19 +541,29 @@ func startController(target time.Duration, sampler *profstore.Sampler, reg *tele
 	return func() { close(done) }
 }
 
+// latencyOutcomes names the -latency-out record's outcome rows, in the
+// order writeLatencyRecord takes their counts; requests is their sum.
+var latencyOutcomes = [4]string{"ok", "dropped", "refused", "shed"}
+
 // writeLatencyRecord completes rec, the -latency-out BENCH record (see
-// BENCH_gatetrace.json), with the run's request count and throughput
-// and each tenant's request count, throughput and p50/p95/p99, and
-// writes it. The quantiles are exact nearest-rank reads of the
-// recorder's samples: the gate-latency histograms are log2 buckets,
-// accurate only to within 2x, too coarse to judge a 1.25x bar.
-func writeLatencyRecord(path string, rec *bench.Record, requests int, lr *tenantworld.Recorder, elapsed time.Duration) {
+// BENCH_gatetrace.json), with the run's request count by outcome (in
+// latencyOutcomes order), its total and throughput, and each tenant's
+// request count, throughput and p50/p95/p99, and writes it. The
+// quantiles are exact nearest-rank reads of the recorder's samples: the
+// gate-latency histograms are log2 buckets, accurate only to within 2x,
+// too coarse to judge a 1.25x bar.
+func writeLatencyRecord(path string, rec *bench.Record, outcomes [4]uint64, lr *tenantworld.Recorder, elapsed time.Duration) {
 	secs := elapsed.Seconds()
 	rate := func(n int) float64 {
 		if secs <= 0 {
 			return 0
 		}
 		return float64(n) / secs
+	}
+	requests := 0
+	for i, n := range outcomes {
+		rec.Add("gatetrace", latencyOutcomes[i], "count", 1, float64(n))
+		requests += int(n)
 	}
 	rec.Add("gatetrace", "requests", "count", 1, float64(requests))
 	rec.Add("gatetrace", "elapsed_s", "s", 1, secs)

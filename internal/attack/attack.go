@@ -147,17 +147,6 @@ func RunAll() []DrillResult {
 	return out
 }
 
-// Failures counts the drills in rs that did not pass.
-func Failures(rs []DrillResult) int {
-	n := 0
-	for _, r := range rs {
-		if !r.Pass {
-			n++
-		}
-	}
-	return n
-}
-
 // classify maps the error an attack died with onto the fault taxonomy.
 func classify(err error) string {
 	if err == nil {

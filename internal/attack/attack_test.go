@@ -83,7 +83,7 @@ func TestRunAllShape(t *testing.T) {
 			t.Errorf("result %d: want green drill of %s, got %+v", 2*i+1, s.Name, green)
 		}
 	}
-	if n := Failures(rs); n != 0 {
+	if n := failures(rs); n != 0 {
 		t.Errorf("Failures = %d, want 0", n)
 	}
 }
@@ -133,7 +133,7 @@ func TestHarnessDetectsBrokenDrills(t *testing.T) {
 	if r := RunDrill(mk(Outcome{Fault: FaultPKU}, boom), true); r.Pass || r.Err == "" {
 		t.Error("green drill swallowed a harness error")
 	}
-	if n := Failures([]DrillResult{{Pass: true}, {Pass: false}, {Pass: false}}); n != 2 {
+	if n := failures([]DrillResult{{Pass: true}, {Pass: false}, {Pass: false}}); n != 2 {
 		t.Errorf("Failures = %d, want 2", n)
 	}
 }
@@ -247,4 +247,15 @@ func TestSigOpenPreservesHistoricalBehavior(t *testing.T) {
 	if st := th.Stats(); st.SigClamped != 0 {
 		t.Errorf("SigClamped = %d, want 0 under SigOpen", st.SigClamped)
 	}
+}
+
+// failures counts the drills in rs that did not pass.
+func failures(rs []DrillResult) int {
+	n := 0
+	for _, r := range rs {
+		if !r.Pass {
+			n++
+		}
+	}
+	return n
 }

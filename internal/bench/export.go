@@ -1,42 +1,6 @@
 package bench
 
-import (
-	"encoding/csv"
-	"io"
-	"strconv"
-)
-
-// WriteCSV emits a suite report as CSV — one row per benchmark with raw
-// seconds, normalized runtimes, transitions and %MU — so the figures can
-// be re-plotted outside the text renderer.
-func WriteCSV(w io.Writer, r SuiteReport) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"suite", "sub", "benchmark",
-		"base_s", "alloc_s", "mpk_s",
-		"alloc_norm", "mpk_norm",
-		"transitions", "mu_share",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, res := range r.Results {
-		row := []string{
-			res.Bench.Suite, res.Bench.Sub, res.Bench.Name,
-			fmtF(res.Base.Seconds), fmtF(res.Alloc.Seconds), fmtF(res.MPK.Seconds),
-			fmtF(1 + res.AllocOverhead()), fmtF(1 + res.MPKOverhead()),
-			strconv.FormatUint(res.MPK.Transitions, 10),
-			fmtF(res.MPK.UntrustedShare),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+import "strconv"
 
 // SuiteRecord is a suite run's BENCH record: each benchmark's three
 // timings, its alloc and mpk overheads, transitions, %MU and telemetry

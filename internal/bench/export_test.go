@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/csv"
 	"strings"
 	"testing"
 
@@ -16,32 +14,6 @@ func miniReport(t *testing.T) SuiteReport {
 		t.Fatal(err)
 	}
 	return rep
-}
-
-func TestWriteCSV(t *testing.T) {
-	rep := miniReport(t)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want header + 1", len(rows))
-	}
-	if rows[0][0] != "suite" || rows[0][8] != "transitions" {
-		t.Errorf("header = %v", rows[0])
-	}
-	if rows[1][2] != "audio-dft" {
-		t.Errorf("benchmark name = %q", rows[1][2])
-	}
-	for _, col := range []int{3, 4, 5} {
-		if rows[1][col] == "" || rows[1][col] == "0" {
-			t.Errorf("column %d (timing) = %q", col, rows[1][col])
-		}
-	}
 }
 
 func TestWriteJSON(t *testing.T) {
@@ -63,7 +35,7 @@ func TestWriteJSON(t *testing.T) {
 	wantRow(t, rec, "mini", "mean_mpk_overhead", rep.MeanMPKOverhead())
 	wantRow(t, rec, "mini", "transitions", float64(rep.TotalTransitions()))
 	wantRow(t, rec, "mini", "mu_share", rep.MeanUntrustedShare())
-	for _, metric := range []string{"telemetry.gate_crossings", "telemetry.wrpkru", "telemetry.gate_p50_ns", "telemetry.mt_bytes_total"} {
+	for _, metric := range []string{"telemetry.transitions", "telemetry.wrpkru", "telemetry.gate_p50_ns", "telemetry.mt_bytes_total"} {
 		if v, ok := rowValue(rec, name, metric); !ok || v <= 0 {
 			t.Errorf("%s %s = %v (present %v), want > 0", name, metric, v, ok)
 		}

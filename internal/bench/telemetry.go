@@ -32,11 +32,9 @@ func CollectTelemetry(b workload.Benchmark, prof *profile.Profile, opt Options) 
 	add := func(metric, unit string, n int, v float64) {
 		rows = append(rows, Row{Name: b.Name, Metric: "telemetry." + metric, Unit: unit, N: n, Value: v})
 	}
-	crossings, _ := reg.CounterValue("pkrusafe_gate_crossings_total")
 	faults, _ := reg.CounterValue("pkrusafe_vm_pku_faults_total")
 	wrpkru, _ := reg.CounterValue("pkrusafe_vm_wrpkru_total")
 	add("transitions", "count", 1, float64(br.Stats().Transitions))
-	add("gate_crossings", "count", 1, crossings)
 	add("pku_faults", "count", 1, faults)
 	add("wrpkru", "count", 1, wrpkru)
 	qs, gates, ok := reg.HistogramQuantiles("pkrusafe_gate_latency_ns", 0.5, 0.95, 0.99)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pkalloc"
 	"repro/internal/profile"
+	"repro/internal/provenance"
 	"repro/internal/supervise"
 	"repro/internal/vm"
 )
@@ -71,9 +72,10 @@ func RunSupervisedGate(opts SupervisedOptions) (*SupervisedReport, error) {
 	}
 	reg := ffi.NewRegistry()
 	rt := ffi.NewRuntime(reg, alloc, nil, ffi.GatesOn)
-	rec := obs.NewRecorder(obs.Config{Space: space, TrustedKey: alloc.TrustedKey(), BuildConfig: "mpk"})
+	shadow := new(provenance.Shadow)
+	rec := obs.NewRecorder(obs.Config{Space: space, TrustedKey: alloc.TrustedKey(), BuildConfig: "mpk", Shadow: shadow})
 	rec.Install(rt.Sigs)
-	sup := supervise.New(supervise.Config{Policy: opts.Policy}, supervise.Deps{Alloc: alloc, Recorder: rec})
+	sup := supervise.New(supervise.Config{Policy: opts.Policy}, supervise.Deps{Alloc: alloc, Shadow: shadow, Recorder: rec})
 
 	model := NewModel(1, alloc.TrustedKey())
 	if !model.Reserve(mtBase, mtSize, alloc.TrustedKey()) || !model.Reserve(muBase, muSize, 0) {
@@ -95,7 +97,7 @@ func RunSupervisedGate(opts SupervisedOptions) (*SupervisedReport, error) {
 		return nil, err
 	}
 	siteA := profile.AllocID{Func: "drill", Block: 0, Site: 1}
-	rec.LogAlloc(uint64(objA), vm.PageSize, siteA)
+	shadow.Track(provenance.Entry{Base: objA, Size: vm.PageSize, ID: siteA})
 
 	attempts := 0
 	reg.MustLibrary("u", ffi.Untrusted).Define("scribble", func(th *ffi.Thread, _ []uint64) ([]uint64, error) {

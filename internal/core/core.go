@@ -84,11 +84,6 @@ type Site struct {
 	mu     sync.Mutex
 	allocs uint64
 	bytes  uint64
-
-	// Registry counters, resolved once at registration so the per-alloc
-	// path never does a label lookup. Nil (a no-op) without telemetry.
-	mAllocs *telemetry.Counter
-	mBytes  *telemetry.Counter
 }
 
 // Allocs returns how many allocations the site has served.
@@ -110,9 +105,9 @@ type Program struct {
 	cfg     BuildConfig
 	space   *vm.Space
 	alloc   *pkalloc.Allocator
-	sigs    *sig.Table
 	runtime *ffi.Runtime
 	tracer  *provenance.Tracer
+	shadow  *provenance.Shadow    // live site allocations, nil unless profiling or Forensics
 	rec     *obs.Recorder         // fault forensics, nil unless Options.Forensics
 	sup     *supervise.Supervisor // nil unless Options.Supervision enables recovery
 	sampler *profstore.Sampler    // crossing sampler, nil unless Options.Crossings
@@ -155,19 +150,20 @@ type Options struct {
 	// access/fault counters, gate crossings and latencies, allocation
 	// sites, heap gauges, the profiler — to the metrics registry.
 	Telemetry *telemetry.Registry
-	// Forensics attaches an obs.Recorder that shadows allocation sites
-	// and observes fault delivery so a fatal MPK violation can be turned
-	// into a structured crash report (Program.Forensics().Capture).
+	// Forensics attaches an obs.Recorder that observes fault delivery so
+	// a fatal MPK violation can be turned into a structured crash report
+	// (Program.Forensics().Capture), naming the object the fault landed
+	// in through the program's allocation shadow store.
 	Forensics bool
 	// Supervision configures the compartment fault supervisor. The zero
 	// value (policy Abort) keeps the paper's fail-stop semantics: no
 	// recovery points, failures kill the run. Any other policy makes
 	// supervised cross-compartment calls recoverable; the Heal policy
 	// implies Forensics, since healing resolves fault addresses through
-	// the forensics shadow store.
+	// the allocation shadow store and attaches the averted crash report.
 	Supervision supervise.Config
 	// Crossings attaches a boundary-crossing sampler: every forward gate
-	// traversal's arguments are resolved through the forensics shadow
+	// traversal's arguments are resolved through the allocation shadow
 	// store and attributed to their allocation sites (implies Forensics).
 	// The observations feed the continuous-profiling plane — telemetry
 	// (pkrusafe_profile_*), trace Crossing events and, via FeedStore, the
@@ -211,7 +207,6 @@ func NewProgram(reg *ffi.Registry, cfg BuildConfig, prof *profile.Profile, opts 
 		cfg:     cfg,
 		space:   space,
 		alloc:   alloc,
-		sigs:    sigs,
 		runtime: ffi.NewRuntime(reg, alloc, sigs, mode),
 		applied: prof,
 		sites:   make(map[profile.AllocID]*Site),
@@ -224,25 +219,27 @@ func NewProgram(reg *ffi.Registry, cfg BuildConfig, prof *profile.Profile, opts 
 	}
 	if opt.Supervision.Policy == supervise.Heal || opt.Crossings {
 		// Healing and crossing attribution both resolve addresses to
-		// allocation sites through the forensics shadow store, so the
-		// recorder must be present.
+		// allocation sites through the shadow store, which forensics
+		// keeps.
 		opt.Forensics = true
 	}
+	if opt.Forensics || cfg == Profiling {
+		p.shadow = new(provenance.Shadow)
+	}
 	if opt.Forensics {
-		// The recorder keeps its own metadata store: sharing the profiler's
-		// across the tracer's and the recorder's locks would race.
 		p.rec = obs.NewRecorder(obs.Config{
 			Space:       space,
 			TrustedKey:  alloc.TrustedKey(),
 			BuildConfig: cfg.String(),
 			Ring:        opt.Trace,
+			Shadow:      p.shadow,
 		})
 		// Installed before the tracer so repairing handlers dispatch
 		// first; the recorder only observes faults nothing else claims.
 		p.rec.Install(sigs)
 	}
 	if cfg == Profiling {
-		p.tracer = provenance.NewTracer(profile.New(), alloc.TrustedKey())
+		p.tracer = provenance.NewTracer(profile.New(), alloc.TrustedKey(), p.shadow)
 		if opt.Trace != nil {
 			p.tracer.SetTrace(opt.Trace)
 		}
@@ -255,10 +252,7 @@ func NewProgram(reg *ffi.Registry, cfg BuildConfig, prof *profile.Profile, opts 
 	}
 	if opt.Crossings {
 		p.sampler = profstore.NewSampler(profstore.SamplerConfig{
-			Resolve: func(addr uint64) (profile.AllocID, uint64, bool) {
-				e, ok := p.rec.Lookup(addr)
-				return e.ID, e.Size, ok
-			},
+			Shadow:    p.shadow,
 			Telemetry: opt.Telemetry,
 			Ring:      opt.Trace,
 		})
@@ -267,6 +261,7 @@ func NewProgram(reg *ffi.Registry, cfg BuildConfig, prof *profile.Profile, opts 
 	if opt.Supervision.Policy != supervise.Abort {
 		p.sup = supervise.New(opt.Supervision, supervise.Deps{
 			Alloc:     alloc,
+			Shadow:    p.shadow,
 			Recorder:  p.rec,
 			Ring:      opt.Trace,
 			Telemetry: opt.Telemetry,
@@ -355,9 +350,6 @@ func (p *Program) Space() *vm.Space { return p.space }
 // Allocator returns the program's pkalloc instance.
 func (p *Program) Allocator() *pkalloc.Allocator { return p.alloc }
 
-// Signals returns the program's signal table.
-func (p *Program) Signals() *sig.Table { return p.sigs }
-
 // Runtime returns the FFI runtime.
 func (p *Program) Runtime() *ffi.Runtime { return p.runtime }
 
@@ -426,15 +418,16 @@ func (p *Program) site(id profile.AllocID, pool pkalloc.Compartment) *Site {
 	}
 	s := &Site{ID: id, Pool: pool}
 	if tel := p.tel; tel != nil {
-		s.mAllocs = tel.siteAllocs.With(id.String(), poolName(pool))
-		s.mBytes = tel.siteBytes.With(id.String(), poolName(pool))
+		tel.siteAllocs.With(id.String(), poolName(pool)).Func(s.Allocs)
+		tel.siteBytes.With(id.String(), poolName(pool)).Func(s.Bytes)
 	}
 	p.sites[id] = s
 	return s
 }
 
 // AllocAt serves an allocation from a registered site, routing to the pool
-// the build decided and feeding the provenance tracer in Profiling builds.
+// the build decided and feeding the allocation shadow store when the
+// build keeps one.
 // A site the supervisor has healed draws from MU even though it was
 // registered trusted — the allocator-call rewrite a profiler re-run would
 // have produced, applied at runtime.
@@ -456,12 +449,7 @@ func (p *Program) AllocAt(s *Site, size uint64) (vm.Addr, error) {
 	s.allocs++
 	s.bytes += size
 	s.mu.Unlock()
-	s.mAllocs.Inc()
-	s.mBytes.Add(size)
-	if p.tracer != nil && pool == pkalloc.Trusted {
-		p.tracer.LogAlloc(uint64(addr), size, s.ID)
-	}
-	p.rec.LogAlloc(uint64(addr), size, s.ID)
+	p.shadow.Track(provenance.Entry{Base: addr, Size: size, ID: s.ID})
 	return addr, nil
 }
 
@@ -472,19 +460,13 @@ func (p *Program) Realloc(addr vm.Addr, newSize uint64) (vm.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p.tracer != nil {
-		p.tracer.LogRealloc(uint64(addr), uint64(newAddr), newSize)
-	}
-	p.rec.LogRealloc(uint64(addr), uint64(newAddr), newSize)
+	p.shadow.Retrack(addr, newAddr, newSize)
 	return newAddr, nil
 }
 
 // Free releases an allocation and drops its provenance metadata.
 func (p *Program) Free(addr vm.Addr) error {
-	if p.tracer != nil {
-		p.tracer.LogDealloc(uint64(addr))
-	}
-	p.rec.LogDealloc(uint64(addr))
+	p.shadow.Untrack(addr)
 	if tel := p.tel; tel != nil {
 		pool, _ := p.alloc.CompartmentOf(addr)
 		sp := telemetry.StartSpan(tel.freeLat[pool])

@@ -545,3 +545,60 @@ func TestGateObserversConcurrent(t *testing.T) {
 		t.Errorf("gate latency series = %v, want %v", got, want)
 	}
 }
+
+// TestTelemetryReadsOwners puts two runtimes, each with two threads, on
+// one registry and requires the gate and vm families to equal the sum of
+// the counts their owners keep: crossings the runtimes' Transitions (a
+// refused domain gate counts in neither), loads and WRPKRUs the threads'
+// Stats. Attaching a runtime or a thread a second time changes nothing.
+func TestTelemetryReadsOwners(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	var transitions uint64
+	var st vm.Stats
+	for r := 0; r < 2; r++ {
+		w := newObsWorld(t, GatesOn)
+		w.rt.SetTelemetry(reg)
+		w.rt.SetTelemetry(reg)
+		obj, err := w.rt.Alloc.Alloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			th := w.rt.NewThread()
+			th.VM.PublishTo(reg)
+			for i := 0; i <= r+k; i++ {
+				if _, err := th.Call("libu", "cb", 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := th.Call("tenant", "f", 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := th.Load64(obj); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := th.VM.Stats()
+			st.Loads += s.Loads
+			st.WRPKRU += s.WRPKRU
+		}
+		if err := w.table.Free(w.key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.rt.NewThread().Call("tenant", "f", 1); !errors.Is(err, vkey.ErrUnknownKey) {
+			t.Fatalf("call into a freed domain = %v, want ErrUnknownKey", err)
+		}
+		transitions += w.rt.Transitions()
+	}
+	if transitions != 3*(1+2+2+3) {
+		t.Fatalf("transitions = %d, want %d", transitions, 3*(1+2+2+3))
+	}
+	for name, want := range map[string]uint64{
+		"pkrusafe_gate_crossings_total": transitions,
+		"pkrusafe_vm_loads_total":       st.Loads,
+		"pkrusafe_vm_wrpkru_total":      st.WRPKRU,
+	} {
+		if v, ok := reg.CounterValue(name); !ok || v != float64(want) {
+			t.Errorf("%s = (%v, %v), want %d", name, v, ok, want)
+		}
+	}
+}

@@ -57,7 +57,8 @@ type Runtime struct {
 	untrustedPKRU mpk.PKRU
 	gateCost      int
 	ring          *trace.Ring
-	transitions   atomic.Uint64
+	enterU        atomic.Uint64 // forward gates entered: trusted → untrusted
+	enterT        atomic.Uint64 // reverse gates entered: untrusted → trusted
 	aborted       atomic.Bool
 	exitAudit     atomic.Bool
 	tel           *runtimeTelemetry
@@ -143,13 +144,12 @@ type CrossingSink interface {
 // With no sink attached the gated call path pays one pointer test.
 func (rt *Runtime) SetCrossingSink(s CrossingSink) { rt.sink = s }
 
-// runtimeTelemetry holds the registry handles the FFI layer reports into.
-// A nil *runtimeTelemetry (the default) disables reporting; the gated call
-// path then pays one pointer test.
+// runtimeTelemetry is the registry the runtime is attached to and the
+// gate-latency family it observes into. A nil *runtimeTelemetry (the
+// default) leaves gates untimed by telemetry; the gated call path then
+// pays one pointer test.
 type runtimeTelemetry struct {
-	vm      *vm.Metrics
-	enterU  *telemetry.Counter      // forward gates: trusted → untrusted
-	enterT  *telemetry.Counter      // reverse gates: untrusted → trusted
+	reg     *telemetry.Registry
 	gateLat *telemetry.HistogramVec // gate enter→restore latency by domain
 }
 
@@ -184,21 +184,22 @@ func (t *Thread) domainOf(l *Library, b DomainBinding) *gateDomain {
 }
 
 // SetTelemetry attaches the runtime (and every thread minted afterwards)
-// to a metrics registry: gate crossings are counted by direction, each
-// timed gate's enter→restore latency is observed into its domain's
-// gatetrace.GateLatencyMetric series, and threads promote their
-// access/fault counters into the registry. A nil registry detaches.
+// to a metrics registry: pkrusafe_gate_crossings_total reads the
+// runtime's per-direction gate counts at export time, each timed gate's
+// enter→restore latency is observed into its domain's
+// gatetrace.GateLatencyMetric series, and each new thread publishes its
+// access/fault counters (vm.Thread.PublishTo). A runtime attaches once:
+// later calls, and a nil registry, are no-ops.
 func (rt *Runtime) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		rt.tel = nil
+	if reg == nil || rt.tel != nil {
 		return
 	}
 	crossings := reg.CounterVec("pkrusafe_gate_crossings_total",
 		"Compartment boundary crossings through call gates, by direction.", "direction")
+	crossings.With("enter_untrusted").Func(rt.enterU.Load)
+	crossings.With("enter_trusted").Func(rt.enterT.Load)
 	rt.tel = &runtimeTelemetry{
-		vm:     vm.NewMetrics(reg),
-		enterU: crossings.With("enter_untrusted"),
-		enterT: crossings.With("enter_trusted"),
+		reg: reg,
 		gateLat: reg.HistogramVec(gatetrace.GateLatencyMetric,
 			"Gated call latency from gate enter to rights restore, by compartment domain.", "ns", "domain"),
 	}
@@ -257,8 +258,9 @@ func (rt *Runtime) Mode() GateMode { return rt.mode }
 func (rt *Runtime) UntrustedPKRU() mpk.PKRU { return rt.untrustedPKRU }
 
 // Transitions returns the number of compartment boundary crossings
-// performed through gates (each forward or reverse gate entry counts one).
-func (rt *Runtime) Transitions() uint64 { return rt.transitions.Load() }
+// performed through gates: each forward or reverse gate entered counts
+// one. A gate refused before its callee ran counts none.
+func (rt *Runtime) Transitions() uint64 { return rt.enterU.Load() + rt.enterT.Load() }
 
 // Aborted reports whether a gate detected tampering and killed the program.
 func (rt *Runtime) Aborted() bool { return rt.aborted.Load() }
@@ -288,7 +290,7 @@ func (rt *Runtime) SetExitAudit(on bool) { rt.exitAudit.Store(on) }
 func (rt *Runtime) NewThread() *Thread {
 	t := &Thread{rt: rt, VM: vm.NewThread(rt.Alloc.Space(), rt.Sigs)}
 	if tel := rt.tel; tel != nil {
-		t.VM.SetMetrics(tel.vm)
+		t.VM.PublishTo(tel.reg)
 	}
 	return t
 }
@@ -486,13 +488,6 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 				ErrGateTampered, prev, g.rights)
 		}
 	}
-	if tel := t.rt.tel; tel != nil {
-		if l.Trust == Untrusted {
-			tel.enterU.Inc()
-		} else {
-			tel.enterT.Inc()
-		}
-	}
 	// Forward crossings alone feed the crossing sink: what trusted data
 	// flowed into U and through which gate. The gate is timed — one clock
 	// read before the enter WRPKRU — only when someone reads its duration
@@ -595,7 +590,11 @@ func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom DomainBinding, f F
 		t.rt.aborted.Store(true)
 		return nil, fmt.Errorf("%w: %v", ErrGateTampered, enterErr)
 	}
-	t.rt.transitions.Add(1)
+	if l.Trust == Untrusted {
+		t.rt.enterU.Add(1)
+	} else {
+		t.rt.enterT.Add(1)
+	}
 	return f(t, args)
 }
 

@@ -265,9 +265,6 @@ func (a *Arena) UsableSize(addr vm.Addr) (uint64, bool) {
 	return 0, false
 }
 
-// Owns implements Allocator.
-func (a *Arena) Owns(addr vm.Addr) bool { return a.pool.Region().Contains(addr) }
-
 // Stats implements Allocator.
 func (a *Arena) Stats() Stats {
 	s := a.stats

@@ -277,9 +277,6 @@ func (f *FreeList) UsableSize(payload vm.Addr) (uint64, bool) {
 	return f.chunkSize(payload-headerSize) - headerSize, true
 }
 
-// Owns implements Allocator.
-func (f *FreeList) Owns(addr vm.Addr) bool { return f.pool.Region().Contains(addr) }
-
 // Stats implements Allocator.
 func (f *FreeList) Stats() Stats {
 	s := f.stats

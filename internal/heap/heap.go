@@ -55,8 +55,6 @@ type Allocator interface {
 	// UsableSize returns the capacity of the block containing addr and
 	// whether addr is a live allocation owned by this allocator.
 	UsableSize(addr vm.Addr) (uint64, bool)
-	// Owns reports whether addr lies in this allocator's region, live or not.
-	Owns(addr vm.Addr) bool
 	// Stats returns a snapshot of activity counters.
 	Stats() Stats
 }

@@ -517,15 +517,3 @@ func TestDrainProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestOwns(t *testing.T) {
-	s, p := newPool(t)
-	a := NewArena(p)
-	f := NewFreeList(p, s) // sharing a pool only for the Owns range check
-	if !a.Owns(poolBase+10) || !f.Owns(poolBase+10) {
-		t.Error("Owns inside region = false")
-	}
-	if a.Owns(poolBase-1) || f.Owns(poolBase+vm.Addr(poolSize)) {
-		t.Error("Owns outside region = true")
-	}
-}

@@ -2,6 +2,7 @@ package jsengine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,8 +11,30 @@ import (
 	"repro/internal/ffi"
 )
 
-// TestEngineGoAPI covers the embedder-facing surface: CallFunction,
-// Steps, MakeFloatArray and direct Eval.
+// callFunction invokes a previously defined top-level function by name,
+// as the FFI invoke does by id.
+func callFunction(e *Engine, th *ffi.Thread, name string, args ...Value) (Value, error) {
+	fd, ok := e.funcs[name]
+	if !ok {
+		return Null(), fmt.Errorf("jsengine: no function %q", name)
+	}
+	defer e.release(e.mark())
+	ctx := &execCtx{eng: e, th: th}
+	return ctx.invoke(fd, args)
+}
+
+// global returns a global binding.
+func global(e *Engine, name string) (Value, bool) {
+	i, ok := e.globalIdx[name]
+	if !ok {
+		return Null(), false
+	}
+	g := e.globals[i]
+	return g.val, g.set
+}
+
+// TestEngineGoAPI covers the embedder-facing surface: Steps,
+// MakeFloatArray and direct Eval, plus calls by function name.
 func TestEngineGoAPI(t *testing.T) {
 	reg := ffi.NewRegistry()
 	eng := NewEngine()
@@ -27,18 +50,18 @@ func TestEngineGoAPI(t *testing.T) {
 	if _, err := eng.Eval(th, "function mul(a, b) { return a * b; }"); err != nil {
 		t.Fatal(err)
 	}
-	v, err := eng.CallFunction(th, "mul", Num(6), Num(7))
+	v, err := callFunction(eng, th, "mul", Num(6), Num(7))
 	if err != nil || v.Num != 42 {
-		t.Errorf("CallFunction = %v, %v", v, err)
+		t.Errorf("callFunction = %v, %v", v, err)
 	}
-	if _, err := eng.CallFunction(th, "ghost"); err == nil {
-		t.Error("CallFunction of undefined succeeded")
+	if _, err := callFunction(eng, th, "ghost"); err == nil {
+		t.Error("callFunction of undefined succeeded")
 	}
 	// Missing arguments become null.
 	if _, err := eng.Eval(th, "function f(a, b) { return b == null ? 1 : 0; }"); err != nil {
 		t.Fatal(err)
 	}
-	v, err = eng.CallFunction(th, "f", Num(1))
+	v, err = callFunction(eng, th, "f", Num(1))
 	if err != nil || v.Num != 1 {
 		t.Errorf("missing arg = %v, %v", v, err)
 	}

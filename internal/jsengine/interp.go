@@ -28,8 +28,8 @@ var ErrStepLimit = errors.New("jsengine: script step limit exceeded")
 // memory.
 type Engine struct {
 	// Global variables, by the index the resolver gives each name that
-	// can reach the global scope. globalIdx is read only by the resolver
-	// and Global; the interpreter indexes globals directly.
+	// can reach the global scope. globalIdx is read only by the resolver;
+	// the interpreter indexes globals directly.
 	globalIdx map[string]int
 	globals   []binding
 
@@ -99,16 +99,6 @@ func (e *Engine) RegisterHost(name string, fn HostFunc) { e.hosts[name] = fn }
 // Steps returns the number of AST nodes evaluated so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// Global returns a global binding (for tests and embedders).
-func (e *Engine) Global(name string) (Value, bool) {
-	i, ok := e.globalIdx[name]
-	if !ok {
-		return Null(), false
-	}
-	g := e.globals[i]
-	return g.val, g.set
-}
-
 // globalIndex returns name's index in the global table, adding an unset
 // entry the first time the name is resolved.
 func (e *Engine) globalIndex(name string) int {
@@ -154,24 +144,13 @@ func (e *Engine) Eval(th *ffi.Thread, src string) (Value, error) {
 	return last, nil
 }
 
-// CallFunction invokes a previously defined top-level function.
-func (e *Engine) CallFunction(th *ffi.Thread, name string, args ...Value) (Value, error) {
-	fd, ok := e.funcs[name]
-	if !ok {
-		return Null(), fmt.Errorf("jsengine: no function %q", name)
-	}
-	defer e.release(e.mark())
-	ctx := &execCtx{eng: e, th: th}
-	return ctx.invoke(fd, args)
-}
-
 // stackMark is the depth of both stacks at an entry point.
 type stackMark struct{ vals, slots int }
 
 func (e *Engine) mark() stackMark { return stackMark{len(e.vals), len(e.slots)} }
 
-// release pops both stacks back to m. Entry points (Eval, CallFunction
-// and the FFI invoke) defer it, so the stacks are balanced again even
+// release pops both stacks back to m. Entry points (Eval and the FFI
+// invoke) defer it, so the stacks are balanced again even
 // when a host panic unwinds through the engine and is recovered above it.
 func (e *Engine) release(m stackMark) {
 	e.popVals(m.vals)
@@ -199,7 +178,7 @@ func (e *Engine) popSlots(base int) {
 
 // define binds fd as the top-level function of its name. A redefinition
 // takes over the name's invoke-by-id slot, so ids stay stable and invoke
-// runs the same body as script calls and CallFunction.
+// runs the same body as script calls.
 func (e *Engine) define(fd *funcDecl) {
 	if _, exists := e.funcs[fd.name]; exists {
 		i, _ := e.FunctionID(fd.name)

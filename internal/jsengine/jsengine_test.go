@@ -130,7 +130,7 @@ func TestArraysLiveInMU(t *testing.T) {
 	if _, err := evalIn(t, prog, "var a = new Array(10); a[3] = 1.5; a[3];"); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := eng.Global("a")
+	v, ok := global(eng, "a")
 	if !ok || v.Kind != KArr {
 		t.Fatalf("global a = %+v", v)
 	}
@@ -435,7 +435,7 @@ func TestInvokeByID(t *testing.T) {
 
 // TestInvokeByIDAfterRedefinition: a redefinition — hoisted by a later
 // Eval or run as a block statement — keeps the name's id and makes
-// invoke-by-id run the latest body, as CallFunction does.
+// invoke-by-id run the latest body, as callFunction does.
 func TestInvokeByIDAfterRedefinition(t *testing.T) {
 	prog, eng, _ := world(t, core.MPK)
 	th := prog.Main()
@@ -465,8 +465,8 @@ func TestInvokeByIDAfterRedefinition(t *testing.T) {
 		if got := math.Float64frombits(out[0]); got != want {
 			t.Errorf("after %q: invoke = %v, want %v", src, got, want)
 		}
-		if v, err := eng.CallFunction(th, "bench"); err != nil || v.Num != want {
-			t.Errorf("after %q: CallFunction = %v, %v; want %v", src, v.Num, err, want)
+		if v, err := callFunction(eng, th, "bench"); err != nil || v.Num != want {
+			t.Errorf("after %q: callFunction = %v, %v; want %v", src, v.Num, err, want)
 		}
 	}
 }

@@ -49,7 +49,7 @@ func TestObjectsLiveInMU(t *testing.T) {
 	if _, err := evalIn(t, prog, `var o = {a: 1};`); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := eng.Global("o")
+	v, ok := global(eng, "o")
 	if !ok || v.Kind != KObj {
 		t.Fatalf("global o = %+v", v)
 	}

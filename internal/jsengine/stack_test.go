@@ -39,10 +39,10 @@ func wantBalanced(t *testing.T, eng *Engine, th *ffi.Thread) {
 	if len(eng.vals) != 0 || len(eng.slots) != 0 {
 		t.Errorf("stack depths after the call: vals %d, slots %d; want 0, 0", len(eng.vals), len(eng.slots))
 	}
-	if v, err := eng.CallFunction(th, "stale"); err != nil || v.Num != 1 {
+	if v, err := callFunction(eng, th, "stale"); err != nil || v.Num != 1 {
 		t.Errorf("stale() = %v, %v; want 1 (the global)", v, err)
 	}
-	if v, err := eng.CallFunction(th, "add3", Num(1), Num(2), Num(3)); err != nil || v.Num != 6 {
+	if v, err := callFunction(eng, th, "add3", Num(1), Num(2), Num(3)); err != nil || v.Num != 6 {
 		t.Errorf("add3(1, 2, 3) = %v, %v; want 6", v, err)
 	}
 }
@@ -60,20 +60,20 @@ func TestStacksBalanceOnEveryExit(t *testing.T) {
 		{"runtime error mid-arguments",
 			`function bad() { var q = 7; var r = 8; return add3(1, add3(2, stale(), nope), 4); }`,
 			func(eng *Engine, th *ffi.Thread) error {
-				_, err := eng.CallFunction(th, "bad")
+				_, err := callFunction(eng, th, "bad")
 				return err
 			}},
 		{"step limit in a nested call",
 			`function spin(a) { var q = 7; while (true) {} } function bad() { var q = 7; var r = 8; return add3(1, 2, spin(3)); }`,
 			func(eng *Engine, th *ffi.Thread) error {
-				_, err := eng.CallFunction(th, "bad")
+				_, err := callFunction(eng, th, "bad")
 				eng.steps = 0
 				return err
 			}},
 		{"host error",
 			`function bad() { var q = 7; var r = 8; return add3(1, stale(), fail(2, 3)); }`,
 			func(eng *Engine, th *ffi.Thread) error {
-				_, err := eng.CallFunction(th, "bad")
+				_, err := callFunction(eng, th, "bad")
 				return err
 			}},
 		{"host panic, recovered",
@@ -84,7 +84,7 @@ func TestStacksBalanceOnEveryExit(t *testing.T) {
 						err = errors.New("recovered")
 					}
 				}()
-				_, err = eng.CallFunction(th, "bad")
+				_, err = callFunction(eng, th, "bad")
 				return err
 			}},
 		{"error through the FFI invoke",
@@ -133,7 +133,7 @@ func TestStacksBalancedWithinACall(t *testing.T) {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := eng.CallFunction(th, "probe"); err != nil || v.Num != 0 {
+	if v, err := callFunction(eng, th, "probe"); err != nil || v.Num != 0 {
 		t.Errorf("probe() = %v, %v; want 0 (depth unchanged across the loop)", v, err)
 	}
 	wantBalanced(t, eng, th)
@@ -153,7 +153,7 @@ function small(a) { return add3(a, a, a); }`); err != nil {
 		t.Fatal(err)
 	}
 	// Leave the stack with spare capacity above the host's args.
-	if _, err := eng.CallFunction(th, "grow", Num(20)); err != nil {
+	if _, err := callFunction(eng, th, "grow", Num(20)); err != nil {
 		t.Fatal(err)
 	}
 	want := []Value{Num(1), Str("two"), Num(3)}
@@ -172,7 +172,7 @@ function small(a) { return add3(a, a, a); }`); err != nil {
 	eng.RegisterHost("reenter", func(th *ffi.Thread, args []Value) (Value, error) {
 		check("on entry", args)
 		mine := append(args, Str("mine"))
-		if v, err := eng.CallFunction(th, "small", Num(4)); err != nil || v.Num != 12 {
+		if v, err := callFunction(eng, th, "small", Num(4)); err != nil || v.Num != 12 {
 			t.Errorf("small(4) = %v, %v", v, err)
 		}
 		check("after a nested call above the args", args)
@@ -180,7 +180,7 @@ function small(a) { return add3(a, a, a); }`); err != nil {
 			t.Errorf("appended arg = %v, overwritten by the nested call", mine[3])
 		}
 		before := &eng.vals[0]
-		if v, err := eng.CallFunction(th, "grow", Num(300)); err != nil || v.Num != 300*301/2 {
+		if v, err := callFunction(eng, th, "grow", Num(300)); err != nil || v.Num != 300*301/2 {
 			t.Errorf("grow(300) = %v, %v", v, err)
 		}
 		moved = before != &eng.vals[0]
@@ -190,7 +190,7 @@ function small(a) { return add3(a, a, a); }`); err != nil {
 	if _, err := eng.Eval(th, `function outer() { return reenter(1, "two", 3); }`); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := eng.CallFunction(th, "outer"); err != nil || v.Num != 1 {
+	if v, err := callFunction(eng, th, "outer"); err != nil || v.Num != 1 {
 		t.Fatalf("outer() = %v, %v", v, err)
 	}
 	if !moved {
@@ -207,7 +207,7 @@ func TestStackCapacityBounded(t *testing.T) {
 	if _, err := eng.Eval(th, `function grow(n) { var a = n; if (n < 1) return 0; return add3(n, grow(n - 1), 0); }`); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := eng.CallFunction(th, "grow", Num(maxRetained)); err != nil || v.Num != maxRetained*(maxRetained+1)/2 {
+	if v, err := callFunction(eng, th, "grow", Num(maxRetained)); err != nil || v.Num != maxRetained*(maxRetained+1)/2 {
 		t.Fatalf("grow = %v, %v", v, err)
 	}
 	if cap(eng.vals) > maxRetained || cap(eng.slots) > maxRetained {
@@ -231,17 +231,17 @@ func TestScriptCallAllocs(t *testing.T) {
 	}
 	allocs := func(n float64) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := eng.CallFunction(th, "loop", Num(n)); err != nil {
+			if _, err := callFunction(eng, th, "loop", Num(n)); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if a10, a1000 := allocs(10), allocs(1000); a1000 != a10 {
-		t.Errorf("allocations per CallFunction: %v at n=10, %v at n=1000; want equal", a10, a1000)
+		t.Errorf("allocations per callFunction: %v at n=10, %v at n=1000; want equal", a10, a1000)
 	}
 }
 
-// BenchmarkScriptCall measures one CallFunction of a 100-iteration call
+// BenchmarkScriptCall measures one callFunction of a 100-iteration call
 // loop.
 func BenchmarkScriptCall(b *testing.B) {
 	reg := ffi.NewRegistry()
@@ -260,7 +260,7 @@ func BenchmarkScriptCall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.CallFunction(th, "loop", Num(100)); err != nil {
+		if _, err := callFunction(eng, th, "loop", Num(100)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/mpk"
 	"repro/internal/obs"
 	"repro/internal/profile"
+	"repro/internal/sig"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -195,50 +196,53 @@ func TestCaptureNonFaultErrors(t *testing.T) {
 	if _, ok := nilRec.Capture(errors.New("x")); ok {
 		t.Error("nil recorder captured")
 	}
-	// The nil recorder's logging methods must be no-ops, not panics.
-	nilRec.LogAlloc(1, 2, profile.AllocID{})
-	nilRec.LogRealloc(1, 2, 3)
-	nilRec.LogDealloc(1)
+	// The nil recorder's methods must be no-ops, not panics.
 	nilRec.Install(nil)
-	if _, ok := nilRec.Lookup(1); ok {
-		t.Error("nil recorder found an object")
-	}
 }
 
 // TestRecorderTracksFrees asserts freed and reallocated objects keep the
-// metadata store consistent.
+// program's allocation shadow store consistent, as the recorder's crash
+// reports read it.
 func TestRecorderTracksFrees(t *testing.T) {
 	prog, err := core.NewProgram(quickstartRegistry(t), core.MPK, profile.New(),
 		core.Options{Forensics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// lookup is what a fault at addr would report about its object.
+	lookup := func(addr vm.Addr) obs.ProvenanceInfo {
+		t.Helper()
+		rep, ok := prog.Forensics().Capture(&vm.Fault{Info: sig.Info{Sig: sig.SIGSEGV, Code: sig.CodePKUErr, Addr: uint64(addr)}})
+		if !ok {
+			t.Fatal("Capture refused a fault")
+		}
+		return rep.Provenance
+	}
 	site := prog.Site("main", 0, 0)
 	a, err := prog.AllocAt(site, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := prog.Forensics()
-	if e, ok := rec.Lookup(uint64(a)); !ok || e.ID != site.ID {
-		t.Fatalf("after alloc: lookup = %+v, %v, want site %v", e, ok, site.ID)
+	if p := lookup(a); !p.Found || p.Site != site.ID.String() || p.LiveObjects != 1 {
+		t.Fatalf("after alloc: provenance = %+v, want site %v, 1 live object", p, site.ID)
 	}
 	b, err := prog.Realloc(a, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := rec.Lookup(uint64(b) + 100); !ok || e.ID != site.ID || uint64(e.Base) != uint64(b) || e.Size != 128 {
-		t.Fatalf("after realloc: lookup = %+v, %v, want %d bytes at %#x from site %v", e, ok, 128, b, site.ID)
+	if p := lookup(b + 100); !p.Found || p.Site != site.ID.String() || p.Offset != 100 || p.Size != 128 || p.LiveObjects != 1 {
+		t.Fatalf("after realloc: provenance = %+v, want %d bytes at %#x from site %v", p, 128, b, site.ID)
 	}
 	if b != a {
-		if _, ok := rec.Lookup(uint64(a)); ok {
+		if p := lookup(a); p.Found {
 			t.Fatal("after realloc: the old block is still tracked")
 		}
 	}
 	if err := prog.Free(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rec.Lookup(uint64(b)); ok {
-		t.Fatal("after free: the block is still tracked")
+	if p := lookup(b); p.Found || p.LiveObjects != 0 {
+		t.Fatalf("after free: provenance = %+v, want no live object", p)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/mpk"
-	"repro/internal/profile"
 	"repro/internal/provenance"
 	"repro/internal/sig"
 	"repro/internal/trace"
@@ -36,6 +35,9 @@ type Config struct {
 	BuildConfig string
 	// Ring, when non-nil, supplies the report's trace tail.
 	Ring *trace.Ring
+	// Shadow is the program's allocation shadow store, which names the
+	// object a fault lands in.
+	Shadow *provenance.Shadow
 }
 
 // faultState is what the signal handler captures while the faulting
@@ -48,19 +50,19 @@ type faultState struct {
 	known       bool
 }
 
-// Recorder is the fault forensics engine: it shadows the allocator with
-// (address, size, AllocId) metadata, observes every SIGSEGV delivery
-// through a chaining handler, and renders the combination into a Report
-// when a run dies. All methods are nil-safe so callers instrument
+// Recorder is the fault forensics engine: it observes every SIGSEGV
+// delivery through a chaining handler and renders it, with the object the
+// program's allocation shadow store places at the faulting address, into
+// a Report when a run dies. All methods are nil-safe so callers instrument
 // unconditionally; a nil *Recorder costs nothing.
 type Recorder struct {
 	space      *vm.Space
 	trustedKey mpk.Key
 	config     string
 	ring       *trace.Ring
+	shadow     *provenance.Shadow
 
 	mu       sync.Mutex
-	store    provenance.Store
 	threads  map[sig.Context]ThreadState
 	prevSegv sig.Handler
 	last     faultState
@@ -74,7 +76,7 @@ func NewRecorder(cfg Config) *Recorder {
 		trustedKey: cfg.TrustedKey,
 		config:     cfg.BuildConfig,
 		ring:       cfg.Ring,
-		store:      provenance.NewIntervalStore(),
+		shadow:     cfg.Shadow,
 		threads:    make(map[sig.Context]ThreadState),
 	}
 }
@@ -123,54 +125,6 @@ func (r *Recorder) onSegv(info *sig.Info, ctx sig.Context) sig.Action {
 	return sig.Unhandled
 }
 
-// LogAlloc records allocation metadata, mirroring the profiler's
-// log_alloc callback: the report needs (address, size, AllocId) for
-// whatever object a fatal fault lands in.
-func (r *Recorder) LogAlloc(base, size uint64, id profile.AllocID) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.store.Track(provenance.Entry{Base: vm.Addr(base), Size: size, ID: id})
-	r.mu.Unlock()
-}
-
-// LogRealloc transfers metadata to the object's new address, keeping the
-// original allocation site (pools never change across realloc).
-func (r *Recorder) LogRealloc(oldBase, newBase, newSize uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if e, ok := r.store.Untrack(vm.Addr(oldBase)); ok {
-		e.Base, e.Size = vm.Addr(newBase), newSize
-		r.store.Track(e)
-	}
-	r.mu.Unlock()
-}
-
-// LogDealloc drops metadata for a freed object.
-func (r *Recorder) LogDealloc(base uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.store.Untrack(vm.Addr(base))
-	r.mu.Unlock()
-}
-
-// Lookup resolves an address to the live allocation containing it, if the
-// shadow store tracks one. The fault supervisor uses it to turn a PKUERR
-// address into the concrete allocation site to heal.
-func (r *Recorder) Lookup(addr uint64) (provenance.Entry, bool) {
-	if r == nil {
-		return provenance.Entry{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.store.Lookup(vm.Addr(addr))
-}
-
 // Capture builds a crash report from the error a run died with. It
 // reports ok=false when err does not carry a *vm.Fault (the run did not
 // die on a memory fault) or the recorder is nil.
@@ -205,7 +159,8 @@ func (r *Recorder) Capture(err error) (rep *Report, ok bool) {
 			GateDepth: r.last.gateDepth,
 		}
 	}
-	if e, found := r.store.Lookup(vm.Addr(f.Info.Addr)); found {
+	r.mu.Unlock()
+	if e, found := r.shadow.Lookup(vm.Addr(f.Info.Addr)); found {
 		rep.Provenance = ProvenanceInfo{
 			Found:  true,
 			Site:   e.ID.String(),
@@ -214,8 +169,7 @@ func (r *Recorder) Capture(err error) (rep *Report, ok bool) {
 			Offset: f.Info.Addr - uint64(e.Base),
 		}
 	}
-	rep.Provenance.LiveObjects = r.store.Len()
-	r.mu.Unlock()
+	rep.Provenance.LiveObjects = r.shadow.Len()
 
 	if r.space != nil {
 		for _, p := range r.space.PageMapAround(vm.Addr(f.Info.Addr), pageRadius) {

@@ -81,9 +81,6 @@ func NewRollout(store *Store, frac float64, reg *telemetry.Registry) *Rollout {
 	return r
 }
 
-// Fraction returns the configured shadow fraction.
-func (r *Rollout) Fraction() float64 { return r.frac }
-
 // SetCandidate arms the rollout with a committed (non-active) generation
 // and resets the per-arm accounting.
 func (r *Rollout) SetCandidate(seq int) {

@@ -31,10 +31,10 @@ func TestRolloutAssignIdleIsControl(t *testing.T) {
 }
 
 func TestRolloutFractionClamp(t *testing.T) {
-	if f := NewRollout(New(), -2, nil).Fraction(); f != 0 {
+	if f := NewRollout(New(), -2, nil).frac; f != 0 {
 		t.Fatalf("fraction = %v, want clamp to 0", f)
 	}
-	if f := NewRollout(New(), 7, nil).Fraction(); f != 1 {
+	if f := NewRollout(New(), 7, nil).frac; f != 1 {
 		t.Fatalf("fraction = %v, want clamp to 1", f)
 	}
 }

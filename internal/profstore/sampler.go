@@ -7,21 +7,18 @@ import (
 	"time"
 
 	"repro/internal/profile"
+	"repro/internal/provenance"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/vm"
 )
-
-// Resolver maps an address carried across the boundary to the live
-// allocation containing it. The core wires this to the forensics shadow
-// store (obs.Recorder.Lookup); the indirection keeps profstore free of an
-// obs dependency.
-type Resolver func(addr uint64) (id profile.AllocID, size uint64, ok bool)
 
 // SamplerConfig parameterizes NewSampler.
 type SamplerConfig struct {
-	// Resolve attributes argument addresses to allocations. Nil disables
-	// attribution (the sampler still counts crossings).
-	Resolve Resolver
+	// Shadow is the program's allocation shadow store, which attributes
+	// argument addresses to allocations. Nil disables attribution (the
+	// sampler still counts crossings).
+	Shadow *provenance.Shadow
 	// Interval samples every Nth forward crossing; values <= 1 sample all.
 	Interval int
 	// Telemetry, when non-nil, registers the pkrusafe_profile_* families.
@@ -38,12 +35,12 @@ type SiteObs struct {
 
 // Sampler attributes forward (T→U) gate crossings to allocation sites: it
 // implements ffi.CrossingSink, resolving each argument word the call
-// carried into U through the provenance resolver. This is the live
+// carried into U through the allocation shadow store. This is the live
 // analogue of the paper's profiling build — instead of interposing on
 // faults, it watches what trusted data actually flows through the gates,
 // at a configurable sampling interval so the hot path stays cheap.
 type Sampler struct {
-	resolve Resolver
+	shadow *provenance.Shadow
 	// interval is atomic so the adaptive controller (gatetrace.Controller)
 	// can retune it while the gate path reads it lock-free.
 	interval atomic.Uint64
@@ -59,7 +56,6 @@ type Sampler struct {
 	mCrossings  *telemetry.CounterVec
 	mBytes      *telemetry.CounterVec
 	mLat        *telemetry.HistogramVec
-	mSamples    *telemetry.Counter
 	mUnresolved *telemetry.Counter
 }
 
@@ -67,9 +63,9 @@ type Sampler struct {
 // ffi.Runtime.SetCrossingSink (core.Options.Crossings does both).
 func NewSampler(cfg SamplerConfig) *Sampler {
 	s := &Sampler{
-		resolve: cfg.Resolve,
-		ring:    cfg.Ring,
-		sites:   make(map[profile.AllocID]*SiteObs),
+		shadow: cfg.Shadow,
+		ring:   cfg.Ring,
+		sites:  make(map[profile.AllocID]*SiteObs),
 	}
 	s.SetInterval(cfg.Interval)
 	if reg := cfg.Telemetry; reg != nil {
@@ -79,8 +75,8 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 			"Bytes of trusted-heap objects observed crossing the boundary, by site.", "site")
 		s.mLat = reg.HistogramVec("pkrusafe_profile_gate_latency_ns",
 			"Gate enter-to-restore latency of sampled crossings, by attributed site.", "ns", "site")
-		s.mSamples = reg.Counter("pkrusafe_profile_samples_total",
-			"Forward gate crossings kept by the sampling interval.")
+		reg.Counter("pkrusafe_profile_samples_total",
+			"Forward gate crossings kept by the sampling interval.").Func(s.sampled.Load)
 		s.mUnresolved = reg.Counter("pkrusafe_profile_unattributed_total",
 			"Sampled crossings whose arguments resolved to no tracked allocation.")
 	}
@@ -95,8 +91,7 @@ func (s *Sampler) ObserveCrossing(lib string, args []uint64, latency time.Durati
 		return
 	}
 	s.sampled.Add(1)
-	s.mSamples.Inc()
-	if s.resolve == nil {
+	if s.shadow == nil {
 		s.mUnresolved.Inc()
 		return
 	}
@@ -105,10 +100,11 @@ func (s *Sampler) ObserveCrossing(lib string, args []uint64, latency time.Durati
 	var seenIDs [4]profile.AllocID
 	nseen, resolved := 0, false
 	for _, a := range args {
-		id, size, ok := s.resolve(a)
+		e, ok := s.shadow.Lookup(vm.Addr(a))
 		if !ok {
 			continue
 		}
+		id := e.ID
 		dup := false
 		for i := 0; i < nseen; i++ {
 			if seenIDs[i] == id {
@@ -124,7 +120,7 @@ func (s *Sampler) ObserveCrossing(lib string, args []uint64, latency time.Durati
 			nseen++
 		}
 		resolved = true
-		s.note(id, size, a, latency)
+		s.note(id, e.Size, a, latency)
 	}
 	if !resolved {
 		s.mUnresolved.Inc()

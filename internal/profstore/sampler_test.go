@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"repro/internal/profile"
+	"repro/internal/provenance"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/vm"
 )
 
 // observed returns the sampler's aggregate for one site.
@@ -20,21 +22,19 @@ func observed(s *Sampler, id profile.AllocID) (SiteObs, bool) {
 	return *o, true
 }
 
-// rangeResolver attributes addresses inside [base, base+size) to one site.
-func rangeResolver(id profile.AllocID, base, size uint64) Resolver {
-	return func(addr uint64) (profile.AllocID, uint64, bool) {
-		if addr >= base && addr < base+size {
-			return id, size, true
-		}
-		return profile.AllocID{}, 0, false
-	}
+// oneObject is a shadow store holding one live object, [base, base+size)
+// from site id.
+func oneObject(id profile.AllocID, base vm.Addr, size uint64) *provenance.Shadow {
+	sh := new(provenance.Shadow)
+	sh.Track(provenance.Entry{Base: base, Size: size, ID: id})
+	return sh
 }
 
 func TestSamplerAttributesCrossings(t *testing.T) {
 	id := site("lib::buf", 0, 0)
 	ring := trace.NewRing(8)
 	s := NewSampler(SamplerConfig{
-		Resolve:   rangeResolver(id, 0x1000, 64),
+		Shadow:    oneObject(id, 0x1000, 64),
 		Telemetry: telemetry.NewRegistry(),
 		Ring:      ring,
 	})
@@ -60,7 +60,7 @@ func TestSamplerAttributesCrossings(t *testing.T) {
 
 func TestSamplerDedupesObjectsWithinOneCrossing(t *testing.T) {
 	id := site("lib::buf", 0, 0)
-	s := NewSampler(SamplerConfig{Resolve: rangeResolver(id, 0x1000, 64)})
+	s := NewSampler(SamplerConfig{Shadow: oneObject(id, 0x1000, 64)})
 	// Pointer + interior pointer into the same object: one attribution.
 	s.ObserveCrossing("ulib", []uint64{0x1000, 0x1008}, 0)
 	obs, _ := observed(s, id)
@@ -71,7 +71,7 @@ func TestSamplerDedupesObjectsWithinOneCrossing(t *testing.T) {
 
 func TestSamplerInterval(t *testing.T) {
 	id := site("lib::buf", 0, 0)
-	s := NewSampler(SamplerConfig{Resolve: rangeResolver(id, 0x1000, 64), Interval: 4})
+	s := NewSampler(SamplerConfig{Shadow: oneObject(id, 0x1000, 64), Interval: 4})
 	for i := 0; i < 8; i++ {
 		s.ObserveCrossing("ulib", []uint64{0x1000}, 0)
 	}
@@ -118,7 +118,7 @@ func TestSamplerFeedStore(t *testing.T) {
 		t.Fatalf("precondition: want 1 candidate, got %+v", got)
 	}
 	// ...unless the sampler saw it crossing under the active generation.
-	s := NewSampler(SamplerConfig{Resolve: rangeResolver(id, 0x1000, 64)})
+	s := NewSampler(SamplerConfig{Shadow: oneObject(id, 0x1000, 64)})
 	s.ObserveCrossing("ulib", []uint64{0x1000}, 0)
 	s.FeedStore(store)
 	if got := store.Retighten(2); len(got) != 0 {

@@ -11,13 +11,6 @@ import (
 	"repro/internal/vm"
 )
 
-// live returns the number of objects t currently tracks.
-func live(t *Tracer) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.store.Len()
-}
-
 func stores() map[string]Store {
 	return map[string]Store{
 		"interval": NewIntervalStore(),
@@ -119,27 +112,29 @@ func TestStoreEquivalenceProperty(t *testing.T) {
 }
 
 // profilingWorld builds a space with an MT-like region and a tracer
-// installed on a fresh signal table.
-func profilingWorld(t *testing.T) (*vm.Space, *vm.Thread, *Tracer) {
+// installed on a fresh signal table, resolving faults through the
+// returned shadow store.
+func profilingWorld(t *testing.T) (*Shadow, *vm.Thread, *Tracer) {
 	t.Helper()
 	s := vm.NewSpace()
 	if _, err := s.Reserve("mt", 0x10_0000, 1<<20, 1); err != nil {
 		t.Fatal(err)
 	}
 	tbl := new(sig.Table)
-	tr := NewTracer(profile.New(), 1)
+	sh := new(Shadow)
+	tr := NewTracer(profile.New(), 1, sh)
 	tr.Install(tbl)
-	return s, vm.NewThread(s, tbl), tr
+	return sh, vm.NewThread(s, tbl), tr
 }
 
 func TestTracerRecordsFaultingSite(t *testing.T) {
-	_, th, tr := profilingWorld(t)
+	sh, th, tr := profilingWorld(t)
 	id := profile.AllocID{Func: "trusted_alloc", Block: 2, Site: 1}
 	base := vm.Addr(0x10_0000)
 	if err := th.Store64(base, 42); err != nil { // permissive warm-up write
 		t.Fatal(err)
 	}
-	tr.LogAlloc(uint64(base), 64, id)
+	sh.Track(Entry{Base: base, Size: 64, ID: id})
 
 	// Enter "untrusted" rights and read the object: must fault, be
 	// recorded, single-step, and return the right value.
@@ -169,9 +164,9 @@ func TestTracerRecordsFaultingSite(t *testing.T) {
 }
 
 func TestTracerInteriorPointerFault(t *testing.T) {
-	_, th, tr := profilingWorld(t)
+	sh, th, tr := profilingWorld(t)
 	id := profile.AllocID{Func: "vec"}
-	tr.LogAlloc(0x10_0000, 4096, id)
+	sh.Track(Entry{Base: 0x10_0000, Size: 4096, ID: id})
 	th.SetRights(mpk.PermitAll.With(1, mpk.DenyAll))
 	if _, err := th.Load8(0x10_0000 + 2000); err != nil {
 		t.Fatal(err)
@@ -207,7 +202,7 @@ func TestTracerChainsForeignFaults(t *testing.T) {
 		appCalls++
 		return sig.Unhandled
 	}))
-	tr := NewTracer(profile.New(), 1)
+	tr := NewTracer(profile.New(), 1, new(Shadow))
 	tr.Install(tbl) // installed after the app handler, chains to it
 	th := vm.NewThread(s, tbl)
 	if _, err := th.Load8(0xdead_0000); err == nil { // unmapped: MAPERR
@@ -227,7 +222,7 @@ func TestTracerWrongKeyChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := new(sig.Table)
-	tr := NewTracer(profile.New(), 1) // traces key 1, not key 5
+	tr := NewTracer(profile.New(), 1, new(Shadow)) // traces key 1, not key 5
 	tr.Install(tbl)
 	th := vm.NewThread(s, tbl)
 	th.SetRights(mpk.PermitAll.With(5, mpk.DenyAll))
@@ -240,12 +235,12 @@ func TestTracerWrongKeyChains(t *testing.T) {
 }
 
 func TestTracerReallocCarriesID(t *testing.T) {
-	_, th, tr := profilingWorld(t)
+	sh, th, tr := profilingWorld(t)
 	id := profile.AllocID{Func: "buf"}
-	tr.LogAlloc(0x10_0000, 32, id)
-	tr.LogRealloc(0x10_0000, 0x10_1000, 128)
-	if live(tr) != 1 {
-		t.Fatalf("live = %d", live(tr))
+	sh.Track(Entry{Base: 0x10_0000, Size: 32, ID: id})
+	sh.Retrack(0x10_0000, 0x10_1000, 128)
+	if sh.Len() != 1 {
+		t.Fatalf("live = %d", sh.Len())
 	}
 	th.SetRights(mpk.PermitAll.With(1, mpk.DenyAll))
 	if _, err := th.Load8(0x10_1000 + 100); err != nil {
@@ -255,19 +250,19 @@ func TestTracerReallocCarriesID(t *testing.T) {
 		t.Error("realloc'd object lost its AllocId")
 	}
 	// Realloc of an untracked base is a no-op, not a crash.
-	tr.LogRealloc(0xaaaa, 0xbbbb, 8)
-	if live(tr) != 1 {
-		t.Errorf("live after foreign realloc = %d", live(tr))
+	sh.Retrack(0xaaaa, 0xbbbb, 8)
+	if sh.Len() != 1 {
+		t.Errorf("live after foreign realloc = %d", sh.Len())
 	}
 }
 
 func TestTracerDeallocStopsTracking(t *testing.T) {
-	_, th, tr := profilingWorld(t)
+	sh, th, tr := profilingWorld(t)
 	id := profile.AllocID{Func: "temp"}
-	tr.LogAlloc(0x10_0000, 64, id)
-	tr.LogDealloc(0x10_0000)
-	if live(tr) != 0 {
-		t.Fatalf("live = %d", live(tr))
+	sh.Track(Entry{Base: 0x10_0000, Size: 64, ID: id})
+	sh.Untrack(0x10_0000)
+	if sh.Len() != 0 {
+		t.Fatalf("live = %d", sh.Len())
 	}
 	th.SetRights(mpk.PermitAll.With(1, mpk.DenyAll))
 	if _, err := th.Load8(0x10_0000); err != nil {
@@ -277,15 +272,15 @@ func TestTracerDeallocStopsTracking(t *testing.T) {
 		t.Error("freed object still attributed")
 	}
 	st := tr.Stats()
-	if st.TrackedFrees != 1 || st.UnknownFaults != 1 {
+	if st.UnknownFaults != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
 func TestTracerManyAccessesRecordOneSite(t *testing.T) {
-	_, th, tr := profilingWorld(t)
+	sh, th, tr := profilingWorld(t)
 	id := profile.AllocID{Func: "hot"}
-	tr.LogAlloc(0x10_0000, 4096, id)
+	sh.Track(Entry{Base: 0x10_0000, Size: 4096, ID: id})
 	th.SetRights(mpk.PermitAll.With(1, mpk.DenyAll))
 	for i := 0; i < 50; i++ {
 		if _, err := th.Load8(0x10_0000 + vm.Addr(i*64)); err != nil {
@@ -298,5 +293,17 @@ func TestTracerManyAccessesRecordOneSite(t *testing.T) {
 	r, _ := tr.Profile().Get(id)
 	if r.Faults != 50 {
 		t.Errorf("faults = %d, want 50", r.Faults)
+	}
+}
+
+// TestShadowNil: a build without a shadow store passes a nil *Shadow to
+// every feeder and reader; it tracks and finds nothing.
+func TestShadowNil(t *testing.T) {
+	var sh *Shadow
+	sh.Track(Entry{Base: 0x1000, Size: 64})
+	sh.Retrack(0x1000, 0x2000, 128)
+	sh.Untrack(0x2000)
+	if _, ok := sh.Lookup(0x1000); ok || sh.Len() != 0 {
+		t.Error("nil shadow tracked an object")
 	}
 }

@@ -7,6 +7,7 @@ package provenance
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/profile"
 	"repro/internal/vm"
@@ -86,6 +87,73 @@ func (s *IntervalStore) Lookup(addr vm.Addr) (Entry, bool) {
 
 // Len implements Store.
 func (s *IntervalStore) Len() int { return len(s.entries) }
+
+// Shadow is a program's one allocation shadow store: the live site
+// allocations of both pools, fed by the allocation callbacks and read by
+// whoever must resolve an address to its site — the profiling fault
+// handler, fault forensics, the Heal supervisor and the crossing sampler.
+// It is safe for concurrent use. A nil *Shadow tracks nothing and finds
+// nothing.
+type Shadow struct {
+	mu    sync.Mutex
+	store IntervalStore
+}
+
+// Track records a new live object (log_alloc).
+func (s *Shadow) Track(e Entry) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.store.Track(e)
+	s.mu.Unlock()
+}
+
+// Retrack moves the object based at oldBase to newBase with newSize,
+// keeping its AllocId (log_realloc): because pkalloc's realloc never
+// changes pools, associating the new object with the old site remains
+// sound (§4.3.1). An untracked oldBase is ignored.
+func (s *Shadow) Retrack(oldBase, newBase vm.Addr, newSize uint64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if e, ok := s.store.Untrack(oldBase); ok {
+		e.Base, e.Size = newBase, newSize
+		s.store.Track(e)
+	}
+	s.mu.Unlock()
+}
+
+// Untrack drops the object based at base (log_dealloc).
+func (s *Shadow) Untrack(base vm.Addr) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.store.Untrack(base)
+	s.mu.Unlock()
+}
+
+// Lookup resolves any address inside a live object.
+func (s *Shadow) Lookup(addr vm.Addr) (Entry, bool) {
+	if s == nil {
+		return Entry{}, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.store.Lookup(addr)
+}
+
+// Len returns the number of live tracked objects.
+func (s *Shadow) Len() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.store.Len()
+}
 
 // LinearStore is the naive baseline kept for the metadata-store ablation
 // benchmark: a flat slice scanned linearly on every lookup.

@@ -13,17 +13,15 @@ import (
 
 // TracerStats counts profiler activity.
 type TracerStats struct {
-	TrackedAllocs   uint64 // log_alloc callbacks
-	TrackedReallocs uint64 // log_realloc callbacks
-	TrackedFrees    uint64 // log_dealloc callbacks
-	RecordedFaults  uint64 // PKU faults attributed to a tracked object
-	UnknownFaults   uint64 // PKU faults on MT with no tracked object
-	ChainedFaults   uint64 // faults handed to the pre-existing handler
+	RecordedFaults uint64 // PKU faults attributed to a tracked object
+	UnknownFaults  uint64 // PKU faults on MT with no tracked object
+	ChainedFaults  uint64 // faults handed to the pre-existing handler
 }
 
-// Tracer is the dynamic-analysis runtime of §4.3: it receives the
-// compiler-inserted allocation callbacks, keeps the live-object metadata
-// store, and services SIGSEGV/SIGTRAP during profiling runs.
+// Tracer is the dynamic-analysis runtime of §4.3: it resolves faulting
+// addresses through the program's live-object shadow store, which the
+// compiler-inserted allocation callbacks feed, and services
+// SIGSEGV/SIGTRAP during profiling runs.
 //
 // The fault loop reproduces §4.3.2 exactly: on a protection-key violation
 // against the trusted key it looks up the faulting object, records its
@@ -34,7 +32,7 @@ type TracerStats struct {
 // previously registered handler.
 type Tracer struct {
 	mu         sync.Mutex
-	store      Store
+	shadow     *Shadow
 	prof       *profile.Profile
 	trustedKey mpk.Key
 
@@ -59,11 +57,11 @@ type savedState struct {
 	span telemetry.Span
 }
 
-// NewTracer creates a tracer recording into prof, its allocation metadata
-// kept in an IntervalStore.
-func NewTracer(prof *profile.Profile, trustedKey mpk.Key) *Tracer {
+// NewTracer creates a tracer recording into prof, resolving faults on
+// trustedKey through shadow.
+func NewTracer(prof *profile.Profile, trustedKey mpk.Key, shadow *Shadow) *Tracer {
 	return &Tracer{
-		store:      NewIntervalStore(),
+		shadow:     shadow,
 		prof:       prof,
 		trustedKey: trustedKey,
 		saved:      make(map[sig.Context]savedState),
@@ -108,39 +106,6 @@ func (t *Tracer) Stats() TracerStats {
 	return t.stats
 }
 
-// LogAlloc is the callback inserted after every instrumented allocation:
-// it records (address, size, AllocId) in the runtime metadata.
-func (t *Tracer) LogAlloc(base uint64, size uint64, id profile.AllocID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.store.Track(Entry{Base: addr(base), Size: size, ID: id})
-	t.stats.TrackedAllocs++
-}
-
-// LogRealloc transfers metadata from the old to the new address, keeping
-// the original AllocId: because pkalloc's realloc never changes pools,
-// associating the new object with the old site remains sound (§4.3.1).
-func (t *Tracer) LogRealloc(oldBase, newBase, newSize uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stats.TrackedReallocs++
-	e, ok := t.store.Untrack(addr(oldBase))
-	if !ok {
-		return // object was never tracked; nothing to carry over
-	}
-	e.Base, e.Size = addr(newBase), newSize
-	t.store.Track(e)
-}
-
-// LogDealloc drops metadata for a freed object.
-func (t *Tracer) LogDealloc(base uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.store.Untrack(addr(base)); ok {
-		t.stats.TrackedFrees++
-	}
-}
-
 func (t *Tracer) onSegv(info *sig.Info, ctx sig.Context) sig.Action {
 	if info.Code != sig.CodePKUErr || mpk.Key(info.PKey) != t.trustedKey {
 		// Not an MPK violation against MT: chain to the application's own
@@ -154,8 +119,9 @@ func (t *Tracer) onSegv(info *sig.Info, ctx sig.Context) sig.Action {
 		}
 		return sig.Unhandled
 	}
+	e, found := t.shadow.Lookup(vm.Addr(info.Addr))
 	t.mu.Lock()
-	if e, ok := t.store.Lookup(addr(info.Addr)); ok {
+	if found {
 		t.prof.Add(e.ID, e.Size)
 		t.stats.RecordedFaults++
 		if t.siteFaults != nil {
@@ -204,5 +170,3 @@ func (t *Tracer) onTrap(info *sig.Info, ctx sig.Context) sig.Action {
 	}
 	return sig.Handled
 }
-
-func addr(a uint64) vm.Addr { return vm.Addr(a) }

@@ -10,13 +10,16 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pkalloc"
 	"repro/internal/profile"
+	"repro/internal/provenance"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
-// world builds a gated runtime plus the forensics recorder a Heal-policy
-// supervisor resolves sites through, mirroring what core.NewProgram wires.
-func world(t *testing.T) (*ffi.Runtime, *ffi.Registry, *obs.Recorder) {
+// world builds a gated runtime plus the supervisor's collaborators: the
+// allocation shadow store a Heal-policy supervisor resolves sites through
+// and the forensics recorder reading it, mirroring what core.NewProgram
+// wires.
+func world(t *testing.T) (*ffi.Runtime, *ffi.Registry, Deps) {
 	t.Helper()
 	space := vm.NewSpace()
 	alloc, err := pkalloc.New(pkalloc.Config{Space: space})
@@ -25,9 +28,10 @@ func world(t *testing.T) (*ffi.Runtime, *ffi.Registry, *obs.Recorder) {
 	}
 	reg := ffi.NewRegistry()
 	rt := ffi.NewRuntime(reg, alloc, nil, ffi.GatesOn)
-	rec := obs.NewRecorder(obs.Config{Space: space, TrustedKey: alloc.TrustedKey(), BuildConfig: "mpk"})
+	shadow := new(provenance.Shadow)
+	rec := obs.NewRecorder(obs.Config{Space: space, TrustedKey: alloc.TrustedKey(), BuildConfig: "mpk", Shadow: shadow})
 	rec.Install(rt.Sigs)
-	return rt, reg, rec
+	return rt, reg, Deps{Alloc: alloc, Shadow: shadow, Recorder: rec}
 }
 
 func TestParsePolicyRoundTrip(t *testing.T) {
@@ -65,7 +69,7 @@ func TestAbortPolicyYieldsNilSupervisor(t *testing.T) {
 }
 
 func TestRetryRecoverFlaky(t *testing.T) {
-	rt, reg, rec := world(t)
+	rt, reg, deps := world(t)
 	secret, err := rt.Alloc.Alloc(8) // MT: untrusted access faults
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +84,7 @@ func TestRetryRecoverFlaky(t *testing.T) {
 		return []uint64{42}, nil
 	})
 	tel := telemetry.NewRegistry()
-	s := New(Config{Policy: Retry}, Deps{Alloc: rt.Alloc, Recorder: rec, Telemetry: tel})
+	s := New(Config{Policy: Retry}, Deps{Alloc: deps.Alloc, Shadow: deps.Shadow, Recorder: deps.Recorder, Telemetry: tel})
 	th := rt.NewThread()
 	res, err := s.Call(th, "u", "flaky")
 	if err != nil || len(res) != 1 || res[0] != 42 {
@@ -100,13 +104,13 @@ func TestRetryRecoverFlaky(t *testing.T) {
 }
 
 func TestRetryExhaustionSurfacesCompartmentError(t *testing.T) {
-	rt, reg, rec := world(t)
+	rt, reg, deps := world(t)
 	secret, _ := rt.Alloc.Alloc(8)
 	reg.MustLibrary("u", ffi.Untrusted).Define("always_faults", func(th *ffi.Thread, _ []uint64) ([]uint64, error) {
 		_, e := th.Load64(secret)
 		return nil, e
 	})
-	s := New(Config{Policy: Retry}, Deps{Alloc: rt.Alloc, Recorder: rec})
+	s := New(Config{Policy: Retry}, deps)
 	th := rt.NewThread()
 	_, err := s.Call(th, "u", "always_faults")
 	var ce *CompartmentError
@@ -127,14 +131,14 @@ func TestRetryExhaustionSurfacesCompartmentError(t *testing.T) {
 }
 
 func TestOrdinaryErrorsPassThrough(t *testing.T) {
-	rt, reg, rec := world(t)
+	rt, reg, deps := world(t)
 	apiErr := errors.New("u: bad argument")
 	calls := 0
 	reg.MustLibrary("u", ffi.Untrusted).Define("api_error", func(*ffi.Thread, []uint64) ([]uint64, error) {
 		calls++
 		return nil, apiErr
 	})
-	s := New(Config{Policy: Retry}, Deps{Alloc: rt.Alloc, Recorder: rec})
+	s := New(Config{Policy: Retry}, deps)
 	_, err := s.Call(rt.NewThread(), "u", "api_error")
 	if !errors.Is(err, apiErr) {
 		t.Fatalf("error = %v, want the callee's own error", err)
@@ -149,7 +153,7 @@ func TestOrdinaryErrorsPassThrough(t *testing.T) {
 }
 
 func TestPanicRecoveredAndRetried(t *testing.T) {
-	rt, reg, rec := world(t)
+	rt, reg, deps := world(t)
 	calls := 0
 	reg.MustLibrary("u", ffi.Untrusted).Define("crashy", func(*ffi.Thread, []uint64) ([]uint64, error) {
 		calls++
@@ -158,7 +162,7 @@ func TestPanicRecoveredAndRetried(t *testing.T) {
 		}
 		return []uint64{1}, nil
 	})
-	s := New(Config{Policy: Retry}, Deps{Alloc: rt.Alloc, Recorder: rec})
+	s := New(Config{Policy: Retry}, deps)
 	th := rt.NewThread()
 	res, err := s.Call(th, "u", "crashy")
 	if err != nil || len(res) != 1 {
@@ -170,7 +174,7 @@ func TestPanicRecoveredAndRetried(t *testing.T) {
 }
 
 func TestQuarantineResetsMUAndFailsCall(t *testing.T) {
-	rt, reg, rec := world(t)
+	rt, reg, deps := world(t)
 	secret, _ := rt.Alloc.Alloc(8)
 	mu, err := rt.Alloc.UntrustedAlloc(16)
 	if err != nil {
@@ -183,7 +187,7 @@ func TestQuarantineResetsMUAndFailsCall(t *testing.T) {
 		_, e := th.Load64(secret) // then die on MT
 		return nil, e
 	})
-	s := New(Config{Policy: Quarantine}, Deps{Alloc: rt.Alloc, Recorder: rec})
+	s := New(Config{Policy: Quarantine}, deps)
 	th := rt.NewThread()
 	_, err = s.Call(th, "u", "corrupt")
 	var ce *CompartmentError
@@ -212,13 +216,13 @@ func TestQuarantineResetsMUAndFailsCall(t *testing.T) {
 }
 
 func TestHealMigratesSiteAndRetries(t *testing.T) {
-	rt, reg, rec := world(t)
+	rt, reg, deps := world(t)
 	id := profile.AllocID{Func: "main", Block: 0, Site: 1}
 	obj, err := rt.Alloc.Alloc(64) // MT object the profile missed
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.LogAlloc(uint64(obj), 64, id) // what core.AllocAt does
+	deps.Shadow.Track(provenance.Entry{Base: obj, Size: 64, ID: id}) // what core.AllocAt does
 	neighbour, _ := rt.Alloc.Alloc(vm.PageSize)
 
 	calls := 0
@@ -230,7 +234,7 @@ func TestHealMigratesSiteAndRetries(t *testing.T) {
 		return nil, nil
 	})
 	tel := telemetry.NewRegistry()
-	s := New(Config{Policy: Heal}, Deps{Alloc: rt.Alloc, Recorder: rec, Telemetry: tel})
+	s := New(Config{Policy: Heal}, Deps{Alloc: deps.Alloc, Shadow: deps.Shadow, Recorder: deps.Recorder, Telemetry: tel})
 	th := rt.NewThread()
 	if _, err := s.Call(th, "u", "write", uint64(obj)); err != nil {
 		t.Fatalf("healed call failed: %v", err)
@@ -278,13 +282,13 @@ func TestHealMigratesSiteAndRetries(t *testing.T) {
 }
 
 func TestHealUnresolvableFallsBackToQuarantine(t *testing.T) {
-	rt, reg, rec := world(t)
+	rt, reg, deps := world(t)
 	secret, _ := rt.Alloc.Alloc(8) // never logged with the recorder
 	reg.MustLibrary("u", ffi.Untrusted).Define("wild", func(th *ffi.Thread, _ []uint64) ([]uint64, error) {
 		_, e := th.Load64(secret)
 		return nil, e
 	})
-	s := New(Config{Policy: Heal}, Deps{Alloc: rt.Alloc, Recorder: rec})
+	s := New(Config{Policy: Heal}, deps)
 	_, err := s.Call(rt.NewThread(), "u", "wild")
 	var ce *CompartmentError
 	if !errors.As(err, &ce) || ce.Outcome != OutcomeUnhealable {
@@ -299,13 +303,13 @@ func TestHealUnresolvableFallsBackToQuarantine(t *testing.T) {
 }
 
 func TestBudgetExhaustion(t *testing.T) {
-	rt, reg, rec := world(t)
+	rt, reg, deps := world(t)
 	secret, _ := rt.Alloc.Alloc(8)
 	reg.MustLibrary("u", ffi.Untrusted).Define("always_faults", func(th *ffi.Thread, _ []uint64) ([]uint64, error) {
 		_, e := th.Load64(secret)
 		return nil, e
 	})
-	s := New(Config{Policy: Retry}, Deps{Alloc: rt.Alloc, Recorder: rec})
+	s := New(Config{Policy: Retry}, deps)
 	th := rt.NewThread()
 	// Each exhausted call spends MaxRetries+1 recovery actions: one per
 	// retry plus the one that finds the retries gone.
@@ -331,7 +335,7 @@ func TestBudgetExhaustion(t *testing.T) {
 // domain's pool also scrubs the shared MU pool; the quarantines between
 // leave MU alone.
 func TestDomainQuarantineEscalates(t *testing.T) {
-	rt, reg, rec := world(t)
+	rt, reg, deps := world(t)
 	if _, err := rt.Alloc.AddDomainPool("tenantA", mpk.Key(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +344,7 @@ func TestDomainQuarantineEscalates(t *testing.T) {
 		_, e := th.Load64(secret)
 		return nil, e
 	})
-	s := New(Config{Policy: Quarantine}, Deps{Alloc: rt.Alloc, Recorder: rec})
+	s := New(Config{Policy: Quarantine}, deps)
 	tracer := gatetrace.New(gatetrace.Config{Capacity: 4})
 	th := rt.NewThread()
 	for n := 1; n <= 2*EscalateAfter; n++ {
@@ -366,7 +370,7 @@ func TestDomainQuarantineEscalates(t *testing.T) {
 }
 
 func TestRecoveryMetricsExported(t *testing.T) {
-	rt, reg, rec := world(t)
+	rt, reg, deps := world(t)
 	secret, _ := rt.Alloc.Alloc(8)
 	calls := 0
 	reg.MustLibrary("u", ffi.Untrusted).Define("once", func(th *ffi.Thread, _ []uint64) ([]uint64, error) {
@@ -378,7 +382,7 @@ func TestRecoveryMetricsExported(t *testing.T) {
 		return nil, nil
 	})
 	tel := telemetry.NewRegistry()
-	s := New(Config{Policy: Retry}, Deps{Alloc: rt.Alloc, Recorder: rec, Telemetry: tel})
+	s := New(Config{Policy: Retry}, Deps{Alloc: deps.Alloc, Shadow: deps.Shadow, Recorder: deps.Recorder, Telemetry: tel})
 	if _, err := s.Call(rt.NewThread(), "u", "once"); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pkalloc"
 	"repro/internal/profile"
+	"repro/internal/provenance"
 	"repro/internal/sig"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -20,9 +21,11 @@ type Deps struct {
 	// Alloc is the program's split allocator (required for Quarantine and
 	// Heal: pool reset and trusted-region ownership checks).
 	Alloc *pkalloc.Allocator
-	// Recorder is the forensics shadow store. Heal needs it to resolve a
-	// fault address to the allocation site to migrate, and to attach the
-	// would-have-been crash report to the recovery event.
+	// Shadow is the program's allocation shadow store. Heal needs it to
+	// resolve a fault address to the allocation site to migrate.
+	Shadow *provenance.Shadow
+	// Recorder, when non-nil, renders the crash report a healed fault
+	// would have died with, attached to the recovery event.
 	Recorder *obs.Recorder
 	// Ring, when non-nil, receives Recover/Heal trace events.
 	Ring *trace.Ring
@@ -53,11 +56,12 @@ type Event struct {
 // for concurrent use by many threads; a nil *Supervisor is a no-op
 // pass-through so callers can wire it unconditionally.
 type Supervisor struct {
-	cfg   Config
-	alloc *pkalloc.Allocator
-	rec   *obs.Recorder
-	ring  *trace.Ring
-	tel   *supTelemetry
+	cfg    Config
+	alloc  *pkalloc.Allocator
+	rec    *obs.Recorder
+	shadow *provenance.Shadow
+	ring   *trace.Ring
+	tel    *supTelemetry
 
 	mu         sync.Mutex
 	healed     map[profile.AllocID]bool
@@ -85,6 +89,7 @@ func New(cfg Config, deps Deps) *Supervisor {
 		cfg:        cfg,
 		alloc:      deps.Alloc,
 		rec:        deps.Recorder,
+		shadow:     deps.Shadow,
 		ring:       deps.Ring,
 		healed:     make(map[profile.AllocID]bool),
 		delta:      profile.New(),
@@ -368,34 +373,26 @@ func (s *Supervisor) DomainQuarantines(domain string) int {
 // trusted key whose address the provenance shadow maps to a live MT
 // allocation. It also captures the crash report the run would have died
 // with, before healing mutates the page keys the report renders.
-func (s *Supervisor) resolveSite(cause error) (entry sEntry, rep *obs.Report, ok bool) {
+func (s *Supervisor) resolveSite(cause error) (entry provenance.Entry, rep *obs.Report, ok bool) {
 	var f *vm.Fault
 	if !errors.As(cause, &f) {
-		return sEntry{}, nil, false
+		return provenance.Entry{}, nil, false
 	}
 	if f.Info.Sig != sig.SIGSEGV || f.Info.Code != sig.CodePKUErr {
-		return sEntry{}, nil, false
+		return provenance.Entry{}, nil, false
 	}
-	if s.alloc == nil || s.rec == nil {
-		return sEntry{}, nil, false
+	if s.alloc == nil || s.shadow == nil {
+		return provenance.Entry{}, nil, false
 	}
 	if f.Info.PKey != uint8(s.alloc.TrustedKey()) {
-		return sEntry{}, nil, false
+		return provenance.Entry{}, nil, false
 	}
-	e, found := s.rec.Lookup(f.Info.Addr)
+	e, found := s.shadow.Lookup(vm.Addr(f.Info.Addr))
 	if !found || !s.alloc.TrustedRegion().Contains(e.Base) {
-		return sEntry{}, nil, false
+		return provenance.Entry{}, nil, false
 	}
 	rep, _ = s.rec.Capture(cause)
-	return sEntry{base: e.Base, size: e.Size, id: e.ID}, rep, true
-}
-
-// sEntry is the slice of provenance.Entry the supervisor needs; a local
-// type keeps the obs/provenance split out of the public API.
-type sEntry struct {
-	base vm.Addr
-	size uint64
-	id   profile.AllocID
+	return e, rep, true
 }
 
 // healSite migrates one misclassified object MT→MU in place: the pages
@@ -407,9 +404,9 @@ type sEntry struct {
 // granular, like the enforcement itself (§3.4): trusted objects sharing a
 // page with the healed one become reachable from U, the same exposure a
 // profiler-driven rewrite of that site would have produced one run later.
-func (s *Supervisor) healSite(e sEntry, rep *obs.Report, label string, attempt int, cause error) error {
-	lo := e.base.PageBase()
-	hi := (e.base + vm.Addr(e.size) + vm.PageMask).PageBase()
+func (s *Supervisor) healSite(e provenance.Entry, rep *obs.Report, label string, attempt int, cause error) error {
+	lo := e.Base.PageBase()
+	hi := (e.Base + vm.Addr(e.Size) + vm.PageMask).PageBase()
 	if hi == lo {
 		hi = lo + vm.PageSize
 	}
@@ -417,16 +414,16 @@ func (s *Supervisor) healSite(e sEntry, rep *obs.Report, label string, attempt i
 		return err
 	}
 	s.mu.Lock()
-	first := !s.healed[e.id]
-	s.healed[e.id] = true
+	first := !s.healed[e.ID]
+	s.healed[e.ID] = true
 	if first {
-		s.delta.Add(e.id, e.size)
+		s.delta.Add(e.ID, e.Size)
 	}
 	s.mu.Unlock()
 	s.note(Event{Action: "heal", Call: label, Attempt: attempt, Cause: cause.Error(),
-		Site: e.id.String(), Averted: rep})
+		Site: e.ID.String(), Averted: rep})
 	if s.ring != nil {
-		s.ring.Emit(trace.Event{Kind: trace.Heal, A: uint64(e.base), Note: e.id.String()})
+		s.ring.Emit(trace.Event{Kind: trace.Heal, A: uint64(e.Base), Note: e.ID.String()})
 	}
 	if tel := s.tel; tel != nil && first {
 		tel.healedSites.Inc()

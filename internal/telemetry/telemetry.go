@@ -49,9 +49,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Counter is a monotone atomic counter. The nil counter is a no-op.
+// Counter is a monotone counter: what Add has added plus, read at export
+// time, the counts of every owner attached with Func. The nil counter is
+// a no-op.
 type Counter struct {
-	v atomic.Uint64
+	v   atomic.Uint64
+	fns atomic.Pointer[[]func() uint64] // copied on attach, read lock-free
 }
 
 // Inc adds one.
@@ -64,12 +67,41 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
+// Func attaches a count its owner already keeps; Value reads it on every
+// export, so the owner's hot path pushes nothing into the registry. fn
+// must be monotone and safe to call concurrently with the owner. Several
+// owners may attach to one counter (every thread of a runtime, every
+// runtime on one registry); the counter reports their sum. An owner
+// attaches once: a second Func with the same count adds it twice.
+func (c *Counter) Func(fn func() uint64) {
+	if c == nil {
+		return
+	}
+	for {
+		old := c.fns.Load()
+		var next []func() uint64
+		if old != nil {
+			next = append(make([]func() uint64, 0, len(*old)+1), *old...)
+		}
+		next = append(next, fn)
+		if c.fns.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
+
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	n := c.v.Load()
+	if fns := c.fns.Load(); fns != nil {
+		for _, fn := range *fns {
+			n += fn()
+		}
+	}
+	return n
 }
 
 // Gauge is an instantaneous float64 value. A gauge may instead be backed

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -20,6 +21,67 @@ func TestCounterBasics(t *testing.T) {
 	// Re-registration returns the same underlying counter.
 	if again := r.Counter("test_total", "help"); again.Value() != 42 {
 		t.Fatalf("re-registered counter = %d, want 42", again.Value())
+	}
+}
+
+// TestCounterFunc checks a counter reports what was added to it plus the
+// sum of every attached owner's count, read when the value is.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("owned_total", "help")
+	var a, b atomic.Uint64
+	c.Add(2)
+	c.Func(a.Load)
+	c.Func(b.Load)
+	a.Add(10)
+	b.Add(5)
+	if got := c.Value(); got != 17 {
+		t.Fatalf("counter = %d, want 17", got)
+	}
+	if total, ok := r.CounterValue("owned_total"); !ok || total != 17 {
+		t.Fatalf("CounterValue = %v,%v, want 17,true", total, ok)
+	}
+	var nilc *Counter
+	nilc.Func(a.Load)
+	if nilc.Value() != 0 {
+		t.Fatal("nil counter must read 0")
+	}
+}
+
+// TestCounterFuncConcurrent attaches owners to one counter while their
+// hot paths count and exporters read it; run with -race. The final value
+// is the sum of the owners' counts.
+func TestCounterFuncConcurrent(t *testing.T) {
+	r := NewRegistry()
+	c := r.CounterVec("owned_total", "help", "l").With("x")
+	const owners, iters = 4, 2000
+	counts := make([]atomic.Uint64, owners)
+	var wg sync.WaitGroup
+	for g := 0; g < owners; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			c.Func(counts[g].Load)
+			for i := 0; i < iters; i++ {
+				counts[g].Add(1)
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			var sb strings.Builder
+			for i := 0; i < 50; i++ {
+				r.Snapshot()
+				sb.Reset()
+				if err := r.WritePrometheus(&sb); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Value(); got != owners*iters {
+		t.Fatalf("counter = %d, want %d", got, owners*iters)
 	}
 }
 

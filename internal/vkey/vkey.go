@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mpk"
 	"repro/internal/telemetry"
@@ -154,8 +155,8 @@ type Table struct {
 	// conformance oracle must catch. Never set outside fault injection.
 	staleEvict bool
 
-	tel  *tableTelemetry
-	sink EvictionSink
+	attached atomic.Bool // SetTelemetry has run
+	sink     EvictionSink
 }
 
 // NewTable builds a table over space. Every architecturally valid key that
@@ -201,7 +202,6 @@ func (t *Table) Alloc(name string) ID {
 	id := t.nextID
 	t.nextID++
 	t.entries[id] = &entry{id: id, name: name}
-	t.publish()
 	return id
 }
 
@@ -235,7 +235,6 @@ func (t *Table) Free(id ID) error {
 		t.pinned--
 	}
 	delete(t.entries, id)
-	t.publish()
 	return nil
 }
 
@@ -311,7 +310,6 @@ func (t *Table) activateLocked(id ID, trigger mpk.RightsRegister) (mpk.Key, bool
 	if err := t.retagLocked(e, hw); err != nil {
 		return 0, false, err
 	}
-	t.publish()
 	return hw, true, nil
 }
 
@@ -470,7 +468,6 @@ func (t *Table) Pin(id ID) error {
 		}
 		e.pinned = true
 		t.pinned++
-		t.publish()
 	}
 	return nil
 }
@@ -486,7 +483,6 @@ func (t *Table) Unpin(id ID) error {
 	if e.pinned {
 		e.pinned = false
 		t.pinned--
-		t.publish()
 	}
 	return nil
 }
@@ -507,7 +503,6 @@ func (t *Table) unbindLocked(e *entry) error {
 	t.slots[hw] = nil
 	t.free = append(t.free, hw)
 	t.revokeLocked(hw)
-	t.publish()
 	return nil
 }
 
@@ -671,72 +666,32 @@ func (t *Table) statsLocked() Stats {
 	}
 }
 
-// tableTelemetry holds the registry handles the table publishes into.
-type tableTelemetry struct {
-	active  *telemetry.Gauge
-	parked  *telemetry.Gauge
-	logical *telemetry.Gauge
-	pinned  *telemetry.Gauge
-
-	activations   *telemetry.Counter
-	misses        *telemetry.Counter
-	evictions     *telemetry.Counter
-	recycled      *telemetry.Counter
-	invalidations *telemetry.Counter
-}
-
 // SetTelemetry attaches the table to a metrics registry: the vkey gauges
-// (active / parked / logical / pinned) track the live population and the
-// counters mirror activations, slot misses, evictions, slot recycling and
-// eviction-time PKRU invalidations. A nil registry detaches.
+// (active / parked / logical / pinned) and counters (activations, slot
+// misses, evictions, slot recycling and eviction-time PKRU
+// invalidations) read Stats at export time, so the table pushes nothing
+// into the registry and each family always equals its Stats field. A
+// table attaches once: later calls, and a nil registry, are no-ops.
 func (t *Table) SetTelemetry(reg *telemetry.Registry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if reg == nil {
-		t.tel = nil
+	if reg == nil || !t.attached.CompareAndSwap(false, true) {
 		return
 	}
-	t.tel = &tableTelemetry{
-		active:  reg.Gauge("pkrusafe_vkey_active", "Logical protection keys currently bound to a hardware slot."),
-		parked:  reg.Gauge("pkrusafe_vkey_parked", "Logical protection keys evicted to the inactive key."),
-		logical: reg.Gauge("pkrusafe_vkey_logical", "Live logical protection keys (active + parked)."),
-		pinned:  reg.Gauge("pkrusafe_vkey_pinned", "Live logical protection keys exempt from LRU eviction."),
-		activations: reg.Counter("pkrusafe_vkey_activations_total",
-			"Activate calls resolving a logical key to a hardware slot."),
-		misses: reg.Counter("pkrusafe_vkey_slot_misses_total",
-			"Activations that had to bind a slot (and possibly evict)."),
-		evictions: reg.Counter("pkrusafe_vkey_evictions_total",
-			"Logical keys pushed off their hardware slot by LRU eviction."),
-		recycled: reg.Counter("pkrusafe_vkey_recycled_total",
-			"Hardware slots returned to the free pool by Free."),
-		invalidations: reg.Counter("pkrusafe_vkey_invalidations_total",
-			"Bound-thread PKRU revocations performed on eviction."),
-	}
-	t.publish()
-}
-
-// publish mirrors the current stats into the attached registry. Counters
-// are set by delta so the registry stays monotone.
-func (t *Table) publish() {
-	tel := t.tel
-	if tel == nil {
-		return
-	}
-	st := t.statsLocked()
-	tel.active.Set(float64(st.Active))
-	tel.parked.Set(float64(st.Parked))
-	tel.logical.Set(float64(st.Logical))
-	tel.pinned.Set(float64(st.Pinned))
-	setCounter(tel.activations, st.Activations)
-	setCounter(tel.misses, st.SlotMisses)
-	setCounter(tel.evictions, st.Evictions)
-	setCounter(tel.recycled, st.Recycled)
-	setCounter(tel.invalidations, st.Invalidations)
-}
-
-// setCounter advances a registry counter to an absolute monotone value.
-func setCounter(c *telemetry.Counter, v uint64) {
-	if cur := c.Value(); v > cur {
-		c.Add(v - cur)
-	}
+	reg.GaugeFunc("pkrusafe_vkey_active", "Logical protection keys currently bound to a hardware slot.",
+		func() float64 { return float64(t.Stats().Active) })
+	reg.GaugeFunc("pkrusafe_vkey_parked", "Logical protection keys evicted to the inactive key.",
+		func() float64 { return float64(t.Stats().Parked) })
+	reg.GaugeFunc("pkrusafe_vkey_logical", "Live logical protection keys (active + parked).",
+		func() float64 { return float64(t.Stats().Logical) })
+	reg.GaugeFunc("pkrusafe_vkey_pinned", "Live logical protection keys exempt from LRU eviction.",
+		func() float64 { return float64(t.Stats().Pinned) })
+	reg.Counter("pkrusafe_vkey_activations_total",
+		"Activate calls resolving a logical key to a hardware slot.").Func(func() uint64 { return t.Stats().Activations })
+	reg.Counter("pkrusafe_vkey_slot_misses_total",
+		"Activations that had to bind a slot (and possibly evict).").Func(func() uint64 { return t.Stats().SlotMisses })
+	reg.Counter("pkrusafe_vkey_evictions_total",
+		"Logical keys pushed off their hardware slot by LRU eviction.").Func(func() uint64 { return t.Stats().Evictions })
+	reg.Counter("pkrusafe_vkey_recycled_total",
+		"Hardware slots returned to the free pool by Free.").Func(func() uint64 { return t.Stats().Recycled })
+	reg.Counter("pkrusafe_vkey_invalidations_total",
+		"Bound-thread PKRU revocations performed on eviction.").Func(func() uint64 { return t.Stats().Invalidations })
 }

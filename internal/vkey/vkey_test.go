@@ -256,6 +256,56 @@ func TestTelemetryPublishes(t *testing.T) {
 	}
 }
 
+// TestTelemetryEqualsStats enters one domain ten times (one slot miss,
+// nine hits) and requires every pkrusafe_vkey_* family to equal its Stats
+// field, also after a second SetTelemetry on the same registry.
+func TestTelemetryEqualsStats(t *testing.T) {
+	tab, _ := testTable(t)
+	metrics := telemetry.NewRegistry()
+	tab.SetTelemetry(metrics)
+	tab.SetTelemetry(metrics)
+	id := tab.Alloc("d")
+	if err := tab.Pin(id); err != nil {
+		t.Fatal(err)
+	}
+	r := &reg{p: mpk.PermitAll}
+	for i := 0; i < 10; i++ {
+		if _, _, err := tab.Enter(r, id); err != nil {
+			t.Fatalf("Enter %d: %v", i, err)
+		}
+		if _, err := tab.Leave(r, id, Trusted, mpk.PermitAll); err != nil {
+			t.Fatalf("Leave %d: %v", i, err)
+		}
+	}
+	st := tab.Stats()
+	if st.Activations != 10 || st.SlotMisses != 1 || st.SlotHits != 9 {
+		t.Fatalf("stats = %+v, want 10 activations, 1 miss, 9 hits", st)
+	}
+	counters := map[string]uint64{
+		"pkrusafe_vkey_activations_total":   st.Activations,
+		"pkrusafe_vkey_slot_misses_total":   st.SlotMisses,
+		"pkrusafe_vkey_evictions_total":     st.Evictions,
+		"pkrusafe_vkey_recycled_total":      st.Recycled,
+		"pkrusafe_vkey_invalidations_total": st.Invalidations,
+	}
+	for name, want := range counters {
+		if v, ok := metrics.CounterValue(name); !ok || v != float64(want) {
+			t.Errorf("%s = (%v, %v), want %d", name, v, ok, want)
+		}
+	}
+	gauges := map[string]int{
+		"pkrusafe_vkey_active":  st.Active,
+		"pkrusafe_vkey_parked":  st.Parked,
+		"pkrusafe_vkey_logical": st.Logical,
+		"pkrusafe_vkey_pinned":  st.Pinned,
+	}
+	for name, want := range gauges {
+		if v := metrics.Gauge(name, "").Value(); v != float64(want) {
+			t.Errorf("%s = %v, want %d", name, v, want)
+		}
+	}
+}
+
 func TestConcurrentAllocActivateFree(t *testing.T) {
 	tab, _ := testTable(t)
 	var wg sync.WaitGroup

@@ -90,9 +90,6 @@ func (t *Thread) sigreturn(entry mpk.PKRU, fromTrap bool) {
 	// WRPKRU the program performed, and must not trip the guard.
 	t.pkru.Store(value)
 	t.sigClamped.Add(1)
-	if m := t.metrics; m != nil {
-		m.SigClamped.Inc()
-	}
 }
 
 // SetPKRUGuard arms (or disarms) the WRPKRU guard: while armed, a SetPKRU
@@ -119,9 +116,6 @@ func (t *Thread) BeginPrivilegedPKRU() func() {
 func (t *Thread) InstallGateRights(p mpk.PKRU) {
 	t.pkru.Store(uint32(p))
 	t.wrpkru.Add(1)
-	if m := t.metrics; m != nil {
-		m.WRPKRU.Inc()
-	}
 }
 
 // CPUContext is the slice of thread state a scheduler saves when
@@ -164,8 +158,5 @@ func (t *Thread) RestoreContext(c CPUContext) error {
 	t.pkru.Store(uint32(p))
 	t.trap.Store(c.Trap)
 	t.migrations.Add(1)
-	if m := t.metrics; m != nil {
-		m.Migrations.Inc()
-	}
 	return nil
 }

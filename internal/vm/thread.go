@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mpk"
 	"repro/internal/sig"
+	"repro/internal/telemetry"
 )
 
 // Fault is the error produced when a data access cannot be completed and no
@@ -83,9 +84,8 @@ type Thread struct {
 	grantBase     uint32
 	revalidate    func(saved mpk.PKRU) (mpk.PKRU, error)
 
-	// metrics, when non-nil, mirrors the counters above into the
-	// process-wide telemetry registry (see metrics.go).
-	metrics *Metrics
+	// published is set once PublishTo has attached the counters above.
+	published atomic.Bool
 
 	// cache is the thread's translation cache (see tlb). staleKeys, when
 	// non-nil, plants the InjectStaleTranslation bug.
@@ -108,9 +108,6 @@ func NewThread(space *Space, sigs *sig.Table) *Thread {
 // Space returns the address space the thread executes against.
 func (t *Thread) Space() *Space { return t.space }
 
-// Signals returns the thread's signal table.
-func (t *Thread) Signals() *sig.Table { return t.sigs }
-
 // PKRU returns the current rights register as a raw 32-bit value,
 // implementing sig.Context (and RDPKRU).
 func (t *Thread) PKRU() uint32 { return t.pkru.Load() }
@@ -122,16 +119,10 @@ func (t *Thread) PKRU() uint32 { return t.pkru.Load() }
 func (t *Thread) SetPKRU(v uint32) {
 	if t.guard.Load() && t.privileged.Load() == 0 && mpk.PKRU(v).Escalates(t.Rights()) {
 		t.roguePKRU.Add(1)
-		if m := t.metrics; m != nil {
-			m.RoguePKRU.Inc()
-		}
 		return
 	}
 	t.pkru.Store(v)
 	t.wrpkru.Add(1)
-	if m := t.metrics; m != nil {
-		m.WRPKRU.Inc()
-	}
 }
 
 // Rights returns the rights register as an mpk.PKRU value.
@@ -163,6 +154,31 @@ func (t *Thread) Stats() Stats {
 	}
 }
 
+// PublishTo attaches the thread's event counters to the pkrusafe_vm_*
+// counter families on reg, which read them at export time; the access
+// and fault paths push nothing into the registry. A thread publishes
+// once: later calls are no-ops, so no count is reported twice. Each
+// family reports the sum over every thread published to it.
+func (t *Thread) PublishTo(reg *telemetry.Registry) {
+	if reg == nil || !t.published.CompareAndSwap(false, true) {
+		return
+	}
+	reg.Counter("pkrusafe_vm_loads_total", "Completed load accesses.").Func(t.loads.Load)
+	reg.Counter("pkrusafe_vm_stores_total", "Completed store accesses.").Func(t.stores.Load)
+	reg.Counter("pkrusafe_vm_pku_faults_total", "SIGSEGV deliveries with SEGV_PKUERR.").Func(t.pkuFaults.Load)
+	reg.Counter("pkrusafe_vm_map_faults_total", "SIGSEGV deliveries with SEGV_MAPERR.").Func(t.mapFaults.Load)
+	reg.Counter("pkrusafe_vm_traps_total", "SIGTRAP deliveries (single-step completions).").Func(t.traps.Load)
+	reg.Counter("pkrusafe_vm_wrpkru_total", "Writes to the PKRU register.").Func(t.wrpkru.Load)
+	reg.Counter("pkrusafe_vm_fault_retries_total",
+		"Accesses re-executed after a signal handler repaired a fault.").Func(t.faultRetries.Load)
+	reg.Counter("pkrusafe_vm_rogue_pkru_total",
+		"PKRU writes suppressed by the WRPKRU guard (widening outside a gate).").Func(t.roguePKRU.Load)
+	reg.Counter("pkrusafe_vm_sig_clamped_total",
+		"Signal returns whose restored PKRU was clamped by the sanitizer.").Func(t.sigClamped.Load)
+	reg.Counter("pkrusafe_vm_migrations_total",
+		"CPU-context restores (scheduler migrations).").Func(t.migrations.Load)
+}
+
 // MaxFaultRetries bounds how many times a single access may fault, be
 // reported sig.Handled, and be re-executed before the access is abandoned
 // with a terminal *Fault. It guards against livelock under a handler that
@@ -189,22 +205,13 @@ func (t *Thread) access(addr Addr, buf []byte, kind sig.AccessKind) error {
 	}
 	if kind == sig.AccessWrite {
 		t.stores.Add(1)
-		if m := t.metrics; m != nil {
-			m.Stores.Inc()
-		}
 	} else {
 		t.loads.Add(1)
-		if m := t.metrics; m != nil {
-			m.Loads.Inc()
-		}
 	}
 	// Single-step: with the trap flag armed, raise SIGTRAP once the access
 	// retires so the profiler can restore the pre-fault rights (§4.3.2).
 	if t.trap.Load() {
 		t.traps.Add(1)
-		if m := t.metrics; m != nil {
-			m.Traps.Inc()
-		}
 		f := &Fault{Info: sig.Info{Sig: sig.SIGTRAP, Addr: uint64(addr), Access: kind}}
 		entry := t.Rights()
 		if t.sigs.Dispatch(&f.Info, t) == sig.Unhandled {
@@ -289,15 +296,9 @@ func (t *Thread) checkPageSlow(a Addr, kind sig.AccessKind) (*page, error) {
 		case p == nil:
 			f = &Fault{Info: sig.Info{Sig: sig.SIGSEGV, Code: sig.CodeMapErr, Addr: uint64(a), Access: kind}}
 			t.mapFaults.Add(1)
-			if m := t.metrics; m != nil {
-				m.MapFaults.Inc()
-			}
 		case !t.allowed(key, kind):
 			f = &Fault{Info: sig.Info{Sig: sig.SIGSEGV, Code: sig.CodePKUErr, Addr: uint64(a), Access: kind, PKey: uint8(key)}}
 			t.pkuFaults.Add(1)
-			if m := t.metrics; m != nil {
-				m.PKUFaults.Inc()
-			}
 		default:
 			return p, nil
 		}
@@ -306,9 +307,6 @@ func (t *Thread) checkPageSlow(a Addr, kind sig.AccessKind) (*page, error) {
 			if t.sigs.Dispatch(&f.Info, t) == sig.Handled {
 				t.sigreturn(entry, false)
 				t.faultRetries.Add(1)
-				if m := t.metrics; m != nil {
-					m.FaultRetries.Inc()
-				}
 				continue // handler repaired the state; re-execute the access
 			}
 		}

@@ -11,7 +11,9 @@
 // (trace) ID. Every "gate:<d>" span must name d as its args.domain and
 // lie inside its thread's request span, give or take a microsecond of
 // rounding. The latency report must be a schema 2 BENCH record, read
-// with internal/bench's reader, with ordered per-tenant quantiles. Exit
+// with internal/bench's reader, whose request count is the sum of its
+// outcome rows (ok, dropped, refused, shed), with ordered per-tenant
+// quantiles. Exit
 // status 1 with a diagnostic on any violation; `make trace-demo` and
 // the CI tracing job run this against freshly generated artifacts.
 package main
@@ -190,6 +192,18 @@ func checkLatency(path string) {
 	}
 	if len(tenants) == 0 {
 		fail("%s: no per-tenant rows", path)
+	}
+	run := rows[rec.Experiment]
+	sum := 0.0
+	for _, outcome := range []string{"ok", "dropped", "refused", "shed"} {
+		n, ok := run[outcome]
+		if !ok {
+			fail("%s: no %q outcome row", path, outcome)
+		}
+		sum += n
+	}
+	if sum != run["requests"] {
+		fail("%s: %v requests, but the outcome rows sum to %v", path, run["requests"], sum)
 	}
 	for _, t := range tenants {
 		m := rows[t]
