@@ -189,17 +189,8 @@ func main() {
 		script = string(data)
 	}
 
-	var cfg core.BuildConfig
-	switch *cfgName {
-	case "base":
-		cfg = core.Base
-	case "alloc":
-		cfg = core.Alloc
-	case "mpk":
-		cfg = core.MPK
-	case "profiling":
-		cfg = core.Profiling
-	default:
+	cfg, err := core.ParseBuildConfig(*cfgName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "pkru-servo: unknown config %q\n", *cfgName)
 		os.Exit(2)
 	}

@@ -251,18 +251,9 @@ func usage() {
 }
 
 func parseConfig(name string) core.BuildConfig {
-	switch name {
-	case "base":
-		return core.Base
-	case "alloc":
-		return core.Alloc
-	case "mpk":
-		return core.MPK
-	case "profiling":
-		return core.Profiling
-	}
-	exitOn(fmt.Errorf("unknown config %q (want base|alloc|mpk|profiling)", name))
-	panic("unreachable")
+	cfg, err := core.ParseBuildConfig(name)
+	exitOn(err)
+	return cfg
 }
 
 func loadModule(path string) *ir.Module {

@@ -19,6 +19,7 @@ package attack
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/ffi"
 	"repro/internal/sig"
@@ -138,11 +139,25 @@ func RunDrill(s Scenario, defenseOn bool) DrillResult {
 }
 
 // RunAll runs the red and green drill of every scenario in roster order
-// and returns the verdicts, red before green per scenario.
-func RunAll() []DrillResult {
+// and returns the verdicts, red before green per scenario. Given classes,
+// it drills only the scenarios of those classes.
+func RunAll(classes ...string) []DrillResult {
 	var out []DrillResult
 	for _, s := range Scenarios() {
-		out = append(out, RunDrill(s, false), RunDrill(s, true))
+		if len(classes) == 0 || slices.Contains(classes, s.Class) {
+			out = append(out, RunDrill(s, false), RunDrill(s, true))
+		}
+	}
+	return out
+}
+
+// Classes returns the roster's attack classes in roster order, each once.
+func Classes() []string {
+	var out []string
+	for _, s := range Scenarios() {
+		if !slices.Contains(out, s.Class) {
+			out = append(out, s.Class)
+		}
 	}
 	return out
 }

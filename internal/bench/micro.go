@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/ffi"
 	"repro/internal/workload"
 )
 
@@ -39,7 +40,7 @@ func RunMicro(iters int) ([]MicroResult, error) {
 	var out []MicroResult
 	for _, name := range []string{"empty", "read_one", "callback"} {
 		args := microArgs(w, name)
-		trusted, untrusted, err := timedPair(th, name, args, iters)
+		trusted, untrusted, err := gatedPair(th, name, args, iters)
 		if err != nil {
 			return nil, err
 		}
@@ -52,46 +53,45 @@ func RunMicro(iters int) ([]MicroResult, error) {
 	return out, nil
 }
 
-// timedPair times iters gated and ungated calls of one workload. Both
-// paths are measured several times in alternating order and the minima
-// kept, which suppresses scheduler and cache noise at the sub-microsecond
-// call scale.
-func timedPair(th callThread, name string, args []uint64, iters int) (trusted, untrusted time.Duration, err error) {
+// timedPair times iters calls of each of two arms, a and b, and keeps
+// each arm's fastest of seven repetitions, which suppresses scheduler and
+// cache noise at the sub-microsecond call scale. After one warm-up call
+// each, the arms alternate in ABBA order (ab, ba, ab, …), so neither
+// always runs first into warm caches or a settled clock.
+func timedPair(iters int, a, b func() error) (ta, tb time.Duration, err error) {
 	const repeats = 7
-	trusted, untrusted = time.Duration(1<<62), time.Duration(1<<62)
-	// Warm up both paths.
-	if _, err = th.Call(workload.MicroTrustedLib, name, args...); err != nil {
-		return 0, 0, err
-	}
-	if _, err = th.Call(workload.MicroUntrustedLib, name, args...); err != nil {
-		return 0, 0, err
+	arms := [2]func() error{a, b}
+	best := [2]time.Duration{1 << 62, 1 << 62}
+	for _, call := range arms {
+		if err := call(); err != nil {
+			return 0, 0, err
+		}
 	}
 	for rep := 0; rep < repeats; rep++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err = th.Call(workload.MicroTrustedLib, name, args...); err != nil {
-				return 0, 0, err
+		for k := 0; k < 2; k++ {
+			arm := k ^ rep&1
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				if err := arms[arm](); err != nil {
+					return 0, 0, err
+				}
 			}
-		}
-		if d := time.Since(start); d < trusted {
-			trusted = d
-		}
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err = th.Call(workload.MicroUntrustedLib, name, args...); err != nil {
-				return 0, 0, err
-			}
-		}
-		if d := time.Since(start); d < untrusted {
-			untrusted = d
+			best[arm] = min(best[arm], time.Since(start))
 		}
 	}
-	return trusted, untrusted, nil
+	return best[0], best[1], nil
 }
 
-// callThread is the slice of ffi.Thread timedPair needs (it eases tests).
-type callThread interface {
-	Call(lib, fn string, args ...uint64) ([]uint64, error)
+// gatedPair times a workload's ungated (trusted) and gated (untrusted)
+// calls on th.
+func gatedPair(th *ffi.Thread, name string, args []uint64, iters int) (trusted, untrusted time.Duration, err error) {
+	return timedPair(iters, func() error {
+		_, e := th.Call(workload.MicroTrustedLib, name, args...)
+		return e
+	}, func() error {
+		_, e := th.Call(workload.MicroUntrustedLib, name, args...)
+		return e
+	})
 }
 
 // SweepPoint is one Figure 3 sample: the normalized runtime of a gated
@@ -112,7 +112,7 @@ func RunGateSweep(loopCounts []int, iters int) ([]SweepPoint, error) {
 	th := w.Prog.Main()
 	var out []SweepPoint
 	for _, lc := range loopCounts {
-		trusted, gated, err := timedPair(th, "work", []uint64{uint64(lc)}, iters)
+		trusted, gated, err := gatedPair(th, "work", []uint64{uint64(lc)}, iters)
 		if err != nil {
 			return nil, err
 		}

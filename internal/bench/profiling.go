@@ -54,14 +54,10 @@ func RunProfiling(iters int) ([]ProfilingResult, ProfilingStats, error) {
 	for _, name := range []string{"empty", "read_one"} {
 		name := name
 		pargs, sargs := profilingArgs(plain, name), profilingArgs(sampw, name)
-		bare, err := timedLoop(iters, func() error {
+		bare, sampled, err := timedPair(iters, func() error {
 			_, e := pth.Call(workload.MicroUntrustedLib, name, pargs...)
 			return e
-		})
-		if err != nil {
-			return nil, ProfilingStats{}, err
-		}
-		sampled, err := timedLoop(iters, func() error {
+		}, func() error {
 			_, e := sth.Call(workload.MicroUntrustedLib, name, sargs...)
 			return e
 		})

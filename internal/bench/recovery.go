@@ -47,14 +47,10 @@ func RunRecovery(iters int) ([]RecoveryResult, error) {
 	for _, name := range []string{"empty", "read_one", "callback"} {
 		name := name
 		pargs, sargs := microArgs(plain, name), microArgs(supw, name)
-		bare, err := timedLoop(iters, func() error {
+		bare, shielded, err := timedPair(iters, func() error {
 			_, e := pth.Call(workload.MicroUntrustedLib, name, pargs...)
 			return e
-		})
-		if err != nil {
-			return nil, err
-		}
-		shielded, err := timedLoop(iters, func() error {
+		}, func() error {
 			_, e := sup.Call(sth, workload.MicroUntrustedLib, name, sargs...)
 			return e
 		})
@@ -68,28 +64,6 @@ func RunRecovery(iters int) ([]RecoveryResult, error) {
 		out = append(out, RecoveryResult{Name: name, Unsupervised: bare, Supervised: shielded, Factor: factor})
 	}
 	return out, nil
-}
-
-// timedLoop times iters executions of call, repeating the measurement and
-// keeping the minimum like timedPair does.
-func timedLoop(iters int, call func() error) (time.Duration, error) {
-	const repeats = 7
-	if err := call(); err != nil { // warm-up
-		return 0, err
-	}
-	best := time.Duration(1 << 62)
-	for rep := 0; rep < repeats; rep++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := call(); err != nil {
-				return 0, err
-			}
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best, nil
 }
 
 // FormatRecovery renders the recovery-overhead results.

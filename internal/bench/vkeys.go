@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/domains"
+	"repro/internal/vkey"
 	"repro/internal/vm"
 )
 
@@ -27,23 +28,22 @@ type VKeyResult struct {
 
 // RunVKeys measures slot-hit and slot-miss domain entry for the given
 // iteration count. The scenarios share one manager shape but use fresh
-// worlds so neither warms the other's allocator or LRU state.
+// worlds so neither warms the other's allocator or LRU state; they are
+// timed as the two arms of one alternating timer.
 func RunVKeys(iters int) ([]VKeyResult, error) {
-	var out []VKeyResult
-	type scenario struct {
-		name  string
-		extra int // domains beyond the slot count
+	out := []VKeyResult{
+		{Name: "resident"}, // tenants == slots: steady state is all hits
+		{Name: "thrash"},   // tenants > slots, round-robin: every entry misses
 	}
-	for _, sc := range []scenario{
-		{"resident", 0}, // tenants == slots: steady state is all hits
-		{"thrash", 4},   // tenants > slots, round-robin: every entry misses
-	} {
+	var tables [2]*vkey.Table
+	var cycles [2]func() error
+	for k, extra := range []int{0, 4} {
 		space := vm.NewSpace()
 		m, err := domains.NewManager(space)
 		if err != nil {
 			return nil, err
 		}
-		n := m.Table().Slots() + sc.extra
+		n := m.Table().Slots() + extra
 		th := vm.NewThread(space, nil)
 		doms := make([]*domains.Domain, n)
 		bufs := make([]vm.Addr, n)
@@ -62,7 +62,7 @@ func RunVKeys(iters int) ([]VKeyResult, error) {
 			doms[i], bufs[i] = d, buf
 		}
 		cur := 0
-		cycle := func() error {
+		cycles[k] = func() error {
 			i := cur % n
 			cur++
 			restore, err := m.Enter(th, doms[i])
@@ -75,19 +75,16 @@ func RunVKeys(iters int) ([]VKeyResult, error) {
 			}
 			return restore()
 		}
-		total, err := timedLoop(iters, cycle)
-		if err != nil {
-			return nil, err
-		}
-		st := m.Table().Stats()
-		out = append(out, VKeyResult{
-			Name:      sc.name,
-			Domains:   n,
-			PerCycle:  total / time.Duration(iters),
-			Total:     total,
-			Misses:    st.SlotMisses,
-			Evictions: st.Evictions,
-		})
+		out[k].Domains, tables[k] = n, m.Table()
+	}
+	var err error
+	if out[0].Total, out[1].Total, err = timedPair(iters, cycles[0], cycles[1]); err != nil {
+		return nil, err
+	}
+	for k := range out {
+		st := tables[k].Stats()
+		out[k].PerCycle = out[k].Total / time.Duration(iters)
+		out[k].Misses, out[k].Evictions = st.SlotMisses, st.Evictions
 	}
 	return out, nil
 }

@@ -71,6 +71,17 @@ func (c BuildConfig) String() string {
 	}
 }
 
+// ParseBuildConfig parses a build name as accepted by the -config CLI
+// flags: base, alloc, mpk or profiling.
+func ParseBuildConfig(s string) (BuildConfig, error) {
+	for c := Base; c <= Profiling; c++ {
+		if c.String() == s {
+			return c, nil
+		}
+	}
+	return Base, fmt.Errorf("unknown config %q (want base|alloc|mpk|profiling)", s)
+}
+
 func (c BuildConfig) appliesProfile() bool { return c == Alloc || c == MPK }
 func (c BuildConfig) gatesOn() bool        { return c == MPK || c == Profiling }
 

@@ -65,6 +65,19 @@ func TestConfigStrings(t *testing.T) {
 	}
 }
 
+func TestParseBuildConfig(t *testing.T) {
+	for _, c := range []BuildConfig{Base, Alloc, MPK, Profiling} {
+		if got, err := ParseBuildConfig(c.String()); err != nil || got != c {
+			t.Errorf("ParseBuildConfig(%q) = %v, %v", c.String(), got, err)
+		}
+	}
+	for _, name := range []string{"", "MPK", "BuildConfig(9)"} {
+		if _, err := ParseBuildConfig(name); err == nil {
+			t.Errorf("ParseBuildConfig(%q) accepted", name)
+		}
+	}
+}
+
 // TestE1Pipeline walks the full four-stage pipeline on the quickstart
 // program, asserting each step's observable behaviour from the artifact
 // appendix: step 1 faults, step 2 profiles, step 3 shares and prints 1337.

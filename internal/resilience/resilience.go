@@ -75,8 +75,8 @@ const (
 	// TripRate is the fault fraction of a full window that opens the
 	// breaker even without a consecutive run.
 	TripRate = 0.5
-	// BurnLimit is the per-tenant recovery-budget burn (recovery actions
-	// spent on the tenant) that opens the breaker.
+	// BurnLimit is the per-tenant recovery-budget burn (the domain
+	// quarantines of the tenant's own calls) that opens the breaker.
 	BurnLimit = 16
 	// DefaultProbeAfter is the base open→half-open backoff when
 	// Config.ProbeAfter is zero.
@@ -344,9 +344,10 @@ func (g *Group) RecordFault(tenant string) *Transition {
 	}
 }
 
-// RecordBurn charges n recovery actions (quarantines, retries, heals
-// spent on the tenant) against the tenant's burn budget; crossing the
-// limit opens the breaker even when the fault pattern alone would not.
+// RecordBurn charges n recovery actions against the tenant's burn
+// budget; crossing the limit opens the breaker even when the fault
+// pattern alone would not. The tenant world charges the domain
+// quarantines of the tenant's own calls.
 func (g *Group) RecordBurn(tenant string, n int) *Transition {
 	if g == nil || n <= 0 {
 		return nil

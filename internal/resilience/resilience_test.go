@@ -239,3 +239,51 @@ func TestTelemetryAndSnapshot(t *testing.T) {
 		t.Errorf("shed counter = %v, %v", v, ok)
 	}
 }
+
+// TestForget drops a churned tenant's open breaker: the tenant is
+// admitted at once and is gone from Snapshot, while its pushed trips and
+// shed series stay monotone across the forget and the breaker's
+// re-creation.
+func TestForget(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	clk := &fakeClock{now: time.Unix(0, 0)}
+	g := newTestGroup(clk)
+	g.SetTelemetry(reg)
+	trip := func() {
+		for i := 0; i < TripFaults; i++ {
+			g.RecordFault("a")
+		}
+		if _, err := g.Allow("a"); !errors.Is(err, ErrTenantQuarantined) {
+			t.Fatalf("open breaker admitted: %v", err)
+		}
+	}
+	counters := func() (trips, shed float64) {
+		trips, _ = reg.CounterValue("pkrusafe_resilience_trips_total")
+		shed, _ = reg.CounterValue("pkrusafe_resilience_shed_total")
+		return trips, shed
+	}
+
+	trip()
+	g.RecordSuccess("b")
+	g.Forget("a")
+	if _, err := g.Allow("a"); err != nil {
+		t.Errorf("forgotten tenant refused: %v", err)
+	}
+	// The Allow above re-created a closed breaker; forget it again to see
+	// the snapshot without it.
+	g.Forget("a")
+	if snap := g.Snapshot(); len(snap) != 1 || snap[0].Tenant != "b" {
+		t.Errorf("snapshot after Forget = %+v, want only b", snap)
+	}
+	if trips, shed := counters(); trips != 1 || shed != 1 {
+		t.Errorf("after forget: trips %v shed %v, want 1 and 1", trips, shed)
+	}
+
+	trip() // the re-created breaker trips and sheds on top of the old counts
+	if trips, shed := counters(); trips != 2 || shed != 2 {
+		t.Errorf("after re-create: trips %v shed %v, want 2 and 2", trips, shed)
+	}
+	if snap := g.Snapshot(); len(snap) != 2 || snap[0].Trips != 1 || snap[0].Shed != 1 {
+		t.Errorf("re-created breaker starts afresh: %+v", snap)
+	}
+}

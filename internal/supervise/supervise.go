@@ -86,7 +86,8 @@ const (
 	MaxRetries = 3
 	// Budget bounds recovery actions (retries, quarantines, heals) across
 	// the whole program: a workload that keeps failing must eventually
-	// surface, not loop through an unbounded heal/quarantine cycle.
+	// surface, not loop through an unbounded heal/quarantine cycle. It is
+	// never refilled, and every tenant of a world shares it.
 	Budget = 64
 	// EscalateAfter is how many per-domain quarantines one domain may
 	// absorb before the supervisor escalates to the global tier and
@@ -142,6 +143,10 @@ type CompartmentError struct {
 	Outcome string
 	// Attempts is how many times the call body ran.
 	Attempts int
+	// Actions are the recovery actions this call caused, in order: its
+	// own share of the supervisor's log, for callers that charge them
+	// (a tenant breaker's burn) without reading the shared log.
+	Actions []Event
 	// Err is the underlying failure of the final attempt.
 	Err error
 }

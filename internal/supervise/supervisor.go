@@ -1,6 +1,7 @@
 package supervise
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -63,20 +64,28 @@ type Supervisor struct {
 	ring   *trace.Ring
 	tel    *supTelemetry
 
+	// The event log is the one record of every recovery action: the
+	// per-domain quarantine counts and the action and quarantine metric
+	// series are read off it. It holds at most Budget actions plus one
+	// escalation per EscalateAfter domain quarantines.
 	mu         sync.Mutex
-	healed     map[profile.AllocID]bool
-	delta      *profile.Profile
+	delta      *profile.Profile // healed sites; its keys are the sites Healed reports
 	events     []Event
 	budgetLeft int
-	domainQuar map[string]int // per-domain quarantine counts, for escalation
 }
 
 type supTelemetry struct {
 	attempts    *telemetry.Counter
 	outcomes    *telemetry.CounterVec
 	actions     *telemetry.CounterVec
-	healedSites *telemetry.Counter
 	quarantines *telemetry.CounterVec
+}
+
+// call is one supervised call's own recovery record: the actions its
+// rounds noted, handed back on its trace and its CompartmentError.
+type call struct {
+	label, domain string
+	acts          []Event
 }
 
 // New builds a supervisor. A Config with the Abort policy yields nil: no
@@ -91,10 +100,8 @@ func New(cfg Config, deps Deps) *Supervisor {
 		rec:        deps.Recorder,
 		shadow:     deps.Shadow,
 		ring:       deps.Ring,
-		healed:     make(map[profile.AllocID]bool),
 		delta:      profile.New(),
 		budgetLeft: Budget,
-		domainQuar: make(map[string]int),
 	}
 	if reg := deps.Telemetry; reg != nil {
 		s.tel = &supTelemetry{
@@ -104,11 +111,15 @@ func New(cfg Config, deps Deps) *Supervisor {
 				"Supervised calls by terminal outcome.", "outcome"),
 			actions: reg.CounterVec("pkrusafe_recovery_actions_total",
 				"Recovery actions taken, by kind.", "action"),
-			healedSites: reg.Counter("pkrusafe_recovery_healed_sites_total",
-				"Distinct allocation sites migrated MT to MU by healing."),
-			quarantines: reg.CounterVec("pkrusafe_recovery_quarantines_total",
-				"Pool quarantines performed, by domain (\"mu\" is the global tier).", "domain"),
 		}
+		reg.Counter("pkrusafe_recovery_healed_sites_total",
+			"Distinct allocation sites migrated MT to MU by healing.").Func(func() uint64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return uint64(s.delta.Len())
+		})
+		s.tel.quarantines = reg.CounterVec("pkrusafe_recovery_quarantines_total",
+			"Pool quarantines performed, by domain (\"mu\" is the global tier).", "domain")
 	}
 	return s
 }
@@ -148,6 +159,7 @@ func (s *Supervisor) Shield(t *ffi.Thread, label string, body func() error) erro
 		return body()
 	}
 	cp := t.Checkpoint()
+	var c *call
 	for attempt := 1; ; attempt++ {
 		if tel := s.tel; tel != nil {
 			tel.attempts.Inc()
@@ -204,33 +216,21 @@ func (s *Supervisor) Shield(t *ffi.Thread, label string, body func() error) erro
 		// of every tenant's heap. A label that names no domain pool (the
 		// legacy two-compartment workload, or an unattributable fault)
 		// falls back to the global MU tier inside quarantine().
-		before := s.eventCount()
-		done, terr := s.recoverOnce(label, tc.Tenant(), err, attempt)
-		if ev, ok := s.lastEventSince(before); ok {
+		if c == nil {
+			c = &call{label: label, domain: tc.Tenant()}
+		}
+		// The trace is marked with the last action this round noted (an
+		// escalated quarantine notes two), never with another call's.
+		n := len(c.acts)
+		done, terr := s.recoverOnce(c, err, attempt)
+		if len(c.acts) > n {
+			ev := c.acts[len(c.acts)-1]
 			tc.MarkRecovery(ev.Action, ev.Cause)
 		}
 		if done {
 			return terr
 		}
 	}
-}
-
-// eventCount returns the current length of the recovery log.
-func (s *Supervisor) eventCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.events)
-}
-
-// lastEventSince returns the newest recovery event if any were noted
-// after the log held n entries.
-func (s *Supervisor) lastEventSince(n int) (Event, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.events) <= n {
-		return Event{}, false
-	}
-	return s.events[len(s.events)-1], true
 }
 
 // isCompartmentFailure reports whether err is the kind of failure
@@ -253,27 +253,27 @@ func runProtected(body func() error) (err error) {
 	return body()
 }
 
-// recoverOnce applies one round of the policy to a failed attempt.
-// domain is the tenant the failure was attributed to ("" when none). It
-// returns done=true with the terminal error when the call must fail, or
-// done=false when the caller should re-execute the body.
-func (s *Supervisor) recoverOnce(label, domain string, cause error, attempt int) (done bool, terr error) {
+// recoverOnce applies one round of the policy to a failed attempt of c,
+// whose domain is the tenant the failure was attributed to ("" when
+// none). It returns done=true with the terminal error when the call must
+// fail, or done=false when the caller should re-execute the body.
+func (s *Supervisor) recoverOnce(c *call, cause error, attempt int) (done bool, terr error) {
 	if !s.takeBudget() {
-		return true, s.terminal(label, domain, OutcomeBudgetExceeded, attempt, cause)
+		return true, s.terminal(c, OutcomeBudgetExceeded, attempt, cause)
 	}
 	switch s.cfg.Policy {
 	case Retry:
 		if attempt > MaxRetries {
-			return true, s.terminal(label, domain, OutcomeRetriesExceeded, attempt, cause)
+			return true, s.terminal(c, OutcomeRetriesExceeded, attempt, cause)
 		}
-		s.note(Event{Action: "retry", Call: label, Attempt: attempt, Cause: cause.Error(), Domain: domain})
+		s.note(c, Event{Action: "retry", Attempt: attempt, Cause: cause.Error(), Domain: c.domain})
 		return false, nil
 
 	case Quarantine:
-		if qerr := s.quarantine(label, domain, attempt, cause); qerr != nil {
-			return true, s.terminal(label, domain, OutcomeQuarantined, attempt, qerr)
+		if qerr := s.quarantine(c, attempt, cause); qerr != nil {
+			return true, s.terminal(c, OutcomeQuarantined, attempt, qerr)
 		}
-		return true, s.terminal(label, domain, OutcomeQuarantined, attempt, cause)
+		return true, s.terminal(c, OutcomeQuarantined, attempt, cause)
 
 	case Heal:
 		entry, rep, ok := s.resolveSite(cause)
@@ -282,14 +282,14 @@ func (s *Supervisor) recoverOnce(label, domain string, cause error, attempt int)
 			// address): scrub the faulting tenant's pool (or MU) anyway so
 			// whatever the failing callee left behind cannot poison later
 			// requests, and fail the call.
-			_ = s.quarantine(label, domain, attempt, cause)
-			return true, s.terminal(label, domain, OutcomeUnhealable, attempt, cause)
+			_ = s.quarantine(c, attempt, cause)
+			return true, s.terminal(c, OutcomeUnhealable, attempt, cause)
 		}
 		if attempt > MaxRetries {
-			return true, s.terminal(label, domain, OutcomeRetriesExceeded, attempt, cause)
+			return true, s.terminal(c, OutcomeRetriesExceeded, attempt, cause)
 		}
-		if herr := s.healSite(entry, rep, label, attempt, cause); herr != nil {
-			return true, s.terminal(label, domain, OutcomeHealFailed, attempt, herr)
+		if herr := s.healSite(c, entry, rep, attempt, cause); herr != nil {
+			return true, s.terminal(c, OutcomeHealFailed, attempt, herr)
 		}
 		return false, nil
 
@@ -306,28 +306,21 @@ func (s *Supervisor) recoverOnce(label, domain string, cause error, attempt int)
 // whole-untrusted-world quarantine. A domain that keeps getting
 // quarantined escalates to the global tier too (every EscalateAfter-th
 // quarantine of it).
-func (s *Supervisor) quarantine(label, domain string, attempt int, cause error) error {
+func (s *Supervisor) quarantine(c *call, attempt int, cause error) error {
 	if s.alloc == nil {
 		return fmt.Errorf("supervise: no allocator to quarantine: %w", cause)
 	}
-	if domain != "" {
+	if domain := c.domain; domain != "" {
 		epoch, qerr := s.alloc.QuarantineDomain(domain)
 		switch {
 		case qerr == nil:
-			s.mu.Lock()
-			s.domainQuar[domain]++
-			n := s.domainQuar[domain]
-			s.mu.Unlock()
-			s.note(Event{Action: "quarantine", Call: label, Attempt: attempt,
+			n := s.note(c, Event{Action: "quarantine", Attempt: attempt,
 				Cause: cause.Error(), Domain: domain, Epoch: epoch})
 			if s.ring != nil {
 				s.ring.Emit(trace.Event{Kind: trace.Recover, A: epoch, Note: "quarantine:" + domain})
 			}
-			if tel := s.tel; tel != nil {
-				tel.quarantines.With(domain).Inc()
-			}
 			if n%EscalateAfter == 0 {
-				return s.quarantineGlobal(label, attempt, cause, "escalated:"+domain)
+				return s.quarantineGlobal(c, attempt, cause, "escalated:"+domain)
 			}
 			return nil
 		case errors.Is(qerr, pkalloc.ErrNoDomainPool):
@@ -336,22 +329,19 @@ func (s *Supervisor) quarantine(label, domain string, attempt int, cause error) 
 			return qerr
 		}
 	}
-	return s.quarantineGlobal(label, attempt, cause, "quarantine")
+	return s.quarantineGlobal(c, attempt, cause, "quarantine")
 }
 
 // quarantineGlobal resets the shared MU pool — the escalation tier, and
 // the only tier for failures no domain pool claims.
-func (s *Supervisor) quarantineGlobal(label string, attempt int, cause error, note string) error {
+func (s *Supervisor) quarantineGlobal(c *call, attempt int, cause error, note string) error {
 	if qerr := s.alloc.QuarantineUntrusted(); qerr != nil {
 		return qerr
 	}
 	epoch := s.alloc.UntrustedEpoch()
-	s.note(Event{Action: "quarantine", Call: label, Attempt: attempt, Cause: cause.Error(), Epoch: epoch})
+	s.note(c, Event{Action: "quarantine", Attempt: attempt, Cause: cause.Error(), Epoch: epoch})
 	if s.ring != nil {
 		s.ring.Emit(trace.Event{Kind: trace.Recover, A: epoch, Note: note})
-	}
-	if tel := s.tel; tel != nil {
-		tel.quarantines.With("mu").Inc()
 	}
 	return nil
 }
@@ -361,12 +351,10 @@ func (s *Supervisor) quarantineGlobal(label string, attempt int, cause error, no
 // quarantined by another supervisor, or before this one was built,
 // counts only there).
 func (s *Supervisor) DomainQuarantines(domain string) int {
-	if s == nil {
+	if s == nil || domain == "" {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.domainQuar[domain]
+	return s.count(func(e Event) bool { return e.Action == "quarantine" && e.Domain == domain })
 }
 
 // resolveSite decides whether cause is a healable fault: a PKUERR on the
@@ -404,7 +392,7 @@ func (s *Supervisor) resolveSite(cause error) (entry provenance.Entry, rep *obs.
 // granular, like the enforcement itself (§3.4): trusted objects sharing a
 // page with the healed one become reachable from U, the same exposure a
 // profiler-driven rewrite of that site would have produced one run later.
-func (s *Supervisor) healSite(e provenance.Entry, rep *obs.Report, label string, attempt int, cause error) error {
+func (s *Supervisor) healSite(c *call, e provenance.Entry, rep *obs.Report, attempt int, cause error) error {
 	lo := e.Base.PageBase()
 	hi := (e.Base + vm.Addr(e.Size) + vm.PageMask).PageBase()
 	if hi == lo {
@@ -414,19 +402,14 @@ func (s *Supervisor) healSite(e provenance.Entry, rep *obs.Report, label string,
 		return err
 	}
 	s.mu.Lock()
-	first := !s.healed[e.ID]
-	s.healed[e.ID] = true
-	if first {
+	if !s.delta.Contains(e.ID) {
 		s.delta.Add(e.ID, e.Size)
 	}
 	s.mu.Unlock()
-	s.note(Event{Action: "heal", Call: label, Attempt: attempt, Cause: cause.Error(),
+	s.note(c, Event{Action: "heal", Attempt: attempt, Cause: cause.Error(),
 		Site: e.ID.String(), Averted: rep})
 	if s.ring != nil {
 		s.ring.Emit(trace.Event{Kind: trace.Heal, A: uint64(e.Base), Note: e.ID.String()})
-	}
-	if tel := s.tel; tel != nil && first {
-		tel.healedSites.Inc()
 	}
 	return nil
 }
@@ -439,7 +422,7 @@ func (s *Supervisor) Healed(id profile.AllocID) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.healed[id]
+	return s.delta.Contains(id)
 }
 
 // Delta returns the healed sites as a profile delta — exactly the entries
@@ -468,23 +451,6 @@ func (s *Supervisor) Events() []Event {
 	return out
 }
 
-// Averted returns the crash reports attached to heal events: the
-// forensics of runs that would have died under the Abort policy.
-func (s *Supervisor) Averted() []*obs.Report {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*obs.Report
-	for _, e := range s.events {
-		if e.Averted != nil {
-			out = append(out, e.Averted)
-		}
-	}
-	return out
-}
-
 func (s *Supervisor) takeBudget() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -495,15 +461,56 @@ func (s *Supervisor) takeBudget() bool {
 	return true
 }
 
-func (s *Supervisor) note(e Event) {
+// note appends e, one action of call c, to the log and to c's own
+// actions. It returns how many logged actions, e included, share e's
+// action and domain. The first action of a kind, and the first
+// quarantine of a pool, attaches the metric series that reads its count
+// off the log at export.
+func (s *Supervisor) note(c *call, e Event) (same int) {
+	e.Call = c.label
+	kind := 0
 	s.mu.Lock()
 	e.Seq = len(s.events) + 1
 	e.Policy = s.cfg.Policy.String()
 	s.events = append(s.events, e)
-	s.mu.Unlock()
-	if tel := s.tel; tel != nil {
-		tel.actions.With(e.Action).Inc()
+	for _, x := range s.events {
+		if x.Action == e.Action {
+			kind++
+			if x.Domain == e.Domain {
+				same++
+			}
+		}
 	}
+	s.mu.Unlock()
+	c.acts = append(c.acts, e)
+	if tel := s.tel; tel != nil && kind == 1 {
+		tel.actions.With(e.Action).Func(s.counter(func(x Event) bool { return x.Action == e.Action }))
+	}
+	if tel := s.tel; tel != nil && same == 1 && e.Action == "quarantine" {
+		// A domain's own series, or "mu" for the global tier.
+		tel.quarantines.With(cmp.Or(e.Domain, "mu")).Func(s.counter(func(x Event) bool {
+			return x.Action == e.Action && x.Domain == e.Domain
+		}))
+	}
+	return same
+}
+
+// count returns how many logged actions match.
+func (s *Supervisor) count(match func(Event) bool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, e := range s.events {
+		if match(e) {
+			n++
+		}
+	}
+	return n
+}
+
+// counter reads count as a metric series.
+func (s *Supervisor) counter(match func(Event) bool) func() uint64 {
+	return func() uint64 { return uint64(s.count(match)) }
 }
 
 func (s *Supervisor) noteOutcome(outcome string) {
@@ -512,8 +519,8 @@ func (s *Supervisor) noteOutcome(outcome string) {
 	}
 }
 
-func (s *Supervisor) terminal(label, domain, outcome string, attempts int, cause error) error {
+func (s *Supervisor) terminal(c *call, outcome string, attempts int, cause error) error {
 	s.noteOutcome(outcome)
-	return &CompartmentError{Call: label, Domain: domain, Policy: s.cfg.Policy,
-		Outcome: outcome, Attempts: attempts, Err: cause}
+	return &CompartmentError{Call: c.label, Domain: c.domain, Policy: s.cfg.Policy,
+		Outcome: outcome, Attempts: attempts, Actions: c.acts, Err: cause}
 }

@@ -106,7 +106,8 @@ type World struct {
 	// Latency holds every successful request's gate round-trip latency.
 	Latency *Recorder
 
-	// Request-path counters, live on Registry.
+	// Request-path counters, live on Registry. Entries and Dropped read
+	// the per-tenant counts at export.
 	Entries, Reads, Denied, Leaks, Churned, Dropped, Refused, Shed, Breaches *telemetry.Counter
 
 	cfg      Config
@@ -123,8 +124,8 @@ type World struct {
 
 	reqSeq atomic.Uint64   // global request sequence
 	perSeq []atomic.Uint64 // tenant-local request sequence
-	okBy   []atomic.Uint64
-	dropBy []atomic.Uint64
+	okBy   []atomic.Uint64 // per-tenant OK requests
+	dropBy []atomic.Uint64 // per-tenant dropped requests
 
 	breachMu sync.Mutex
 	breached []string // payloads that reached their goal, "name (class)"
@@ -170,6 +171,8 @@ func New(cfg Config) (*World, error) {
 		okBy:     make([]atomic.Uint64, cfg.Tenants),
 		dropBy:   make([]atomic.Uint64, cfg.Tenants),
 	}
+	w.Entries.Func(sum(w.okBy))
+	w.Dropped.Func(sum(w.dropBy))
 
 	// Tenant libraries are untrusted and domain-bound, so every call into
 	// one gates through the vkey table with the tenant's rights.
@@ -316,7 +319,6 @@ func (w *World) Serve(th *ffi.Thread, i, probe int) Outcome {
 	w.mark(tc, name, tr)
 	th.SetTraceContext(tc)
 	w.Tracer.Bind(th.VM, tc)
-	qBefore := w.sup.DomainQuarantines(name)
 	start := time.Now()
 	var err error
 	if name == w.cfg.Hostile {
@@ -343,24 +345,29 @@ func (w *World) Serve(th *ffi.Thread, i, probe int) Outcome {
 	w.Tracer.Unbind(th.VM)
 	th.SetTraceContext(nil)
 	defer tc.Finish()
-	// Recovery actions the supervisor spent on this tenant burn its
-	// breaker budget, opening it even when the request was saved.
-	if burned := w.sup.DomainQuarantines(name) - qBefore; burned > 0 {
+	// The domain quarantines this request's own recovery performed burn
+	// the tenant's breaker budget. A quarantine always ends the call, so
+	// they come back on its CompartmentError.
+	var cerr *supervise.CompartmentError
+	if errors.As(err, &cerr) {
+		burned := 0
+		for _, a := range cerr.Actions {
+			if a.Action == "quarantine" && a.Domain == name {
+				burned++
+			}
+		}
 		w.mark(tc, name, w.Breakers.RecordBurn(name, burned))
 	}
-	var cerr *supervise.CompartmentError
 	var fault *vm.Fault
 	switch {
 	case err == nil:
-		w.Entries.Inc()
 		w.okBy[i].Add(1)
 		w.Latency.Record(name, lat)
 		w.mark(tc, name, w.Breakers.RecordSuccess(name))
 		return OK
-	case errors.As(err, &cerr), errors.As(err, &fault):
+	case cerr != nil || errors.As(err, &fault):
 		// The policy gave the request up (or, under abort, the injected
 		// fault surfaced raw). Dropped, not fatal.
-		w.Dropped.Inc()
 		w.dropBy[i].Add(1)
 		w.mark(tc, name, w.Breakers.RecordFault(name))
 		return Dropped
@@ -368,6 +375,17 @@ func (w *World) Serve(th *ffi.Thread, i, probe int) Outcome {
 		// Not the tenant's fault: the breaker does not charge it.
 		w.Refused.Inc()
 		return Refused
+	}
+}
+
+// sum reads the total of per-tenant counts.
+func sum(by []atomic.Uint64) func() uint64 {
+	return func() uint64 {
+		var n uint64
+		for i := range by {
+			n += by[i].Load()
+		}
+		return n
 	}
 }
 

@@ -157,3 +157,44 @@ func TestQuantile(t *testing.T) {
 		}
 	}
 }
+
+// TestBurnChargesOwnQuarantines serves one tenant from several workers
+// at once under Quarantine, every third request faulting. The breaker
+// must be charged exactly the domain quarantines the supervisor
+// performed: each request charges its own, never a concurrent
+// request's. A breaker that opened (faulted requests can finish in a
+// row) stops charging, so then the burn may only fall short.
+func TestBurnChargesOwnQuarantines(t *testing.T) {
+	const workers, requests = 4, 6
+	w, err := New(Config{
+		Tenants: 1, Policy: supervise.Quarantine, ProbeAfter: time.Hour,
+		Fault: workload.FaultSpec{Every: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := w.NewThread()
+			<-start
+			for c := 0; c < requests; c++ {
+				w.Serve(th, 0, 0)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	quarantines := w.sup.DomainQuarantines(Name(0))
+	if quarantines == 0 {
+		t.Fatal("no request was quarantined; the test exercised nothing")
+	}
+	for _, ts := range w.Breakers.Snapshot() {
+		if ts.Burn > quarantines || ts.Trips == 0 && ts.Burn != quarantines {
+			t.Errorf("breaker %+v after %d quarantines", ts, quarantines)
+		}
+	}
+}
