@@ -136,7 +136,7 @@ bench-smoke:
 fuzz-smoke:
 	go test -fuzz '^FuzzDifferential$$' -fuzztime 10s ./internal/conformance
 	go test -fuzz '^FuzzSpaceOracle$$' -fuzztime 10s ./internal/conformance
-	go test -fuzz '^FuzzVKeys$$' -fuzztime 10s ./internal/conformance
+	go test -fuzz '^FuzzVKeys$$' -fuzztime 10s ./internal/domains
 	go test -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/pkir
 	go test -fuzz '^FuzzScript$$' -fuzztime 10s ./internal/jsengine
 	go test -fuzz '^FuzzParseAllocID$$' -fuzztime 10s ./internal/profile

@@ -468,18 +468,31 @@ func cmdTrace(o *options, path string) {
 	fmt.Fprintf(os.Stderr, "pkrusafe: mpk run returned %v (%d transitions)\n", res, prog.Transitions())
 }
 
-// cmdDomains runs the N-tenant virtual-key conformance drill and prints
-// its multiplexing stats: how many logical domains rode how many hardware
-// slots, what the LRU eviction traffic looked like, and whether the
-// multiplexed stack ever disagreed with the ideal unbounded-keys model
-// (exit status 1 if it did).
+// cmdDomains replays the N-tenant virtual-key sweep through the
+// conformance executor and prints its multiplexing stats: how many
+// logical domains rode how many hardware slots, what the LRU eviction
+// traffic looked like, and whether the multiplexed stack ever disagreed
+// with the reference model (exit status 1 if it did).
 func cmdDomains(o *options, arg string) {
 	n, err := strconv.Atoi(arg)
-	if err != nil || n < 1 {
-		exitOn(fmt.Errorf("domains: want a positive tenant count, got %q", arg))
+	if err != nil || n < 1 || n > conformance.MaxTenants {
+		exitOn(fmt.Errorf("domains: want a tenant count from 1 to %d, got %q", conformance.MaxTenants, arg))
 	}
-	rep, err := conformance.RunVKeyDrill(conformance.VKeyOptions{Domains: n})
-	exitOn(err)
+	res := conformance.Run(conformance.VKeySweep(n), conformance.Options{})
+	st := res.VKeyStats
+	rep := struct {
+		Domains     int      `json:"domains"`
+		Slots       int      `json:"slots"`
+		Probes      int      `json:"probes"`
+		Evictions   uint64   `json:"evictions"`
+		SlotMisses  uint64   `json:"slot_misses"`
+		Recycled    uint64   `json:"recycled"`
+		Divergences []string `json:"divergences"`
+	}{Domains: n, Slots: st.Slots, Probes: res.Trace.Count(conformance.OpLoad),
+		Evictions: st.Evictions, SlotMisses: st.SlotMisses, Recycled: st.Recycled}
+	for _, d := range res.Divergences {
+		rep.Divergences = append(rep.Divergences, d.String())
+	}
 	if o.jsonOut {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		exitOn(err)

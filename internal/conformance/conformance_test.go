@@ -137,11 +137,12 @@ func TestModelGateStack(t *testing.T) {
 // must replay divergence-free when nothing is injected — the harness's own
 // gate/alloc/retag choreography agrees with the model.
 func TestDirectedTraceCleanWithoutInjection(t *testing.T) {
-	for _, f := range Faults() {
-		res := Run(DirectedTrace(f), Options{})
-		for _, d := range res.Divergences {
-			t.Errorf("%v probe trace without injection: %v", f, d)
-		}
+	res := Run(DirectedTrace(), Options{})
+	for _, d := range res.Divergences {
+		t.Errorf("probe trace without injection: %v", d)
+	}
+	if res.Skipped != 0 {
+		t.Errorf("Skipped = %d, want 0 (the directed trace is fully live)", res.Skipped)
 	}
 }
 
@@ -194,7 +195,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestFormatGoTestIsReplayable(t *testing.T) {
-	src := FormatGoTest("X", DirectedTrace(InjectNone))
+	src := FormatGoTest("X", DirectedTrace())
 	for _, want := range []string{
 		"func TestConformanceRegressionX(t *testing.T)",
 		"conformance.Run(tr, conformance.Options{})",

@@ -4,11 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/ffi"
 	"repro/internal/mpk"
+	"repro/internal/obs"
 	"repro/internal/pkalloc"
+	"repro/internal/profile"
+	"repro/internal/provenance"
 	"repro/internal/sig"
+	"repro/internal/supervise"
 	"repro/internal/vkey"
 	"repro/internal/vm"
 )
@@ -25,6 +30,8 @@ const (
 	MaxAccessBytes = 3 * vm.PageSize
 	// MaxAllocBytes caps one allocation's size.
 	MaxAllocBytes = 2 * vm.PageSize
+	// MaxTenants is the number of vkey tenants OpVKey* ops name by Slot.
+	MaxTenants = 256
 )
 
 // Options configures a differential run.
@@ -40,7 +47,8 @@ type Divergence struct {
 	// end-of-trace protection-key map sweep.
 	Index int
 	Op    Op
-	// What names the diffed property: "outcome", "pkru", or "keymap".
+	// What names the diffed property: "outcome", "pkru", "depth" or
+	// "keymap".
 	What string
 	// Addr is the probed address for keymap divergences.
 	Addr        vm.Addr
@@ -73,13 +81,31 @@ type Result struct {
 	// that a trace actually multiplexed (evictions, recycled slots) rather
 	// than staying under the slot count.
 	VKeyStats vkey.Stats
+
+	// Recovery counts the real supervisors' recovery actions by kind
+	// ("retry", "heal", "quarantine"), and Recovered the supervised calls
+	// per policy that succeeded after a failed attempt: evidence that a
+	// trace actually drove recovery.
+	Recovery  map[string]int
+	Recovered map[supervise.Policy]int
 }
 
 // slot is one entry in the allocation slot table shared by both sides.
 type slot struct {
-	addr vm.Addr
-	size uint64
-	live bool
+	addr      vm.Addr
+	size      uint64
+	live      bool
+	untrusted bool // an MU allocation, gone when MU is quarantined
+}
+
+// access is the memory access an OpGateCall or OpSupervisedCall performs
+// inside the ffi library function, and how many times the function ran.
+type access struct {
+	addr     vm.Addr
+	width    uint64
+	write    bool
+	flaky    bool // touch memory on the first run only
+	attempts int
 }
 
 // runner holds the real stack under test plus the model mirror.
@@ -88,9 +114,15 @@ type runner struct {
 	space *vm.Space
 	sigs  *sig.Table
 	alloc *pkalloc.Allocator
+	reg   *ffi.Registry
 	rt    *ffi.Runtime
 	ths   []*ffi.Thread
 	model *Model
+
+	// Supervised calls: the shadow of live MT allocations a heal resolves
+	// faults against, and one supervisor per policy (nil for Abort).
+	shadow *provenance.Shadow
+	sups   [supervise.Heal + 1]*supervise.Supervisor
 
 	// Hand-rolled gate stacks for OpGateEnter/OpGateExit (per thread).
 	// The executor, not the trace, tracks depth so both sides always
@@ -100,21 +132,19 @@ type runner struct {
 	slots [NumSlots]slot
 
 	// Virtual-key multiplexing under differential test: the real table,
-	// the per-tenant logical-key IDs (0 = dead), the model-side mirror
-	// predicting slot assignment, and each thread's open tenant calls.
+	// the per-tenant logical-key IDs (0 = dead), which tenants have their
+	// page and library, the model-side mirror predicting slot assignment,
+	// and each thread's open tenant calls.
 	vkeys   *vkey.Table
-	vkeyID  [NumVKeySlots]vkey.ID
+	vkeyID  [MaxTenants]vkey.ID
+	housed  [MaxTenants]bool
 	vmir    *vkeyMirror
 	calls   [NumThreads][]tenantCall
 	opening tenantCall // the call serve is entering
 
-	// pending carries the access an OpGateCall performs inside the ffi
-	// library function. Traces run single-goroutine, so one cell suffices.
-	pending struct {
-		addr  vm.Addr
-		width uint64
-		write bool
-	}
+	// pending is the access the ffi library function performs. Traces run
+	// single-goroutine, so one cell suffices.
+	pending access
 
 	// probe accumulates interesting addresses for the final key-map sweep.
 	probe map[vm.Addr]struct{}
@@ -126,11 +156,14 @@ type runner struct {
 // reference model in lockstep and reports every divergence.
 func Run(tr Trace, opts Options) *Result {
 	r := &runner{
-		opts:  opts,
-		space: vm.NewSpace(),
-		sigs:  new(sig.Table),
-		probe: make(map[vm.Addr]struct{}),
-		res:   &Result{Trace: tr, Counts: make(map[OutcomeKind]int)},
+		opts:   opts,
+		space:  vm.NewSpace(),
+		sigs:   new(sig.Table),
+		reg:    ffi.NewRegistry(),
+		shadow: new(provenance.Shadow),
+		probe:  make(map[vm.Addr]struct{}),
+		res: &Result{Trace: tr, Counts: make(map[OutcomeKind]int),
+			Recovery: make(map[string]int), Recovered: make(map[supervise.Policy]int)},
 	}
 	if opts.Inject == InjectStalePageIndex {
 		r.space.InjectStalePageIndex(true)
@@ -140,13 +173,9 @@ func Run(tr Trace, opts Options) *Result {
 		panic("conformance: pkalloc setup: " + err.Error())
 	}
 	r.alloc = alloc
-	reg := ffi.NewRegistry()
-	reg.MustLibrary("unsafe", ffi.Untrusted).Define("touch", r.touch)
-	reg.MustLibrary("safe", ffi.Trusted).Define("touch", r.touch)
-	for vs := 0; vs < NumVKeySlots; vs++ {
-		reg.MustLibrary(tenantLib(vs), ffi.Untrusted).Define("serve", r.serve)
-	}
-	r.rt = ffi.NewRuntime(reg, alloc, r.sigs, ffi.GatesOn)
+	r.reg.MustLibrary("unsafe", ffi.Untrusted).Define("touch", r.touch)
+	r.reg.MustLibrary("safe", ffi.Trusted).Define("touch", r.touch)
+	r.rt = ffi.NewRuntime(r.reg, alloc, r.sigs, ffi.GatesOn)
 	r.rt.SetGateCost(0) // conformance measures semantics, not latency
 	for i := 0; i < NumThreads; i++ {
 		th := r.rt.NewThread()
@@ -169,25 +198,27 @@ func Run(tr Trace, opts Options) *Result {
 	r.probeAddr(alloc.TrustedRegion().Base)
 	r.probeAddr(alloc.UntrustedRegion().Base)
 
-	// Virtual-key tenants: one page per tenant, reserved up front on the
-	// shared key and handed to a logical key by OpVKeyAlloc. The table gets
-	// only three multiplexable slots (see vkeyReservedKeys), so traces
-	// evict and recycle without needing fourteen tenants.
+	// Virtual-key tenants get a page each on their first OpVKeyAlloc. The
+	// table gets only VKeySlots multiplexable slots (see
+	// vkeyReservedKeys), so traces evict and recycle without needing
+	// fourteen tenants.
 	vt, err := vkey.NewTable(r.space, vkey.Config{Reserved: vkeyReservedKeys})
 	if err != nil {
 		panic("conformance: vkey setup: " + err.Error())
 	}
+	if opts.Inject == InjectStaleSlot {
+		vt.InjectStaleEviction(true)
+	}
 	r.vkeys = vt
 	r.vmir = newVKeyMirror(r.model, vkey.InactiveKey)
-	for vs := 0; vs < NumVKeySlots; vs++ {
-		name := fmt.Sprintf("vkey/t%d", vs)
-		if _, err := r.space.Reserve(name, vkeyPage(vs), vm.PageSize, 0); err != nil {
-			panic("conformance: vkey tenant reserve: " + err.Error())
-		}
-		if !r.model.Reserve(vkeyPage(vs), vm.PageSize, 0) {
-			panic("conformance: model rejects vkey tenant reservation")
-		}
-		r.probeAddr(vkeyPage(vs))
+
+	// Supervision: the recorder renders the report a healed fault would
+	// have died with, from the shadow MT allocations keep up to date.
+	rec := obs.NewRecorder(obs.Config{Space: r.space, TrustedKey: alloc.TrustedKey(), BuildConfig: "mpk", Shadow: r.shadow})
+	rec.Install(r.sigs)
+	for p := supervise.Retry; p <= supervise.Heal; p++ {
+		r.sups[p] = supervise.New(supervise.Config{Policy: p},
+			supervise.Deps{Alloc: alloc, Shadow: r.shadow, Recorder: rec})
 	}
 
 	if opts.Inject == InjectSwallowSegv {
@@ -210,9 +241,14 @@ func Run(tr Trace, opts Options) *Result {
 // probeAddr marks an address for the end-of-trace key-map sweep.
 func (r *runner) probeAddr(a vm.Addr) { r.probe[a] = struct{}{} }
 
-// touch is the library function OpGateCall routes through: it performs the
-// pending access on the calling thread's checked view of memory.
+// touch is the library function OpGateCall and OpSupervisedCall route
+// through: it performs the pending access on the calling thread's checked
+// view of memory.
 func (r *runner) touch(t *ffi.Thread, _ []uint64) ([]uint64, error) {
+	r.pending.attempts++
+	if r.pending.flaky && r.pending.attempts > 1 {
+		return nil, nil
+	}
 	buf := make([]byte, r.pending.width)
 	if r.pending.write {
 		return nil, t.VM.Write(r.pending.addr, buf)
@@ -222,6 +258,21 @@ func (r *runner) touch(t *ffi.Thread, _ []uint64) ([]uint64, error) {
 
 // tenantLib names the untrusted library bound to vkey tenant vs.
 func tenantLib(vs int) string { return fmt.Sprintf("vtenant%d", vs) }
+
+// house gives tenant vs its page, reserved on the shared key on both
+// sides, and its library, on the tenant's first OpVKeyAlloc. A trace
+// reservation already covering the page is diffed as such: both sides
+// refuse the overlap, and the tenant attaches to the trace's page.
+func (r *runner) house(vs int) {
+	if r.housed[vs] {
+		return
+	}
+	r.housed[vs] = true
+	r.space.Reserve(fmt.Sprintf("vkey/t%d", vs), vkeyPage(vs), vm.PageSize, 0)
+	r.model.Reserve(vkeyPage(vs), vm.PageSize, 0)
+	r.probeAddr(vkeyPage(vs))
+	r.reg.MustLibrary(tenantLib(vs), ffi.Untrusted).Define("serve", r.serve)
+}
 
 // tenantCall is one open call into a tenant library. OpVKeyEnter is a real
 // call through the thread's gates, so the thread's frames are the
@@ -373,7 +424,7 @@ func (r *runner) step(i int, op Op) {
 		}
 		write := op.Flags&FlagWrite != 0
 		width := accessWidth(op)
-		r.pending.addr, r.pending.width, r.pending.write = addr, width, write
+		r.pending = access{addr: addr, width: width, write: write}
 		lib := "unsafe"
 		if op.Flags&FlagTrustedLib != 0 {
 			lib = "safe"
@@ -398,6 +449,38 @@ func (r *runner) step(i int, op Op) {
 			model = r.model.Access(tid, addr, width, write)
 		}
 
+	case OpSupervisedCall:
+		addr, ok := r.target(op)
+		if !ok || len(r.calls[tid]) > 0 {
+			r.skip()
+			return
+		}
+		p := supervisedPolicy(op)
+		r.pending = access{addr: addr, width: accessWidth(op), write: op.Flags&FlagWrite != 0, flaky: op.Flags&FlagFlaky != 0}
+		sup := r.sups[p]
+		logged := len(sup.Events())
+		_, err := sup.Call(th, "unsafe", "touch")
+		real = realAccessOutcome(err)
+		real.Attempts = r.pending.attempts
+		var acts []string
+		for _, e := range sup.Events()[logged:] {
+			acts = append(acts, e.Action)
+			r.res.Recovery[e.Action]++
+			if e.Action == "quarantine" {
+				r.dropUntrustedSlots()
+			}
+		}
+		real.Recovery = strings.Join(acts, " ")
+		if err == nil && real.Attempts > 1 {
+			r.res.Recovered[p]++
+		}
+		if r.opts.Inject == InjectSkipRecoveryRestore && sup != nil && (err != nil || real.Attempts > 1) {
+			// Planted bug: trusted code resumes after recovery with the
+			// untrusted rights still installed.
+			th.VM.SetRights(r.rt.UntrustedPKRU())
+		}
+		model = r.model.SupervisedCall(tid, p, addr, r.pending.width, r.pending.write, r.pending.flaky)
+
 	case OpAlloc:
 		s := &r.slots[int(op.Slot)%NumSlots]
 		if s.live {
@@ -409,9 +492,11 @@ func (r *runner) step(i int, op Op) {
 			comp = pkalloc.Untrusted
 		}
 		size := allocSize(op)
-		addr, err := r.alloc.AllocIn(comp, size)
+		var addr vm.Addr
+		err := heapCall(func() (err error) { addr, err = r.alloc.AllocIn(comp, size); return })
 		if err == nil {
-			s.addr, s.size, s.live = addr, size, true
+			*s = slot{addr: addr, size: size, live: true, untrusted: comp == pkalloc.Untrusted}
+			r.track(op.Slot%NumSlots, s)
 			if comp == pkalloc.Trusted && r.opts.Inject == InjectLeakTrustedAlloc {
 				// Planted bug: the trusted allocation's page ends up
 				// reachable from U — as if the allocator handed out a
@@ -433,9 +518,12 @@ func (r *runner) step(i int, op Op) {
 			return
 		}
 		size := allocSize(op)
-		addr, err := r.alloc.Realloc(s.addr, size)
+		var addr vm.Addr
+		err := heapCall(func() (err error) { addr, err = r.alloc.Realloc(s.addr, size); return })
 		if err == nil {
+			r.untrack(s)
 			s.addr, s.size = addr, size
+			r.track(op.Slot%NumSlots, s)
 		}
 		real, model = okOrRejected(err == nil), Outcome{Kind: Skipped}
 
@@ -445,17 +533,19 @@ func (r *runner) step(i int, op Op) {
 			r.skip()
 			return
 		}
-		err := r.alloc.Free(s.addr)
+		err := heapCall(func() error { return r.alloc.Free(s.addr) })
+		r.untrack(s)
 		s.live = false
 		real, model = okOrRejected(err == nil), Outcome{Kind: Skipped}
 
 	case OpVKeyAlloc:
-		vs := int(op.Slot) % NumVKeySlots
+		vs := int(op.Slot)
 		if r.vkeyID[vs] != 0 {
 			r.skip()
 			return
 		}
-		id := r.vkeys.Alloc(fmt.Sprintf("vtenant%d", vs))
+		r.house(vs)
+		id := r.vkeys.Alloc(tenantLib(vs))
 		err := r.vkeys.Attach(id, vkeyPage(vs), vm.PageSize)
 		if err == nil {
 			r.vkeyID[vs] = id
@@ -466,7 +556,7 @@ func (r *runner) step(i int, op Op) {
 		model = Outcome{Kind: OK}
 
 	case OpVKeyFree:
-		vs := int(op.Slot) % NumVKeySlots
+		vs := int(op.Slot)
 		if r.vkeyID[vs] == 0 {
 			r.skip()
 			return
@@ -480,7 +570,7 @@ func (r *runner) step(i int, op Op) {
 		model = okOrRejected(r.vmir.release(vs))
 
 	case OpVKeyEnter:
-		vs := int(op.Slot) % NumVKeySlots
+		vs := int(op.Slot)
 		if r.vkeyID[vs] == 0 {
 			r.skip()
 			return
@@ -514,6 +604,14 @@ func (r *runner) step(i int, op Op) {
 		r.diverge(Divergence{Index: i, Op: op, What: "pkru",
 			Real: Outcome{Kind: real.Kind, PKRU: realPKRU}, Model: Outcome{Kind: model.Kind, PKRU: modelPKRU}})
 	}
+	// Gate depth diff: between ops the only open gates are the thread's
+	// tenant calls, so a frame any op leaves behind, or pops twice, shows
+	// here.
+	realDepth, modelDepth := th.Depth(), r.vmir.gates(tid)
+	if realDepth != modelDepth {
+		r.diverge(Divergence{Index: i, Op: op, What: "depth",
+			Real: Outcome{Kind: real.Kind, PKRU: realPKRU, Depth: realDepth}, Model: Outcome{Kind: model.Kind, PKRU: modelPKRU, Depth: modelDepth}})
+	}
 
 	if real.Kind == Skipped || model.Kind == Skipped {
 		return
@@ -526,17 +624,60 @@ func (r *runner) step(i int, op Op) {
 
 func (r *runner) skip() { r.res.Skipped++ }
 
+// heapCall runs one allocator call. MU keeps its free-list metadata in
+// band, where an untrusted overrun can corrupt it; the heap then panics,
+// as libc's malloc aborts. The model judges no allocator, so the executor
+// records the call as refused and replays on.
+func heapCall(f func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("conformance: heap: %v", v)
+		}
+	}()
+	return f()
+}
+
+// track records slot n's allocation, when it is an MT one, in the shadow
+// and in the model: the objects a heal may migrate.
+func (r *runner) track(n uint8, s *slot) {
+	if s.untrusted {
+		return
+	}
+	r.shadow.Track(provenance.Entry{Base: s.addr, Size: s.size, ID: profile.AllocID{Func: "trace", Site: uint32(n)}})
+	r.model.Track(s.addr, s.size)
+}
+
+// untrack drops an MT slot's allocation from the shadow and the model.
+func (r *runner) untrack(s *slot) {
+	if s.untrusted {
+		return
+	}
+	r.shadow.Untrack(s.addr)
+	r.model.Untrack(s.addr)
+}
+
+// dropUntrustedSlots kills every MU slot after a quarantine reset the pool
+// under them.
+func (r *runner) dropUntrustedSlots() {
+	for i := range r.slots {
+		if r.slots[i].untrusted {
+			r.slots[i].live = false
+		}
+	}
+}
+
 func (r *runner) diverge(d Divergence) {
 	r.res.Divergences = append(r.res.Divergences, d)
 }
 
 // sweepKeyMap compares the real page-key view against the model at every
 // interesting address the trace touched: reservation edges, retag edges,
-// live allocations and the pool bases.
+// every page of the live allocations (a heal retags some) and the pool
+// bases.
 func (r *runner) sweepKeyMap() {
 	for _, s := range r.slots {
-		if s.live {
-			r.probeAddr(s.addr)
+		for a := s.addr; s.live && a <= s.addr+vm.Addr(s.size); a += vm.PageSize {
+			r.probeAddr(a)
 		}
 	}
 	addrs := make([]vm.Addr, 0, len(r.probe))

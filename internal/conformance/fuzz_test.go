@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mpk"
+	"repro/internal/supervise"
 	"repro/internal/vm"
 )
 
@@ -20,10 +21,17 @@ func FuzzDifferential(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(Generate(seed, 96).Encode())
 	}
-	for _, fault := range Faults() {
-		f.Add(DirectedTrace(fault).Encode())
-	}
+	f.Add(DirectedTrace().Encode())
 	f.Add(directedVKeyTrace().Encode())
+	f.Add(VKeySweep(VKeySlots + 2).Encode())
+	// One flaky supervised store into an MT object per policy.
+	for p := supervise.Abort; p <= supervise.Heal; p++ {
+		f.Add(Trace{Ops: []Op{
+			{Kind: OpAlloc, Size: 4096},
+			{Kind: OpAlloc, Slot: 1, Size: 64, Flags: FlagUntrusted},
+			{Kind: OpSupervisedCall, Size: 8, Flags: FlagWrite | FlagFlaky, Key: mpk.Key(p)},
+		}}.Encode())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := Decode(data)
 		if len(tr.Ops) > maxFuzzOps {

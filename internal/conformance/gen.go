@@ -8,9 +8,14 @@ import (
 	"repro/internal/vm"
 )
 
-// scratchBase is the window generated reserves land in, well clear of the
-// pkalloc pool reservations.
-const scratchBase vm.Addr = 0x1000_0000_0000
+const (
+	// scratchBase is the window generated reserves land in, well clear of
+	// the pkalloc pool reservations.
+	scratchBase vm.Addr = 0x1000_0000_0000
+	// genTenants is how many vkey tenants generated traces spread over:
+	// more than VKeySlots, so activation must evict.
+	genTenants = 8
+)
 
 // Generate produces a deterministic pseudo-random trace of n ops from the
 // seed. The distribution is tuned for semantic coverage, not uniformity:
@@ -41,7 +46,7 @@ type genState struct {
 	}
 	slotLive  [NumSlots]bool
 	gateDepth [NumThreads]int
-	vslotLive [NumVKeySlots]bool
+	vslotLive [genTenants]bool
 	vkeyDepth [NumThreads]int
 }
 
@@ -53,12 +58,15 @@ func (g *genState) next() Op {
 	}
 	op := Op{Thread: g.thread}
 	switch p := g.rng.Intn(100); {
-	case p < 24:
+	case p < 22:
 		op.Kind = OpLoad
 		g.fillAccess(&op)
-	case p < 42:
+	case p < 38:
 		op.Kind = OpStore
 		g.fillAccess(&op)
+	case p < 42:
+		op.Kind = OpSupervisedCall
+		g.fillSupervised(&op)
 	case p < 51:
 		op.Kind = OpWRPKRU
 		op.Value = g.pkruValue()
@@ -89,11 +97,11 @@ func (g *genState) next() Op {
 		g.slotLive[op.Slot] = true
 	case p < 77:
 		op.Kind = OpFree
-		op.Slot = g.pickSlot()
+		op.Slot = g.pickLive(g.slotLive[:])
 		g.slotLive[op.Slot%NumSlots] = false
 	case p < 79:
 		op.Kind = OpRealloc
-		op.Slot = g.pickSlot()
+		op.Slot = g.pickLive(g.slotLive[:])
 		op.Size = uint64(g.rng.Intn(MaxAllocBytes))
 	case p < 82:
 		op.Kind = OpReserve
@@ -109,7 +117,7 @@ func (g *genState) next() Op {
 		op.Key = g.key()
 	case p < 90:
 		op.Kind = OpVKeyEnter
-		op.Slot = g.pickVKeySlot()
+		op.Slot = g.pickLive(g.vslotLive[:])
 		if !g.vslotLive[op.Slot] {
 			// A dead tenant would just be skipped; allocate it instead so
 			// enters usually have a live compartment to switch into.
@@ -125,12 +133,12 @@ func (g *genState) next() Op {
 		}
 	case p < 97:
 		op.Kind = OpVKeyAlloc
-		op.Slot = uint8(g.rng.Intn(NumVKeySlots))
+		op.Slot = uint8(g.rng.Intn(genTenants))
 		g.vslotLive[op.Slot] = true
 	default:
 		op.Kind = OpVKeyFree
-		op.Slot = g.pickVKeySlot()
-		g.vslotLive[op.Slot%NumVKeySlots] = false
+		op.Slot = g.pickLive(g.vslotLive[:])
+		g.vslotLive[op.Slot%genTenants] = false
 	}
 	return op
 }
@@ -213,26 +221,31 @@ func (g *genState) retagSpan() (vm.Addr, uint64) {
 	return g.reserveSpan()
 }
 
-// pickSlot prefers live slots so free/realloc mostly hit something.
-func (g *genState) pickSlot() uint8 {
+// pickLive picks an index into live, preferring live entries so
+// free/realloc/enter ops mostly hit something.
+func (g *genState) pickLive(live []bool) uint8 {
 	for try := 0; try < 4; try++ {
-		s := uint8(g.rng.Intn(NumSlots))
-		if g.slotLive[s] {
-			return s
+		if s := g.rng.Intn(len(live)); live[s] {
+			return uint8(s)
 		}
 	}
-	return uint8(g.rng.Intn(NumSlots))
+	return uint8(g.rng.Intn(len(live)))
 }
 
-// pickVKeySlot prefers live vkey tenants so enter/free mostly hit one.
-func (g *genState) pickVKeySlot() uint8 {
-	for try := 0; try < 4; try++ {
-		s := uint8(g.rng.Intn(NumVKeySlots))
-		if g.vslotLive[s] {
-			return s
-		}
+// fillSupervised fills an OpSupervisedCall: a thread with no open tenant
+// call (the executor skips the op on one), an access whose slot-relative
+// target lies near the allocation's base — inside the object, so a fault
+// on an MT one is healable — and any policy.
+func (g *genState) fillSupervised(op *Op) {
+	for t := 0; t < NumThreads && g.vkeyDepth[op.Thread] > 0; t++ {
+		op.Thread = uint8(t)
 	}
-	return uint8(g.rng.Intn(NumVKeySlots))
+	g.fillAccess(op)
+	if op.Flags&FlagRawAddr == 0 {
+		op.Addr %= 64
+	}
+	op.Flags |= uint8(g.rng.Intn(2))*FlagWrite | uint8(g.rng.Intn(2))*FlagFlaky
+	op.Key = mpk.Key(g.rng.Intn(4))
 }
 
 // fillAccess picks a target and width for load/store/gate-call ops.
@@ -248,7 +261,7 @@ func (g *genState) fillAccess(op *Op) {
 	}
 	if g.rng.Intn(10) < 6 {
 		// Slot-relative: offset within (or a little past) the allocation.
-		op.Slot = g.pickSlot()
+		op.Slot = g.pickLive(g.slotLive[:])
 		op.Addr = vm.Addr(g.rng.Intn(3 * vm.PageSize))
 		return
 	}
@@ -278,6 +291,6 @@ func (g *genState) fillAccess(op *Op) {
 	case 5: // address-space edge
 		op.Addr = vm.MaxAddr - vm.Addr(g.rng.Intn(2*vm.PageSize))
 	case 6: // a vkey tenant page (+ a little past the window)
-		op.Addr = vkeyBase + vm.Addr(g.rng.Intn((NumVKeySlots+1)*vm.PageSize))
+		op.Addr = vkeyBase + vm.Addr(g.rng.Intn((genTenants+1)*vm.PageSize))
 	}
 }

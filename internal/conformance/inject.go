@@ -3,6 +3,8 @@ package conformance
 import (
 	"repro/internal/mpk"
 	"repro/internal/sig"
+	"repro/internal/supervise"
+	"repro/internal/vm"
 )
 
 // Fault selects a known bug to plant in the real-side execution. Fault
@@ -43,34 +45,46 @@ const (
 	// retags its reservation but not the page itself, so the page keeps
 	// serving its old key.
 	InjectStalePageIndex
+	// InjectStaleSlot models a vkey eviction that leaves the evicted
+	// tenant's pages on their old hardware slot, so the next tenant bound
+	// to the recycled slot can reach them (vkey.Table.InjectStaleEviction).
+	InjectStaleSlot
+	// InjectSkipRecoveryRestore models a recovery layer that resumes
+	// trusted code after a supervised call's failure without restoring
+	// the PKRU register: the caller keeps the untrusted rights.
+	InjectSkipRecoveryRestore
 
 	numFaults
 )
 
+// faultNames are the fault modes' names, as pkru-conform's -fault flag
+// takes them.
+var faultNames = [numFaults]string{
+	InjectNone:                "none",
+	InjectSkipGateRestore:     "skip-gate-restore",
+	InjectSwallowSegv:         "swallow-segv",
+	InjectLeakTrustedAlloc:    "leak-trusted-alloc",
+	InjectStaleSetPKey:        "stale-setpkey",
+	InjectStaleTranslation:    "stale-tlb-key",
+	InjectStalePageIndex:      "stale-page-index",
+	InjectStaleSlot:           "stale-slot-eviction",
+	InjectSkipRecoveryRestore: "skip-recovery-restore",
+}
+
 func (f Fault) String() string {
-	switch f {
-	case InjectNone:
-		return "none"
-	case InjectSkipGateRestore:
-		return "skip-gate-restore"
-	case InjectSwallowSegv:
-		return "swallow-segv"
-	case InjectLeakTrustedAlloc:
-		return "leak-trusted-alloc"
-	case InjectStaleSetPKey:
-		return "stale-setpkey"
-	case InjectStaleTranslation:
-		return "stale-tlb-key"
-	case InjectStalePageIndex:
-		return "stale-page-index"
-	default:
-		return "fault(?)"
+	if f < numFaults {
+		return faultNames[f]
 	}
+	return "fault(?)"
 }
 
 // Faults returns every plantable fault mode (excluding InjectNone).
 func Faults() []Fault {
-	return []Fault{InjectSkipGateRestore, InjectSwallowSegv, InjectLeakTrustedAlloc, InjectStaleSetPKey, InjectStaleTranslation, InjectStalePageIndex}
+	var out []Fault
+	for f := InjectNone + 1; f < numFaults; f++ {
+		out = append(out, f)
+	}
+	return out
 }
 
 // ParseFault resolves a fault mode name as used by pkru-conform's -fault
@@ -94,12 +108,13 @@ func installSwallowingHandler(t *sig.Table) {
 	}))
 }
 
-// DirectedTrace returns a small hand-written trace guaranteed to expose
-// the given fault mode when replayed with that injection: it allocates in
-// both pools, retags a scratch reservation, crosses gates and touches MT
-// from inside and outside the untrusted compartment. With InjectNone it
-// replays divergence-free.
-func DirectedTrace(f Fault) Trace {
+// DirectedTrace returns a small hand-written trace that exposes every
+// fault mode when replayed with that injection: it allocates in both
+// pools, retags a scratch reservation, crosses gates and touches MT from
+// inside and outside the untrusted compartment, walks more vkey tenants
+// than slots (VKeySweep's walk) and makes supervised calls under each
+// recovery policy. Without injection it replays divergence-free.
+func DirectedTrace() Trace {
 	const scratch = 0x1000_0000_0000
 	ops := []Op{
 		// A scratch window that later gets retagged.
@@ -141,5 +156,74 @@ func DirectedTrace(f Fault) Trace {
 		{Kind: OpAlloc, Slot: 2, Size: 512},
 		{Kind: OpGateCall, Slot: 2, Size: 4},
 	}
+	// Tenants multiplexed over the slots, with evictions and a recycled
+	// slot (stale-slot-eviction leaves evicted pages reachable).
+	ops = append(ops, tenantWalk(VKeySlots+2)...)
+	// Supervised calls from U into MT, one recovery path each; every
+	// call must return with the caller's rights back
+	// (skip-recovery-restore keeps the untrusted ones).
+	retry, quarantine, heal := mpk.Key(supervise.Retry), mpk.Key(supervise.Quarantine), mpk.Key(supervise.Heal)
+	ops = append(ops,
+		// A transient fault: the retry succeeds.
+		Op{Kind: OpSupervisedCall, Slot: 0, Size: 8, Flags: FlagWrite | FlagFlaky, Key: retry},
+		// A persistent one: the call fails after MaxRetries retries.
+		Op{Kind: OpSupervisedCall, Slot: 0, Size: 8, Key: retry},
+		// Quarantine scrubs MU and fails the call; the MU slot is gone.
+		Op{Kind: OpSupervisedCall, Slot: 0, Size: 8, Key: quarantine},
+		// A heal migrates the faulting object's pages to key 0 and the
+		// retried call succeeds; afterwards U reaches the object directly.
+		Op{Kind: OpAlloc, Slot: 3, Size: 4096},
+		Op{Kind: OpSupervisedCall, Slot: 3, Size: 8, Flags: FlagWrite, Key: heal},
+		Op{Kind: OpGateCall, Slot: 3, Size: 8},
+	)
 	return Trace{Ops: ops}
+}
+
+// VKeySweep returns the N-tenant virtual-key walk: n tenants (at most
+// MaxTenants) and one MT and one MU allocation, then each tenant entered
+// in turn to probe its own page, the MU and MT allocations and every
+// other tenant's page. A churn then frees a tenant while it holds a
+// hardware slot and re-adds it, and the walk runs again. With more
+// tenants than VKeySlots every enter past the first few evicts.
+func VKeySweep(n int) Trace {
+	return Trace{Ops: append([]Op{
+		{Kind: OpAlloc, Slot: 0, Size: 16},                       // MT
+		{Kind: OpAlloc, Slot: 1, Size: 16, Flags: FlagUntrusted}, // MU
+	}, tenantWalk(n)...)}
+}
+
+// tenantWalk is VKeySweep after its allocations: slot 0 must hold an MT
+// allocation and slot 1 an MU one.
+func tenantWalk(n int) []Op {
+	var ops []Op
+	for vs := 0; vs < n; vs++ {
+		ops = append(ops, Op{Kind: OpVKeyAlloc, Slot: uint8(vs)})
+	}
+	probe := func(addr vm.Addr) Op { return Op{Kind: OpLoad, Flags: FlagRawAddr, Addr: addr, Size: 8} }
+	sweep := func() {
+		for vs := 0; vs < n; vs++ {
+			ops = append(ops,
+				Op{Kind: OpVKeyEnter, Slot: uint8(vs)},
+				probe(vkeyPage(vs)),
+				Op{Kind: OpLoad, Slot: 1, Size: 8},
+				Op{Kind: OpLoad, Slot: 0, Size: 8})
+			for other := 0; other < n; other++ {
+				if other != vs {
+					ops = append(ops, probe(vkeyPage(other)))
+				}
+			}
+			ops = append(ops, Op{Kind: OpVKeyLeave})
+		}
+	}
+	sweep()
+	// Entering the victim first binds it to a slot, so its free recycles
+	// the slot rather than dropping a parked key.
+	victim := uint8(n / 2)
+	ops = append(ops,
+		Op{Kind: OpVKeyEnter, Slot: victim},
+		Op{Kind: OpVKeyLeave},
+		Op{Kind: OpVKeyFree, Slot: victim},
+		Op{Kind: OpVKeyAlloc, Slot: victim})
+	sweep()
+	return ops
 }

@@ -1,7 +1,7 @@
 // Package conformance checks the real enforcement stack — vm.Space paging,
-// vm.Thread PKRU checking, sig fault delivery, the pkalloc pools and the
-// ffi call gates — against an independent reference model of the intended
-// MPK semantics.
+// vm.Thread PKRU checking, sig fault delivery, the pkalloc pools, the ffi
+// call gates, vkey slot multiplexing and supervised recovery — against an
+// independent reference model of the intended MPK semantics.
 //
 // The model is deliberately primitive: a sorted list of reserved address
 // intervals tagged with protection keys, and per-thread PKRU values with a
@@ -12,13 +12,17 @@
 // differential executor (diff.go) drive both sides through the same
 // operation sequence; a shrinker (shrink.go) reduces any divergence to a
 // minimal replayable trace, and a fault injector (inject.go) plants known
-// bugs in the real side to prove the oracle catches them.
+// bugs in the real side to prove the oracle catches them. The directed
+// drills are traces too (DirectedTrace, VKeySweep), so every property the
+// model learns is checked by every drill, sweep and fuzz input.
 package conformance
 
 import (
 	"sort"
+	"strings"
 
 	"repro/internal/mpk"
+	"repro/internal/supervise"
 	"repro/internal/vm"
 )
 
@@ -41,14 +45,24 @@ type Model struct {
 	ivals      []interval // sorted by base, disjoint
 	threads    []*modelThread
 	trustedKey mpk.Key
+
+	// objects are the live trusted-heap objects, base to size: the
+	// allocation shadow's view, which a heal resolves its fault against.
+	objects map[vm.Addr]uint64
+	// budget is each policy's supervisor's remaining recovery actions.
+	budget [supervise.Heal + 1]int
 }
 
 // NewModel returns a model with nthreads fresh threads (PKRU zero, the
-// permit-everything hardware reset state) and no reservations.
+// permit-everything hardware reset state), no reservations, no objects
+// and a full recovery budget per policy.
 func NewModel(nthreads int, trustedKey mpk.Key) *Model {
-	m := &Model{trustedKey: trustedKey}
+	m := &Model{trustedKey: trustedKey, objects: make(map[vm.Addr]uint64)}
 	for i := 0; i < nthreads; i++ {
 		m.threads = append(m.threads, &modelThread{})
+	}
+	for p := range m.budget {
+		m.budget[p] = supervise.Budget
 	}
 	return m
 }
@@ -66,9 +80,6 @@ func (m *Model) PKRU(t int) mpk.PKRU {
 
 // SetPKRU models WRPKRU on thread t.
 func (m *Model) SetPKRU(t int, v mpk.PKRU) { m.threads[t].pkru = v }
-
-// GateDepth returns the number of open gates on thread t.
-func (m *Model) GateDepth(t int) int { return len(m.threads[t].gates) }
 
 // GateEnter models a forward call gate on thread t: the current rights are
 // saved and the untrusted rights installed.
@@ -223,5 +234,95 @@ func faultOutcome(kind OutcomeKind, addr vm.Addr, key mpk.Key, write bool, pkru 
 		AD:    r&mpk.AccessDisable != 0,
 		WD:    r&mpk.WriteDisable != 0,
 		PKRU:  pkru,
+	}
+}
+
+// Track records a live trusted-heap object of size bytes at base; a
+// re-track at the same base replaces it.
+func (m *Model) Track(base vm.Addr, size uint64) { m.objects[base] = size }
+
+// Untrack drops the trusted-heap object at base.
+func (m *Model) Untrack(base vm.Addr) { delete(m.objects, base) }
+
+// object resolves addr as the allocation shadow does: the object with the
+// greatest base at or below addr, when addr lies inside it.
+func (m *Model) object(addr vm.Addr) (base vm.Addr, size uint64, ok bool) {
+	for b, n := range m.objects {
+		if b <= addr && (!ok || b > base) {
+			base, size, ok = b, n, true
+		}
+	}
+	if ok && uint64(addr-base) >= size {
+		return 0, 0, false
+	}
+	return base, size, ok
+}
+
+// SupervisedCall predicts an n-byte access by thread t made inside a call
+// into the untrusted library under policy p (supervise.Supervisor.Call).
+// Each attempt is a forward gate around the access; with flaky only the
+// first attempt touches memory. A failed attempt spends one action of
+// p's budget and then recovers: Retry runs the call again, at most
+// supervise.MaxRetries times; Quarantine scrubs MU and fails the call;
+// Heal retags the pages of the trusted-heap object holding a trusted-key
+// PKU fault to key 0 and runs the call again, at most
+// supervise.MaxRetries times, and quarantines any other failure. An
+// empty budget fails the call at once, and Abort runs it once,
+// unsupervised. Every gate restores what it saved, so the thread's PKRU
+// after the call is its PKRU before. The outcome is the last attempt's,
+// with the attempt count and the actions taken.
+func (m *Model) SupervisedCall(t int, p supervise.Policy, addr vm.Addr, n uint64, write, flaky bool) Outcome {
+	var acts []string
+	for attempt := 1; ; attempt++ {
+		m.GateEnter(t)
+		out := Outcome{Kind: OK}
+		if attempt == 1 || !flaky {
+			out = m.Access(t, addr, n, write)
+		}
+		m.GateExit(t)
+		again := false
+		if out.Kind != OK && p != supervise.Abort && m.budget[p] > 0 {
+			m.budget[p]--
+			var act string
+			act, again = m.recoverOnce(p, out, attempt)
+			if act != "" {
+				acts = append(acts, act)
+			}
+		}
+		if !again {
+			out.Attempts, out.Recovery = attempt, strings.Join(acts, " ")
+			return out
+		}
+	}
+}
+
+// recoverOnce is policy p's answer to a failed attempt: the recovery
+// action taken ("" for none) and whether the call runs again.
+func (m *Model) recoverOnce(p supervise.Policy, fault Outcome, attempt int) (string, bool) {
+	switch p {
+	case supervise.Retry:
+		if attempt > supervise.MaxRetries {
+			return "", false
+		}
+		return "retry", true
+	case supervise.Heal:
+		base, size, ok := m.object(fault.Addr)
+		if !ok || fault.Kind != FaultPKU || fault.PKey != m.trustedKey {
+			return "quarantine", false
+		}
+		if attempt > supervise.MaxRetries {
+			return "", false
+		}
+		lo := base.PageBase()
+		hi := (base + vm.Addr(size) + vm.PageMask).PageBase()
+		if hi == lo {
+			hi = lo + vm.PageSize
+		}
+		if !m.SetPKey(lo, uint64(hi-lo), 0) {
+			panic("conformance: model heal retag refused")
+		}
+		return "heal", true
+	default:
+		return "quarantine", false
 	}
 }

@@ -12,7 +12,7 @@ func TestShrinkProducesMinimalDivergingTrace(t *testing.T) {
 	// Pad the directed probe with generated noise so there is something
 	// substantial to strip away.
 	tr := Generate(3, 128)
-	tr.Ops = append(tr.Ops, DirectedTrace(InjectStaleSetPKey).Ops...)
+	tr.Ops = append(tr.Ops, DirectedTrace().Ops...)
 	if !diverges(tr, opts) {
 		t.Fatal("padded trace does not diverge under injection")
 	}
@@ -45,7 +45,7 @@ func TestShrinkOnCleanTraceIsIdentity(t *testing.T) {
 // the shrunk trace so it can be pasted into a regression test verbatim.
 func TestShrunkTraceRendersStandalone(t *testing.T) {
 	opts := Options{Inject: InjectSkipGateRestore}
-	sh := Shrink(DirectedTrace(InjectSkipGateRestore), opts)
+	sh := Shrink(DirectedTrace(), opts)
 	src := FormatGoTest("GateRestore", sh)
 	if got := strings.Count(src, "{Kind: conformance.Op"); got != len(sh.Ops) {
 		t.Errorf("rendered test has %d op literals, want %d:\n%s", got, len(sh.Ops), src)

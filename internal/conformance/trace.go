@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/mpk"
+	"repro/internal/supervise"
 	"repro/internal/vm"
 )
 
@@ -29,11 +30,12 @@ const (
 	// OpGateExit closes the innermost gate, restoring the saved rights.
 	// With no gate open it is a no-op.
 	OpGateExit
-	// OpGateCall performs a load (Flags bit 1 clear) or store (set) of Size
+	// OpGateCall performs a load (FlagWrite clear) or store (set) of Size
 	// bytes at the op's target from inside a real ffi gated call into an
-	// untrusted library — or a plain trusted call when Flags bit 2 is set.
+	// untrusted library — or a plain trusted call when FlagTrustedLib is
+	// set.
 	OpGateCall
-	// OpAlloc allocates Size bytes from MT (Flags bit 1 clear) or MU (set)
+	// OpAlloc allocates Size bytes from MT (FlagUntrusted clear) or MU (set)
 	// through the pkalloc/heap stack and stores the address in slot Slot.
 	OpAlloc
 	// OpRealloc grows/shrinks slot Slot to Size bytes.
@@ -56,61 +58,61 @@ const (
 	// restoring the caller's compartment (a tenant re-derived, or the
 	// rights held at the call). With no call open it is a no-op.
 	OpVKeyLeave
+	// OpSupervisedCall is OpGateCall's access into the untrusted library
+	// made through a supervise.Supervisor under the policy Key%4 selects
+	// (Abort is an unsupervised call). With FlagFlaky only the first
+	// attempt touches memory, so a retry succeeds. A thread with an open
+	// tenant call skips it.
+	OpSupervisedCall
 
 	numOpKinds
 )
 
+// opKindNames holds each kind's trace name and its Go constant name, the
+// latter for FormatGoTest.
+var opKindNames = [numOpKinds]struct{ short, exported string }{
+	OpReserve:        {"reserve", "OpReserve"},
+	OpSetPKey:        {"setpkey", "OpSetPKey"},
+	OpWRPKRU:         {"wrpkru", "OpWRPKRU"},
+	OpLoad:           {"load", "OpLoad"},
+	OpStore:          {"store", "OpStore"},
+	OpGateEnter:      {"gate-enter", "OpGateEnter"},
+	OpGateExit:       {"gate-exit", "OpGateExit"},
+	OpGateCall:       {"gate-call", "OpGateCall"},
+	OpAlloc:          {"alloc", "OpAlloc"},
+	OpRealloc:        {"realloc", "OpRealloc"},
+	OpFree:           {"free", "OpFree"},
+	OpVKeyAlloc:      {"vkey-alloc", "OpVKeyAlloc"},
+	OpVKeyFree:       {"vkey-free", "OpVKeyFree"},
+	OpVKeyEnter:      {"vkey-enter", "OpVKeyEnter"},
+	OpVKeyLeave:      {"vkey-leave", "OpVKeyLeave"},
+	OpSupervisedCall: {"supervised-call", "OpSupervisedCall"},
+}
+
 func (k OpKind) String() string {
-	switch k {
-	case OpReserve:
-		return "reserve"
-	case OpSetPKey:
-		return "setpkey"
-	case OpWRPKRU:
-		return "wrpkru"
-	case OpLoad:
-		return "load"
-	case OpStore:
-		return "store"
-	case OpGateEnter:
-		return "gate-enter"
-	case OpGateExit:
-		return "gate-exit"
-	case OpGateCall:
-		return "gate-call"
-	case OpAlloc:
-		return "alloc"
-	case OpRealloc:
-		return "realloc"
-	case OpFree:
-		return "free"
-	case OpVKeyAlloc:
-		return "vkey-alloc"
-	case OpVKeyFree:
-		return "vkey-free"
-	case OpVKeyEnter:
-		return "vkey-enter"
-	case OpVKeyLeave:
-		return "vkey-leave"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(k))
+	if k < numOpKinds {
+		return opKindNames[k].short
 	}
+	return fmt.Sprintf("op(%d)", uint8(k))
 }
 
 // Flag bits interpreted per op kind (see OpKind docs).
 const (
-	// FlagWrite selects store over load for OpGateCall.
+	// FlagWrite selects store over load for OpGateCall and
+	// OpSupervisedCall.
 	FlagWrite = 1 << 0
-	// FlagUntrusted selects the MU pool for OpAlloc; for OpGateCall it
-	// selects the *trusted* (ungated) library when clear on bit 2 — see
-	// FlagTrustedLib.
+	// FlagUntrusted selects the MU pool for OpAlloc (the same bit as
+	// FlagWrite, which OpAlloc does not read).
 	FlagUntrusted = 1 << 0
 	// FlagTrustedLib routes OpGateCall through the trusted library (a
 	// plain call with the caller's rights) instead of the untrusted one.
 	FlagTrustedLib = 1 << 1
-	// FlagRawAddr targets Addr directly for Load/Store/GateCall instead of
+	// FlagRawAddr targets Addr directly for the access ops instead of
 	// resolving Slot+Addr(as offset) against the allocation slot table.
 	FlagRawAddr = 1 << 2
+	// FlagFlaky makes an OpSupervisedCall's callee touch memory on its
+	// first attempt only: a transient failure that a retry clears.
+	FlagFlaky = 1 << 3
 )
 
 // Op is one trace operation. The zero Op is a 0-byte load by thread 0.
@@ -119,12 +121,14 @@ const (
 //
 //	Reserve/SetPKey: Addr = base, Size = length, Key = protection key
 //	WRPKRU:          Value = new PKRU
-//	Load/Store/GateCall:
+//	Load/Store/GateCall/SupervisedCall:
 //	    FlagRawAddr set:   target = Addr
 //	    FlagRawAddr clear: target = slots[Slot] + Addr (Addr acts as offset)
 //	    Size = access width in bytes
+//	    Key%4 = supervise.Policy (SupervisedCall only)
 //	Alloc/Realloc:   Slot = slot index, Size = requested bytes
 //	Free:            Slot = slot index
+//	VKey*:           Slot = tenant
 type Op struct {
 	Kind   OpKind
 	Thread uint8
@@ -136,9 +140,23 @@ type Op struct {
 	Value  mpk.PKRU
 }
 
+// supervisedPolicy is an OpSupervisedCall's recovery policy.
+func supervisedPolicy(op Op) supervise.Policy { return supervise.Policy(op.Key % 4) }
+
 // Trace is a replayable operation sequence.
 type Trace struct {
 	Ops []Op
+}
+
+// Count returns how many of the trace's ops are of kind k.
+func (tr Trace) Count(k OpKind) int {
+	n := 0
+	for _, op := range tr.Ops {
+		if op.Kind == k {
+			n++
+		}
+	}
+	return n
 }
 
 // opRecordLen is the fixed encoded size of one Op.
@@ -190,12 +208,16 @@ func (op Op) String() string {
 		return fmt.Sprintf("t%d %v base=%v size=%#x key=%d", op.Thread, op.Kind, op.Addr, op.Size, op.Key)
 	case OpWRPKRU:
 		return fmt.Sprintf("t%d wrpkru %#08x", op.Thread, uint32(op.Value))
-	case OpLoad, OpStore, OpGateCall:
+	case OpLoad, OpStore, OpGateCall, OpSupervisedCall:
 		target := fmt.Sprintf("slot%d+%#x", op.Slot, uint64(op.Addr))
 		if op.Flags&FlagRawAddr != 0 {
 			target = op.Addr.String()
 		}
-		return fmt.Sprintf("t%d %v %s width=%d flags=%#x", op.Thread, op.Kind, target, op.Size, op.Flags)
+		s := fmt.Sprintf("t%d %v %s width=%d flags=%#x", op.Thread, op.Kind, target, op.Size, op.Flags)
+		if op.Kind == OpSupervisedCall {
+			s += " policy=" + supervisedPolicy(op).String()
+		}
+		return s
 	case OpAlloc:
 		pool := "MT"
 		if op.Flags&FlagUntrusted != 0 {
@@ -231,26 +253,20 @@ const (
 	Skipped
 )
 
+var outcomeNames = [...]string{OK: "ok", Rejected: "rejected", FaultMap: "fault-map", FaultPKU: "fault-pku", Skipped: "skipped"}
+
 func (k OutcomeKind) String() string {
-	switch k {
-	case OK:
-		return "ok"
-	case Rejected:
-		return "rejected"
-	case FaultMap:
-		return "fault-map"
-	case FaultPKU:
-		return "fault-pku"
-	case Skipped:
-		return "skipped"
-	default:
-		return fmt.Sprintf("outcome(%d)", uint8(k))
+	if int(k) < len(outcomeNames) {
+		return outcomeNames[k]
 	}
+	return fmt.Sprintf("outcome(%d)", uint8(k))
 }
 
 // Outcome is one side's verdict on one operation: what happened, the
 // fault coordinates when it faulted, the decoded PKUERR-style AD/WD bits
-// for the faulting key, and the thread's PKRU register after the op.
+// for the faulting key, and the thread's PKRU register after the op. A
+// supervised call adds its recovery record; a depth divergence carries
+// the thread's ffi gate depth.
 type Outcome struct {
 	Kind  OutcomeKind
 	Addr  vm.Addr // faulting address (faults only)
@@ -259,18 +275,30 @@ type Outcome struct {
 	AD    bool    // rights for PKey had access-disable set
 	WD    bool    // rights for PKey had write-disable set
 	PKRU  mpk.PKRU
+
+	Attempts int    // supervised call: times the callee ran
+	Recovery string // supervised call: recovery actions, space-separated
+	Depth    int    // open ffi gates on the thread (depth divergences only)
 }
 
 func (o Outcome) String() string {
+	var s string
 	switch o.Kind {
 	case FaultMap:
-		return fmt.Sprintf("%v addr=%v write=%v pkru=%#08x", o.Kind, o.Addr, o.Write, uint32(o.PKRU))
+		s = fmt.Sprintf("%v addr=%v write=%v pkru=%#08x", o.Kind, o.Addr, o.Write, uint32(o.PKRU))
 	case FaultPKU:
-		return fmt.Sprintf("%v addr=%v key=%d write=%v ad=%v wd=%v pkru=%#08x",
+		s = fmt.Sprintf("%v addr=%v key=%d write=%v ad=%v wd=%v pkru=%#08x",
 			o.Kind, o.Addr, o.PKey, o.Write, o.AD, o.WD, uint32(o.PKRU))
 	default:
-		return fmt.Sprintf("%v pkru=%#08x", o.Kind, uint32(o.PKRU))
+		s = fmt.Sprintf("%v pkru=%#08x", o.Kind, uint32(o.PKRU))
 	}
+	if o.Attempts > 0 {
+		s += fmt.Sprintf(" attempts=%d recovery=[%s]", o.Attempts, o.Recovery)
+	}
+	if o.Depth > 0 {
+		s += fmt.Sprintf(" depth=%d", o.Depth)
+	}
+	return s
 }
 
 // FormatGoTest renders the trace as a self-contained Go regression test:
@@ -295,38 +323,8 @@ func FormatGoTest(name string, tr Trace) string {
 }
 
 func exportedKindName(k OpKind) string {
-	switch k {
-	case OpReserve:
-		return "OpReserve"
-	case OpSetPKey:
-		return "OpSetPKey"
-	case OpWRPKRU:
-		return "OpWRPKRU"
-	case OpLoad:
-		return "OpLoad"
-	case OpStore:
-		return "OpStore"
-	case OpGateEnter:
-		return "OpGateEnter"
-	case OpGateExit:
-		return "OpGateExit"
-	case OpGateCall:
-		return "OpGateCall"
-	case OpAlloc:
-		return "OpAlloc"
-	case OpRealloc:
-		return "OpRealloc"
-	case OpFree:
-		return "OpFree"
-	case OpVKeyAlloc:
-		return "OpVKeyAlloc"
-	case OpVKeyFree:
-		return "OpVKeyFree"
-	case OpVKeyEnter:
-		return "OpVKeyEnter"
-	case OpVKeyLeave:
-		return "OpVKeyLeave"
-	default:
-		return fmt.Sprintf("OpKind(%d)", uint8(k))
+	if k < numOpKinds {
+		return opKindNames[k].exported
 	}
+	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }

@@ -6,13 +6,13 @@ import (
 )
 
 // Virtual-key executor sizing. The executor reserves most hardware keys
-// away from the vkey table so only three multiplexable slots remain:
-// generated traces then reach eviction and slot recycling within a few
-// enters instead of needing fourteen distinct tenants.
+// away from the vkey table so only VKeySlots multiplexable slots remain:
+// traces then reach eviction and slot recycling within a few enters
+// instead of needing fourteen distinct tenants.
 const (
-	// NumVKeySlots is the size of the vkey tenant table OpVKey* ops index
-	// into. More tenants than hardware slots, so activation must evict.
-	NumVKeySlots = 8
+	// VKeySlots is the number of hardware slots the executor's vkey table
+	// multiplexes its tenants onto: keys 12, 13 and 14.
+	VKeySlots = 3
 	// vkeyBase is the window holding one page per tenant, clear of the
 	// scratch window and both pkalloc pools.
 	vkeyBase vm.Addr = 0x1200_0000_0000
@@ -21,7 +21,7 @@ const (
 // vkeyReservedKeys are the hardware keys the executor's vkey table must
 // not multiplex (beyond the implicit shared key 0 and the parking key):
 // the trusted pool key, plus filler keys that shrink the slot pool to
-// {12, 13, 14}.
+// VKeySlots.
 var vkeyReservedKeys = []mpk.Key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 
 // vkeyPage returns the page owned by vkey tenant vs.
@@ -40,7 +40,7 @@ type vkeyMirror struct {
 	inactive mpk.Key
 	free     []mpk.Key
 	clock    uint64
-	ents     [NumVKeySlots]vkeyEnt
+	ents     [MaxTenants]vkeyEnt
 	stacks   [NumThreads][]vkeyFrame // open tenant calls, innermost last
 }
 
@@ -209,4 +209,16 @@ func (v *vkeyMirror) leave(tid int) {
 func (v *vkeyMirror) returnToTenant(tid int) {
 	st := v.stacks[tid]
 	v.m.SetPKRU(tid, mpk.DenyAllExcept(0, v.activate(st[len(st)-1].vs)))
+}
+
+// gates returns how many of thread tid's open tenant calls crossed a
+// gate: the thread's ffi gate depth between ops.
+func (v *vkeyMirror) gates(tid int) int {
+	n := 0
+	for _, f := range v.stacks[tid] {
+		if f.gated {
+			n++
+		}
+	}
+	return n
 }

@@ -1,6 +1,10 @@
 package conformance
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/supervise"
+)
 
 // TestDirectedVKeyTrace replays the hand-written virtualization trace:
 // it must be divergence-free, must actually multiplex (five tenants over
@@ -53,6 +57,33 @@ func TestGenerateCoversVKeyOps(t *testing.T) {
 		if res.VKeyStats.Evictions == 0 {
 			t.Errorf("seed %d: generated trace never evicted a virtual key", seed)
 		}
+	}
+}
+
+// TestGenerateCoversRecovery pins the generator's coverage of supervised
+// calls: seeds 1-4 at 512 ops emit OpSupervisedCall, replay
+// divergence-free, and between them recover a call under Retry, heal an
+// object and quarantine MU — so the seeded sweeps and FuzzDifferential's
+// corpus drive every recovery path.
+func TestGenerateCoversRecovery(t *testing.T) {
+	recovery := map[string]int{}
+	retried := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		tr := Generate(seed, 512)
+		if tr.Count(OpSupervisedCall) == 0 {
+			t.Errorf("seed %d: generator emitted no %v ops", seed, OpSupervisedCall)
+		}
+		res := Run(tr, Options{})
+		for _, d := range res.Divergences {
+			t.Errorf("seed %d: divergence: %v", seed, d)
+		}
+		for k, n := range res.Recovery {
+			recovery[k] += n
+		}
+		retried += res.Recovered[supervise.Retry]
+	}
+	if retried == 0 || recovery["heal"] == 0 || recovery["quarantine"] == 0 {
+		t.Errorf("recovered retries %d, actions %v: want a recovered retry, a heal and a quarantine", retried, recovery)
 	}
 }
 

@@ -130,6 +130,11 @@ func New(cfg Config) (*Allocator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pkalloc: reserving MU: %w", err)
 	}
+	// The pools keep their own copy of each reservation's bounds: a
+	// pkey_mprotect of part of a pool splits its region, and the space
+	// leaves the original region object on the retagged piece.
+	mt, mu := *rT, *rU
+	rT, rU = &mt, &mu
 	return &Allocator{
 		space:     cfg.Space,
 		trusted:   heap.NewArena(heap.NewPagePool(rT)),

@@ -362,3 +362,26 @@ func TestQuarantineUntrustedResetsPool(t *testing.T) {
 		t.Errorf("free after quarantine: %v", err)
 	}
 }
+
+// TestRetagInsidePoolKeepsBounds: pkey_mprotect of one page inside MT
+// splits the space's region, leaving the original region object on the
+// retagged page. The pool's bounds must stay the whole reservation, or
+// every MT address outside that page stops being owned: Free refuses it
+// and a heal's ownership check rejects it.
+func TestRetagInsidePoolKeepsBounds(t *testing.T) {
+	s, a := newAlloc(t)
+	p, err := a.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := a.TrustedRegion().Base + vm.Addr(a.TrustedRegion().Size/2)
+	if err := s.SetPKey(mid, vm.PageSize, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !a.TrustedRegion().Contains(p) {
+		t.Errorf("TrustedRegion %v+%#x no longer contains %v", a.TrustedRegion().Base, a.TrustedRegion().Size, p)
+	}
+	if err := a.Free(p); err != nil {
+		t.Errorf("Free after the retag: %v", err)
+	}
+}
